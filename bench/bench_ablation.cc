@@ -28,8 +28,10 @@ void BM_JoinOrder(benchmark::State& state, char dataset,
     state.PauseTiming();
     sys->ResetCounters();
     state.ResumeTiming();
-    Result<QueryResult> r = sys->Execute(xpath, Translator::kPushUp,
-                                         Engine::kRelational, options);
+    Result<QueryResult> r = sys->Execute(
+        xpath, {.translator = Translator::kPushUp,
+                .engine = Engine::kRelational,
+                .exec = options});
     if (!r.ok()) {
       state.SkipWithError(r.status().ToString().c_str());
       return;
@@ -60,7 +62,9 @@ void BM_CacheSweep(benchmark::State& state) {
     sys->ResetCounters();
     state.ResumeTiming();
     Result<QueryResult> r =
-        sys->Execute(xpath, Translator::kPushUp, Engine::kRelational);
+        sys->Execute(
+            xpath,
+            {.translator = Translator::kPushUp, .engine = Engine::kRelational});
     if (!r.ok()) {
       state.SkipWithError(r.status().ToString().c_str());
       return;
@@ -125,6 +129,6 @@ int main(int argc, char** argv) {
       ->Unit(benchmark::kMillisecond);
 
   benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  bench::RunBenchmarksToJson("ablation");
   return 0;
 }

@@ -1,5 +1,5 @@
-// Scatter-gather collection execution vs. the sequential per-document
-// loop on an 8-document auction corpus: wall-time speedup at 1/2/4/8
+// Scatter-gather collection execution vs. the pool-less merge (every
+// document claimed inline, one at a time) on an 8-document auction corpus: wall-time speedup at 1/2/4/8
 // worker threads, and limit-k early termination across documents (page
 // counts plus how many documents were cancelled before they ever ran).
 
@@ -51,7 +51,8 @@ const CollCase kCases[] = {
     {"value", "//closed_auction[price < \"100\"]/date"},
 };
 
-/// threads == 0: the legacy sequential loop (no pool, lazy, name order).
+/// threads == 0: no pool — the merge claims every document inline, lazily
+/// and in name order.
 void BM_Collection(benchmark::State& state, const CollCase& c,
                    size_t threads) {
   const BlasCollection& coll = GetCollection();
@@ -118,12 +119,12 @@ void BM_CollectionLimit(benchmark::State& state, const CollCase& c,
 }
 
 void Register() {
-  const size_t kThreads[] = {0, 1, 2, 4, 8};  // 0 = sequential loop
+  const size_t kThreads[] = {0, 1, 2, 4, 8};  // 0 = no pool
   for (const CollCase& c : kCases) {
     for (size_t threads : kThreads) {
       std::string label =
           std::string("BM_Collection/") + c.name + "/" +
-          (threads == 0 ? "sequential" : std::to_string(threads) + "t");
+          (threads == 0 ? "inline" : std::to_string(threads) + "t");
       benchmark::RegisterBenchmark(label.c_str(),
                                    [&c, threads](benchmark::State& s) {
                                      BM_Collection(s, c, threads);
@@ -138,7 +139,7 @@ void Register() {
         std::string label =
             std::string("BM_CollectionLimit/") + c.name + "/limit" +
             std::to_string(limit) + "/" +
-            (threads == 0 ? "sequential" : std::to_string(threads) + "t");
+            (threads == 0 ? "inline" : std::to_string(threads) + "t");
         benchmark::RegisterBenchmark(
             label.c_str(),
             [&c, limit, threads](benchmark::State& s) {
@@ -157,9 +158,10 @@ void Register() {
 int main(int argc, char** argv) {
   std::printf(
       "Scatter-gather collection queries on an 8-doc auction corpus.\n"
-      "BM_Collection compares the sequential per-document loop against\n"
-      "the parallel merge cursor at 1/2/4/8 worker threads (same answers,\n"
-      "same order). BM_CollectionLimit shows cross-document early\n"
+      "BM_Collection compares the pool-less merge (inline, one document\n"
+      "at a time) against the merge over a pool of 1/2/4/8 worker\n"
+      "threads (same answers, same order). BM_CollectionLimit shows\n"
+      "cross-document early\n"
       "termination: bounded queries cancel still-queued documents, so\n"
       "compare `pages` and `docs_run`/`docs_cancelled` with the\n"
       "unbounded rows.\n\n");

@@ -62,6 +62,6 @@ int main(int argc, char** argv) {
         [t](benchmark::State& s) { blas::BM_Translate(s, t); });
   }
   benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  blas::bench::RunBenchmarksToJson("fig11_plans");
   return 0;
 }

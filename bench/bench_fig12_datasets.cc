@@ -69,6 +69,6 @@ int main(int argc, char** argv) {
         ->Unit(benchmark::kMillisecond);
   }
   benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  blas::bench::RunBenchmarksToJson("fig12_datasets");
   return 0;
 }

@@ -22,6 +22,6 @@ int main(int argc, char** argv) {
     }
   }
   benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  bench::RunBenchmarksToJson("fig13_rdbms");
   return 0;
 }

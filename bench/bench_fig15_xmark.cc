@@ -19,6 +19,6 @@ int main(int argc, char** argv) {
     }
   }
   benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  bench::RunBenchmarksToJson("fig15_xmark");
   return 0;
 }

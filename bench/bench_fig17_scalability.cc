@@ -21,6 +21,6 @@ int main(int argc, char** argv) {
     }
   }
   benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  bench::RunBenchmarksToJson("fig17_scalability");
   return 0;
 }

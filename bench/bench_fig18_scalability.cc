@@ -23,6 +23,6 @@ int main(int argc, char** argv) {
     }
   }
   benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  bench::RunBenchmarksToJson("fig18_scalability");
   return 0;
 }

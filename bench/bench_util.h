@@ -66,7 +66,8 @@ inline void RunQueryBenchmark(benchmark::State& state,
     state.PauseTiming();
     sys->ResetCounters();
     state.ResumeTiming();
-    Result<QueryResult> result = sys->Execute(xpath, translator, engine);
+    Result<QueryResult> result = sys->Execute(
+        xpath, {.translator = translator, .engine = engine});
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       return;

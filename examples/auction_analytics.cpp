@@ -43,7 +43,8 @@ int main(int argc, char** argv) {
            {blas::Translator::kDLabel, blas::Translator::kSplit,
             blas::Translator::kPushUp, blas::Translator::kUnfold}) {
         sys->ResetCounters();
-        blas::Result<blas::QueryResult> r = sys->Execute(q.xpath, t, engine);
+        blas::Result<blas::QueryResult> r = sys->Execute(
+            q.xpath, {.translator = t, .engine = engine});
         if (!r.ok()) {
           std::printf("%-5s %-28.28s %12s %10s\n", q.name.c_str(),
                       q.xpath.c_str(), blas::TranslatorName(t), "n/a");

@@ -35,7 +35,8 @@ int main() {
        {blas::Translator::kDLabel, blas::Translator::kSplit,
         blas::Translator::kPushUp, blas::Translator::kUnfold}) {
     blas::Result<blas::QueryResult> r =
-        sys->Execute(query, t, blas::Engine::kRelational);
+        sys->Execute(query,
+                     {.translator = t, .engine = blas::Engine::kRelational});
     if (!r.ok()) {
       std::fprintf(stderr, "%s: %s\n", blas::TranslatorName(t),
                    r.status().ToString().c_str());

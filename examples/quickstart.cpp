@@ -83,11 +83,12 @@ int main() {
                 first->matches[0].content.c_str());
   }
 
-  // 6. The paper's metrics, per engine, via the legacy one-shot form.
+  // 6. The paper's metrics, per engine, via the one-shot Execute form.
   for (blas::Engine engine :
        {blas::Engine::kRelational, blas::Engine::kTwig}) {
     blas::Result<blas::QueryResult> result =
-        sys->Execute(query, blas::Translator::kPushUp, engine);
+        sys->Execute(
+            query, {.translator = blas::Translator::kPushUp, .engine = engine});
     if (!result.ok()) {
       std::fprintf(stderr, "execute error: %s\n",
                    result.status().ToString().c_str());

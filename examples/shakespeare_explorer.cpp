@@ -50,7 +50,8 @@ int main(int argc, char** argv) {
     // Count everything once (unbounded cursors reproduce the legacy full
     // materialization)...
     blas::Result<blas::QueryResult> full =
-        sys->Execute(q, blas::Translator::kPushUp, blas::Engine::kTwig);
+        sys->Execute(q, {.translator = blas::Translator::kPushUp,
+                         .engine = blas::Engine::kTwig});
     if (!full.ok()) {
       std::printf("  error: %s\n\n", full.status().ToString().c_str());
       continue;

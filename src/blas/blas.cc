@@ -293,26 +293,6 @@ Result<QueryResult> BlasSystem::Execute(const Query& query,
   return cursor.Drain();
 }
 
-Result<QueryResult> BlasSystem::Execute(std::string_view xpath,
-                                        Translator translator, Engine engine,
-                                        const ExecOptions& options) const {
-  QueryOptions unified;
-  unified.translator = translator;
-  unified.engine = engine;
-  unified.exec = options;
-  return Execute(xpath, unified);
-}
-
-Result<QueryResult> BlasSystem::Execute(const Query& query,
-                                        Translator translator, Engine engine,
-                                        const ExecOptions& options) const {
-  QueryOptions unified;
-  unified.translator = translator;
-  unified.engine = engine;
-  unified.exec = options;
-  return Execute(query, unified);
-}
-
 Result<QueryResult> BlasSystem::ExecutePlan(const ExecPlan& plan,
                                             Engine engine) const {
   // The cursor only borrows the plan for the duration of the drain.

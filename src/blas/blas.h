@@ -132,15 +132,6 @@ class BlasSystem {
   Result<QueryResult> Execute(const Query& query,
                               const QueryOptions& options) const;
 
-  /// Legacy positional forms; thin shims over the cursor API (an
-  /// unbounded cursor's Drain() reproduces them exactly).
-  Result<QueryResult> Execute(std::string_view xpath, Translator translator,
-                              Engine engine,
-                              const ExecOptions& options = {}) const;
-  Result<QueryResult> Execute(const Query& query, Translator translator,
-                              Engine engine,
-                              const ExecOptions& options = {}) const;
-
   /// Runs an already-translated plan to completion. Engine::kAuto is
   /// resolved via ChooseEngine.
   Result<QueryResult> ExecutePlan(const ExecPlan& plan, Engine engine) const;

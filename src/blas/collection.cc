@@ -127,7 +127,7 @@ struct CollectionCursor::Shared {
     ExecStats stats;
   };
 
-  // The five setup fields below are populated once at OpenCursor time,
+  // The four setup fields below are populated once at OpenCursor time,
   // before any producer task exists, and read-only afterwards.
   // blas-analyze: allow(guarded-coverage) -- set before producers exist
   Query query;  // parsed once; translated per document
@@ -137,8 +137,6 @@ struct CollectionCursor::Shared {
   BlasCollection::DocCursorOpener opener;
   // blas-analyze: allow(guarded-coverage) -- set before producers exist
   size_t queue_capacity = 256;
-  // blas-analyze: allow(guarded-coverage) -- set before producers exist
-  bool parallel = false;
 
   Mutex mu;
   CondVar items;  // merge waits: matches or completion
@@ -261,7 +259,6 @@ Result<CollectionCursor> BlasCollection::OpenCursor(
             };
   shared->queue_capacity =
       scatter.queue_capacity == 0 ? 1 : scatter.queue_capacity;
-  shared->parallel = scatter.pool != nullptr;
   {
     // No producer exists yet, but docs is publish-guarded; the lock is
     // uncontended by construction.
@@ -277,7 +274,7 @@ Result<CollectionCursor> BlasCollection::OpenCursor(
   shared->doc_count = docs_.size();
 
   CollectionCursor cursor(shared);
-  if (shared->parallel) {
+  if (scatter.pool != nullptr) {
     for (size_t i = 0; i < shared->doc_count; ++i) {
       // Never block the opener on a full pool: a rejected document stays
       // kPending and the merge claims it inline when reached.
@@ -294,20 +291,10 @@ Result<BlasCollection::CollectionResult> BlasCollection::Execute(
   return cursor.Drain();
 }
 
-Result<BlasCollection::CollectionResult> BlasCollection::Execute(
-    std::string_view xpath, Translator translator, Engine engine) const {
-  QueryOptions options;
-  options.translator = translator;
-  options.engine = engine;
-  return Execute(xpath, options);
-}
-
 // --------------------------------------------------- collection cursor ---
 
 CollectionCursor::CollectionCursor(std::shared_ptr<Shared> shared)
-    : shared_(std::move(shared)),
-      seq_to_skip_(shared_->base.offset),
-      seq_remaining_(shared_->base.limit) {}
+    : shared_(std::move(shared)) {}
 
 CollectionCursor& CollectionCursor::operator=(CollectionCursor&& other) {
   if (this != &other) {
@@ -319,12 +306,7 @@ CollectionCursor& CollectionCursor::operator=(CollectionCursor&& other) {
     local_ = std::move(other.local_);
     delivered_ = other.delivered_;
     skipped_ = other.skipped_;
-    seq_cursor_ = std::move(other.seq_cursor_);
-    seq_to_skip_ = other.seq_to_skip_;
-    seq_remaining_ = other.seq_remaining_;
-    seq_skipped_ = other.seq_skipped_;
     other.shared_.reset();
-    other.seq_cursor_.reset();
   }
   return *this;
 }
@@ -349,80 +331,6 @@ void CollectionCursor::Cancel() {
 
 std::optional<CollectionMatch> CollectionCursor::Next() {
   if (exhausted_ || shared_ == nullptr) return std::nullopt;
-  return shared_->parallel ? NextParallel() : NextSequential();
-}
-
-void CollectionCursor::CloseSequentialDoc() {
-  Shared& s = *shared_;
-  {
-    MutexLock lock(s.mu);
-    Shared::Doc& doc = s.docs[doc_index_];
-    doc.stats = seq_cursor_->stats();
-    doc.state = Shared::DocState::kDone;
-  }
-  // Legacy offset/limit carry: the document consumed part of the
-  // collection-wide offset inside its own cursor.
-  seq_to_skip_ -= seq_cursor_->offset_skipped();
-  seq_skipped_ += seq_cursor_->offset_skipped();
-  if (s.base.limit > 0) seq_remaining_ -= seq_cursor_->delivered();
-  seq_cursor_.reset();
-}
-
-std::optional<CollectionMatch> CollectionCursor::NextSequential() {
-  Shared& s = *shared_;
-  while (true) {
-    if (seq_cursor_.has_value()) {
-      if (std::optional<Match> match = seq_cursor_->Next()) {
-        ++delivered_;
-        const std::string* name;
-        {
-          MutexLock lock(s.mu);
-          name = &s.docs[doc_index_].name;  // identity field: stable
-        }
-        return CollectionMatch{*name, std::move(*match)};
-      }
-      CloseSequentialDoc();
-      ++doc_index_;
-    }
-    if (doc_index_ >= s.doc_count) {
-      exhausted_ = true;
-      return std::nullopt;
-    }
-    if (s.base.limit > 0 && seq_remaining_ == 0) {
-      exhausted_ = true;
-      Cancel();  // unvisited documents were never opened
-      return std::nullopt;
-    }
-    Shared::Doc* doc;
-    {
-      MutexLock lock(s.mu);
-      doc = &s.docs[doc_index_];
-      doc->state = Shared::DocState::kRunning;
-    }
-    QueryOptions doc_options = s.base;
-    doc_options.offset = seq_to_skip_;
-    doc_options.limit = s.base.limit > 0 ? seq_remaining_ : 0;
-    Result<ResultCursor> cursor =
-        s.opener(doc->name, *doc->sys, s.query, doc_options);
-    {
-      MutexLock lock(s.mu);
-      doc->executed = true;
-      if (!cursor.ok()) {
-        doc->status = cursor.status();
-        doc->state = Shared::DocState::kDone;
-      }
-    }
-    if (!cursor.ok()) {
-      status_ = std::move(cursor).status();
-      exhausted_ = true;
-      Cancel();
-      return std::nullopt;
-    }
-    seq_cursor_.emplace(std::move(cursor).value());
-  }
-}
-
-std::optional<CollectionMatch> CollectionCursor::NextParallel() {
   Shared& s = *shared_;
   while (true) {
     if (s.base.limit > 0 && delivered_ >= s.base.limit) {
@@ -467,8 +375,8 @@ std::optional<CollectionMatch> CollectionCursor::NextParallel() {
       switch (doc.state) {
         case Shared::DocState::kDone:
           if (!doc.status.ok()) {
-            // Same abort semantics as the sequential path: the error
-            // surfaces when the merge reaches the failing document.
+            // The error surfaces when the merge reaches the failing
+            // document, so documents abort in name order.
             // Cancel re-acquires mu, so leave the critical section first
             // and cancel outside (no relockable-lock tricks: the scoped
             // lock covers exactly this block).
@@ -483,9 +391,10 @@ std::optional<CollectionMatch> CollectionCursor::NextParallel() {
           ++doc_index_;  // only reachable after Cancel; nothing queued
           continue;
         case Shared::DocState::kPending:
-          // The pool has not started this document (rejected submission
-          // or still queued behind other work): claim it and run inline
-          // so a saturated pool degrades to sequential, never deadlock.
+          // No pool, or the pool has not started this document (rejected
+          // submission or still queued behind other work): claim it and
+          // run inline, so a saturated pool degrades to one document at
+          // a time and never deadlocks.
           run_inline = true;
           break;
         case Shared::DocState::kRunning:
@@ -550,9 +459,6 @@ ExecStats CollectionCursor::SettledStats() {
   ExecStats out;
   if (shared_ == nullptr) return out;
   if (!exhausted_) {
-    // Sequential mode keeps the current document's cursor on this
-    // thread; fold its stats in before waiting (nobody else will).
-    if (seq_cursor_.has_value()) CloseSequentialDoc();
     Cancel();
     exhausted_ = true;
   }
@@ -562,11 +468,6 @@ ExecStats CollectionCursor::SettledStats() {
     if (doc.executed) out += doc.stats;
   }
   return out;
-}
-
-uint64_t CollectionCursor::offset_skipped() const {
-  if (shared_ == nullptr) return 0;
-  return shared_->parallel ? skipped_ : seq_skipped_;
 }
 
 CollectionCursor::ScatterStats CollectionCursor::scatter_stats() const {

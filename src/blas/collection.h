@@ -27,13 +27,12 @@ struct CollectionMatch {
 
 /// How a collection cursor executes its per-document cursors.
 struct ScatterOptions {
-  /// Worker pool the per-document producers fan out onto. Null runs
-  /// every document inline on the consuming thread, lazily and in name
-  /// order — the legacy sequential execution, byte-identical to the
-  /// pre-cursor Execute loop. With a pool, producers are TrySubmit-ted
-  /// (never blocking the opener); any document whose task has not
-  /// started by the time the merge needs it is claimed and run inline,
-  /// so a saturated pool degrades to sequential instead of deadlocking.
+  /// Worker pool the per-document producers fan out onto. Producers are
+  /// TrySubmit-ted (never blocking the opener); any document whose task
+  /// has not started by the time the merge needs it is claimed and run
+  /// inline, so a saturated pool degrades to one-document-at-a-time
+  /// execution instead of deadlocking. Null is the limiting case: the
+  /// merge claims every document inline, lazily and in name order.
   ThreadPool* pool = nullptr;
   /// Bounded per-document match queue: producers ahead of the merge
   /// block once their queue is full, bounding memory and delay.
@@ -150,8 +149,8 @@ class BlasCollection {
   ///
   /// A per-document translation failure surfaces when the merge reaches
   /// that document: Next() returns nullopt with CollectionCursor::status()
-  /// set, Drain() returns the error — the same documents-in-name-order
-  /// abort semantics as the sequential path.
+  /// set, Drain() returns the error — documents abort in name order, with
+  /// or without a pool.
   ///
   /// The collection (and the pool, if any) must outlive the cursor.
   Result<CollectionCursor> OpenCursor(std::string_view xpath,
@@ -169,19 +168,15 @@ class BlasCollection {
   /// plans legitimately differ), join-order optimization, projection, and
   /// collection-wide `limit`/`offset` over the concatenated name-ordered
   /// match sequence — enumeration stops (documents are not even opened)
-  /// once offset + limit matches have been produced. A shim over
-  /// OpenCursor + Drain with no pool (sequential, lazy, name order).
+  /// once offset + limit matches have been produced. OpenCursor + Drain
+  /// with no pool (lazy, name order, each document capped at
+  /// offset + limit).
   ///
   /// A per-document translation failure aborts the query; that includes
   /// Unsupported (e.g. wildcards under Split) — pick Unfold or DLabel for
   /// wildcard queries.
   Result<CollectionResult> Execute(std::string_view xpath,
                                    const QueryOptions& options = {}) const;
-
-  /// Legacy positional form; shim over the QueryOptions overload.
-  Result<CollectionResult> Execute(std::string_view xpath,
-                                   Translator translator,
-                                   Engine engine) const;
 
  private:
   std::map<std::string, std::shared_ptr<const BlasSystem>> docs_;
@@ -221,8 +216,7 @@ class CollectionCursor {
   std::optional<CollectionMatch> Next();
 
   /// Delivers every remaining match grouped per document, plus the
-  /// summed ExecStats of every executed document. With no pool this is
-  /// byte-identical to the legacy sequential Execute results.
+  /// summed ExecStats of every executed document.
   Result<BlasCollection::CollectionResult> Drain();
 
   /// Cancels still-queued documents and stops producers; idempotent.
@@ -241,7 +235,7 @@ class CollectionCursor {
   /// Matches delivered so far (after the collection-wide offset).
   uint64_t delivered() const { return delivered_; }
   /// Matches consumed by the collection-wide offset so far.
-  uint64_t offset_skipped() const;
+  uint64_t offset_skipped() const { return skipped_; }
   ScatterStats scatter_stats() const;
 
  private:
@@ -250,31 +244,19 @@ class CollectionCursor {
 
   explicit CollectionCursor(std::shared_ptr<Shared> shared);
 
-  std::optional<CollectionMatch> NextSequential();
-  std::optional<CollectionMatch> NextParallel();
   /// Blocks until no producer is mid-execution (their stats are final).
   void WaitSettled();
-  /// Records the finished sequential per-document cursor into its doc.
-  void CloseSequentialDoc();
 
   std::shared_ptr<Shared> shared_;
   Status status_;
   bool exhausted_ = false;
   size_t doc_index_ = 0;
-  /// Parallel mode: the current document's matches grabbed from its
-  /// producer queue a whole batch per lock acquisition.
+  /// The current document's matches grabbed from its producer queue a
+  /// whole batch per lock acquisition.
   std::deque<Match> local_;
   uint64_t delivered_ = 0;
-  /// Parallel mode: matches skipped by the merge for the collection-wide
-  /// offset. Sequential mode: skipping happens inside per-document
-  /// cursors (legacy accounting) and is tallied in seq_skipped_.
+  /// Matches skipped by the merge for the collection-wide offset.
   uint64_t skipped_ = 0;
-  /// Sequential mode state: the lazily opened current document cursor
-  /// and the legacy offset/limit carry.
-  std::optional<ResultCursor> seq_cursor_;
-  uint64_t seq_to_skip_ = 0;
-  uint64_t seq_remaining_ = 0;  // meaningful only when base limit > 0
-  uint64_t seq_skipped_ = 0;
 };
 
 }  // namespace blas

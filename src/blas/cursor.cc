@@ -137,7 +137,7 @@ Status ResultCursor::Init() {
   if (!stream_tag.has_value()) {
     // Materialized: run the full engine once, serve from the binding
     // list. Unbounded cursors always take this path, so Drain() matches
-    // the legacy Execute results and measurements exactly.
+    // a full engine run's results and measurements exactly.
     Result<std::vector<DLabel>> bindings =
         engine_ == Engine::kRelational
             ? RelationalExecutor(env_.store, env_.dict)
@@ -316,7 +316,7 @@ QueryResult ResultCursor::Drain() {
   } else if (!exhausted_) {
     // Materialized bulk path: consume any remaining offset, then take up
     // to the limit. With the default kDLabel projection no per-match
-    // lookups happen (the legacy Execute path).
+    // lookups happen (a full engine run's cost).
     Stopwatch watch;
     ReadCounters counters;
     {

@@ -22,7 +22,7 @@ namespace blas {
 class PathSummary;
 
 /// One fully materialized answer: result node start positions plus all
-/// measurements (the legacy Execute form; `ResultCursor::Drain` produces
+/// measurements (the one-shot Execute form; `ResultCursor::Drain` produces
 /// it, and `matches` carries projected content when requested).
 struct QueryResult {
   std::vector<uint32_t> starts;
@@ -33,7 +33,7 @@ struct QueryResult {
   ExecPlan::Shape shape;
   double millis = 0.0;
   /// Matches consumed by the cursor's `offset` before the first delivered
-  /// one (the collection uses this to carry an offset across documents).
+  /// one.
   uint64_t offset_skipped = 0;
   /// The span tree of this query's execution; non-null only when the
   /// query ran through a QueryService with tracing on for it
@@ -62,7 +62,7 @@ struct StreamPlanInfo {
 ///
 ///   * Unbounded cursors (`limit == 0`) run the full engine once and serve
 ///     from the materialized position list — `Drain()` is byte-identical
-///     (results and stats) to the legacy `Execute` path.
+///     (results and stats) to a full engine run (`ExecutePlan`).
 ///   * Bounded cursors (`limit > 0`) use the engines' incremental
 ///     producers when the plan allows it: the pattern minus the return
 ///     part is evaluated first (the relational executor's pipelined final
@@ -118,8 +118,7 @@ class ResultCursor {
   bool exhausted() const { return exhausted_; }
   /// Matches delivered so far (after `offset`, counted toward `limit`).
   uint64_t delivered() const { return delivered_; }
-  /// Matches consumed by `offset` so far (the collection cursor uses this
-  /// to carry a collection-wide offset across documents, mirroring
+  /// Matches consumed by `offset` so far (mirrors
   /// QueryResult::offset_skipped).
   uint64_t offset_skipped() const { return skipped_; }
   /// Execution counters accumulated so far; grows as the cursor advances.

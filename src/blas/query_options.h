@@ -50,9 +50,8 @@ enum class Projection {
 
 const char* ProjectionName(Projection p);
 
-/// \brief Unified per-query knobs of the cursor API. Replaces the
-/// positional (translator, engine, ExecOptions) triple across BlasSystem,
-/// QueryService and BlasCollection.
+/// \brief Unified per-query knobs of the cursor API, shared by
+/// BlasSystem, QueryService and BlasCollection.
 struct QueryOptions {
   Translator translator = Translator::kPushUp;
   /// kAuto resolves per plan via the cost model.

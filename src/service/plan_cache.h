@@ -27,27 +27,27 @@ struct CachedPlan {
   StreamPlanInfo stream_info;
 };
 
-/// \brief Cache entry for a collection-wide query: the query is parsed
-/// once, and the per-document translated plans (codecs legitimately
-/// differ between documents, so each document needs its own plan) fill in
-/// lazily as scatter workers first touch each document. A hot collection
-/// query therefore pays one parse total and N per-document translations
-/// total, after which every request is pure cache hits.
+/// \brief Plan-cache entry: the query is parsed once, and the
+/// per-document translated plans (codecs legitimately differ between
+/// documents, so each document needs its own plan) fill in lazily as each
+/// document is first opened. A hot query therefore pays one parse total
+/// and one translation per document total, after which every request is
+/// pure cache hits. A single-document service uses one slot.
 ///
 /// Every per-document plan is tagged with the *epoch* of the document
 /// generation it was translated against (a live collection bumps a
-/// document's epoch on every replace; static collections use epoch 0).
-/// A lookup whose epoch differs from the tag misses — a replaced document
-/// can therefore never serve a plan translated against its previous
-/// incarnation, whose tag ids, codec widths and path summary may all
-/// differ.
+/// document's epoch on every replace; single documents and static
+/// collections use epoch 0). A lookup whose epoch differs from the tag
+/// misses — a replaced document can therefore never serve a plan
+/// translated against its previous incarnation, whose tag ids, codec
+/// widths and path summary may all differ.
 ///
 /// The per-document map is internally synchronized: scatter workers for
 /// different documents insert concurrently through the const handle the
 /// cache gives out.
-class CachedCollectionPlan {
+class CachedQuery {
  public:
-  explicit CachedCollectionPlan(Query query) : query_(std::move(query)) {}
+  explicit CachedQuery(Query query) : query_(std::move(query)) {}
 
   const Query& query() const { return query_; }
 
@@ -82,53 +82,32 @@ class CachedCollectionPlan {
       BLAS_GUARDED_BY(mu_);
 };
 
-namespace internal {
-
-/// \brief Thread-safe LRU cache core shared by the single-document and
-/// collection plan caches. Values are handed out as shared_ptr<const V>,
-/// so an entry evicted while a query still uses it stays alive until the
-/// query drops its reference.
-template <typename V>
-class LruCache {
+/// \brief Thread-safe LRU cache of query entries.
+///
+/// Keyed by PlanCacheKey (normalized XPath + translator + optimizer
+/// knobs); a hit skips parsing, and a hit on a document's slot skips
+/// decomposition, translation and join-order optimization as well.
+/// Entries are handed out as shared_ptr<const CachedQuery>, so an entry
+/// evicted while a query still uses it stays alive until the query drops
+/// its reference.
+class PlanCache {
  public:
   /// `capacity` == 0 disables the cache (every Get misses, Put is a
   /// no-op) — the service uses that for its cache-bypass mode.
-  explicit LruCache(size_t capacity) : capacity_(capacity) {}
+  explicit PlanCache(size_t capacity = 256) : capacity_(capacity) {}
 
-  /// Returns the cached value and promotes it to most-recently-used, or
+  /// Returns the cached entry and promotes it to most-recently-used, or
   /// nullptr on miss. Counts one hit or one miss.
-  std::shared_ptr<const V> Get(const std::string& key) {
-    MutexLock lock(mu_);
-    auto it = index_.find(key);
-    if (it == index_.end()) {
-      ++stats_.misses;
-      return nullptr;
-    }
-    ++stats_.hits;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return it->second->value;
-  }
+  std::shared_ptr<const CachedQuery> Get(const std::string& key);
 
   /// Inserts or refreshes `value` under `key`, evicting the
   /// least-recently-used entry when over capacity.
-  void Put(const std::string& key, std::shared_ptr<const V> value) {
-    if (capacity_ == 0) return;
-    MutexLock lock(mu_);
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      it->second->value = std::move(value);
-      lru_.splice(lru_.begin(), lru_, it->second);
-      return;
-    }
-    lru_.push_front(Entry{key, std::move(value)});
-    index_[key] = lru_.begin();
-    ++stats_.insertions;
-    if (lru_.size() > capacity_) {
-      index_.erase(lru_.back().key);
-      lru_.pop_back();
-      ++stats_.evictions;
-    }
-  }
+  void Put(const std::string& key, std::shared_ptr<const CachedQuery> value);
+
+  /// Drops `doc`'s per-document plan from every cached entry (document
+  /// replaced or removed). The parsed queries and other documents' plans
+  /// survive — only the invalidated document pays retranslation.
+  void InvalidateDocument(const std::string& doc) const;
 
   struct Stats {
     uint64_t hits = 0;
@@ -136,82 +115,26 @@ class LruCache {
     uint64_t insertions = 0;
     uint64_t evictions = 0;
   };
-  Stats stats() const {
-    MutexLock lock(mu_);
-    return stats_;
-  }
+  Stats stats() const;
 
-  size_t size() const {
-    MutexLock lock(mu_);
-    return lru_.size();
-  }
+  size_t size() const;
   size_t capacity() const { return capacity_; }
 
-  /// Drops all entries (stats are kept).
-  void Clear() {
-    MutexLock lock(mu_);
-    lru_.clear();
-    index_.clear();
-  }
-
-  /// Applies `fn` to every cached value under the cache lock (recency
-  /// order). For sweep-style maintenance — keep `fn` cheap.
-  template <typename Fn>
-  void ForEachValue(Fn fn) const {
-    MutexLock lock(mu_);
-    for (const Entry& entry : lru_) fn(*entry.value);
-  }
-
   /// Keys in recency order, most recent first (tests of eviction order).
-  std::vector<std::string> KeysMruToLru() const {
-    MutexLock lock(mu_);
-    std::vector<std::string> keys;
-    keys.reserve(lru_.size());
-    for (const Entry& entry : lru_) keys.push_back(entry.key);
-    return keys;
-  }
+  std::vector<std::string> KeysMruToLru() const;
 
  private:
   struct Entry {
     std::string key;
-    std::shared_ptr<const V> value;
+    std::shared_ptr<const CachedQuery> value;
   };
 
   const size_t capacity_;
   mutable Mutex mu_;
   std::list<Entry> lru_ BLAS_GUARDED_BY(mu_);  // front = most recent
-  std::unordered_map<std::string, typename std::list<Entry>::iterator> index_
+  std::unordered_map<std::string, std::list<Entry>::iterator> index_
       BLAS_GUARDED_BY(mu_);
   Stats stats_ BLAS_GUARDED_BY(mu_);
-};
-
-}  // namespace internal
-
-/// \brief Thread-safe LRU cache of translated query plans.
-///
-/// Keyed by PlanCacheKey (normalized XPath + translator + optimizer
-/// knobs); a hit skips parsing, decomposition, translation and join-order
-/// optimization entirely.
-class PlanCache : public internal::LruCache<CachedPlan> {
- public:
-  explicit PlanCache(size_t capacity = 256) : LruCache(capacity) {}
-};
-
-/// \brief Thread-safe LRU cache of collection query entries (one parsed
-/// query plus lazily filled per-document plans). Same keying as
-/// PlanCache.
-class CollectionPlanCache : public internal::LruCache<CachedCollectionPlan> {
- public:
-  explicit CollectionPlanCache(size_t capacity = 256) : LruCache(capacity) {}
-
-  /// Drops `doc`'s per-document plan from every cached entry (document
-  /// replaced or removed). The parsed queries and other documents' plans
-  /// survive — only the invalidated document pays retranslation.
-  void InvalidateDocument(const std::string& doc) {
-    ForEachValue([&doc](const CachedCollectionPlan& entry) {
-      entry.InvalidateDocument(doc);
-    });
-  }
 };
 
 }  // namespace blas

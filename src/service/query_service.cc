@@ -34,69 +34,47 @@ void AppendF(std::string* out, const char* fmt, ...) {
 
 }  // namespace
 
-QueryService::QueryService(const BlasSystem* system,
-                           const ServiceOptions& options)
-    : system_(system),
-      plan_cache_(options.plan_cache_capacity),
-      collection_plan_cache_(options.plan_cache_capacity),
-      scatter_queue_capacity_(options.scatter_queue_capacity),
+QueryService::QueryService(const ServiceOptions& options)
+    : plan_cache_(options.plan_cache_capacity),
       pool_(options.worker_threads, options.queue_capacity),
       trace_ring_(options.trace_ring_capacity),
       slow_query_log_(options.slow_query_millis,
                       options.slow_query_log_capacity),
       trace_sample_every_(options.trace_sample_every) {
   InitMetrics();
+}
+
+QueryService::QueryService(const BlasSystem* system,
+                           const ServiceOptions& options)
+    : QueryService(options) {
+  system_ = system;
 }
 
 QueryService::QueryService(std::shared_ptr<const BlasSystem> system,
                            const ServiceOptions& options)
-    : owned_system_(std::move(system)),
-      system_(owned_system_.get()),
-      plan_cache_(options.plan_cache_capacity),
-      collection_plan_cache_(options.plan_cache_capacity),
-      scatter_queue_capacity_(options.scatter_queue_capacity),
-      pool_(options.worker_threads, options.queue_capacity),
-      trace_ring_(options.trace_ring_capacity),
-      slow_query_log_(options.slow_query_millis,
-                      options.slow_query_log_capacity),
-      trace_sample_every_(options.trace_sample_every) {
-  InitMetrics();
+    : QueryService(options) {
+  owned_system_ = std::move(system);
+  system_ = owned_system_.get();
 }
 
 QueryService::QueryService(const BlasCollection* collection,
                            const ServiceOptions& options)
-    : collection_(collection),
-      plan_cache_(options.plan_cache_capacity),
-      collection_plan_cache_(options.plan_cache_capacity),
-      scatter_queue_capacity_(options.scatter_queue_capacity),
-      pool_(options.worker_threads, options.queue_capacity),
-      trace_ring_(options.trace_ring_capacity),
-      slow_query_log_(options.slow_query_millis,
-                      options.slow_query_log_capacity),
-      trace_sample_every_(options.trace_sample_every) {
-  InitMetrics();
+    : QueryService(options) {
+  auto state = std::make_shared<CollectionState>();
+  state->collection = *collection;  // shallow: shares the member documents
+  static_state_ = std::move(state);
 }
 
 QueryService::QueryService(LiveCollection* live, const ServiceOptions& options)
-    : live_(live),
-      plan_cache_(options.plan_cache_capacity),
-      collection_plan_cache_(options.plan_cache_capacity),
-      scatter_queue_capacity_(options.scatter_queue_capacity),
-      pool_(options.worker_threads, options.queue_capacity),
-      trace_ring_(options.trace_ring_capacity),
-      slow_query_log_(options.slow_query_millis,
-                      options.slow_query_log_capacity),
-      trace_sample_every_(options.trace_sample_every) {
-  InitMetrics();
-  // The queue needs the pool; the pool initializes after it (see the
-  // member-order note in the header), so wire it up in the body.
+    : QueryService(options) {
+  live_ = live;
   ingest_ = std::make_unique<IngestQueue>(live_, &pool_);
   // Epoch tags already make stale per-document plans unservable; the
   // listener reclaims their memory eagerly and keeps the cache honest.
   live_->SetChangeListener(
       [this](const std::string& name, ManifestOp::Kind kind, uint64_t) {
         if (kind != ManifestOp::Kind::kAdd) {
-          collection_plan_cache_.InvalidateDocument(name);
+          plan_cache_.InvalidateDocument(name);
         }
       });
 }
@@ -135,26 +113,13 @@ void QueryService::InitMetrics() {
       "blas_stage_execute_ns",
       "Cursor open (engine execution / streaming prefix)");
   metrics_.RegisterCallbackGauge(
-      "blas_queries_completed", "Queries run to completion by the service",
-      [this] {
-        return static_cast<int64_t>(
-            completed_.load(std::memory_order_relaxed));
-      });
-  metrics_.RegisterCallbackGauge(
-      "blas_queries_failed", "Queries that failed to parse/translate/execute",
-      [this] {
-        return static_cast<int64_t>(failed_.load(std::memory_order_relaxed));
-      });
-  metrics_.RegisterCallbackGauge(
       "blas_plan_cache_hit_percent",
       "Plan-cache hit ratio over the service's lifetime, in percent",
       [this] {
         PlanCache::Stats cache = plan_cache_.stats();
-        CollectionPlanCache::Stats coll = collection_plan_cache_.stats();
-        uint64_t hits = cache.hits + coll.hits;
-        uint64_t total = hits + cache.misses + coll.misses;
+        uint64_t total = cache.hits + cache.misses;
         return total == 0 ? int64_t{0}
-                          : static_cast<int64_t>(hits * 100 / total);
+                          : static_cast<int64_t>(cache.hits * 100 / total);
       });
 }
 
@@ -170,10 +135,28 @@ std::shared_ptr<obs::TraceContext> QueryService::MaybeStartTrace(
   return std::make_shared<obs::TraceContext>(NormalizeXPath(request.xpath));
 }
 
-std::shared_ptr<const obs::Trace> QueryService::FinishQueryObs(
-    const QueryRequest& request, double millis, obs::Histogram* latency,
-    const ExecStats& stats, uint64_t output_rows, const char* engine,
-    obs::TraceContext* trace) {
+std::shared_ptr<const obs::Trace> QueryService::Complete(
+    const QueryRequest& request, double millis, const ExecStats& stats,
+    uint64_t offset_skipped, uint64_t output_rows, const char* engine,
+    obs::TraceContext* trace, const CollectionCursor* collection,
+    uint64_t epoch_at_open) {
+  completed_.fetch_add(1, std::memory_order_relaxed);
+  RollUp(stats);
+  offset_skipped_.fetch_add(offset_skipped, std::memory_order_relaxed);
+  obs::Histogram* latency = query_latency_ns_;
+  if (collection != nullptr) {
+    latency = collection_latency_ns_;
+    CollectionCursor::ScatterStats scatter = collection->scatter_stats();
+    docs_executed_.fetch_add(scatter.docs_executed,
+                             std::memory_order_relaxed);
+    docs_cancelled_.fetch_add(scatter.docs_cancelled,
+                              std::memory_order_relaxed);
+    // A live query that overlapped a publish: the epoch it pinned was
+    // superseded by the time it drained.
+    if (live_ != nullptr && live_->epoch() != epoch_at_open) {
+      churn_queries_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
   latency->Record(static_cast<uint64_t>(millis * 1e6));
   std::shared_ptr<const obs::Trace> sealed;
   if (trace != nullptr) {
@@ -212,6 +195,19 @@ std::future<Result<T>> QueryService::SubmitTask(
     return refused.get_future();
   }
   return future;
+}
+
+template <typename C>
+Result<C> QueryService::CountOpened(Result<C> cursor) {
+  // The cursor escapes the service and executes on the client's thread,
+  // so it is tallied as an opened cursor, not a completed query, and its
+  // ExecStats stay out of the exec roll-up.
+  if (cursor.ok()) {
+    cursors_opened_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    failed_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return cursor;
 }
 
 std::future<Result<QueryResult>> QueryService::Submit(QueryRequest request) {
@@ -259,13 +255,9 @@ std::future<Result<StreamSummary>> QueryService::Submit(
           // per-completed-query roll-up.
           cancelled_.fetch_add(1, std::memory_order_relaxed);
         } else {
-          completed_.fetch_add(1, std::memory_order_relaxed);
-          RollUp(summary.stats);
-          offset_skipped_.fetch_add(cursor->offset_skipped(),
-                                    std::memory_order_relaxed);
-          FinishQueryObs(request, watch.ElapsedMillis(), query_latency_ns_,
-                         summary.stats, summary.delivered,
-                         EngineName(cursor->engine()), trace.get());
+          Complete(request, watch.ElapsedMillis(), summary.stats,
+                   cursor->offset_skipped(), summary.delivered,
+                   EngineName(cursor->engine()), trace.get());
         }
         return summary;
       });
@@ -274,7 +266,7 @@ std::future<Result<StreamSummary>> QueryService::Submit(
 std::future<Result<ResultCursor>> QueryService::SubmitCursor(
     QueryRequest request) {
   return SubmitTask<ResultCursor>([this, request = std::move(request)]() {
-    return RunOpenCursor(request);
+    return CountOpened(MakeCursor(request));
   });
 }
 
@@ -295,53 +287,50 @@ Result<QueryResult> QueryService::Execute(const QueryRequest& request) {
 
 Result<ResultCursor> QueryService::OpenCursor(const QueryRequest& request) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  return RunOpenCursor(request);
+  return CountOpened(MakeCursor(request));
 }
 
-Result<ResultCursor> QueryService::RunOpenCursor(const QueryRequest& request) {
-  // The cursor escapes the service and executes on the client's thread,
-  // so it is tallied as an opened cursor, not a completed query, and its
-  // ExecStats stay out of the exec roll-up.
-  Result<ResultCursor> cursor = MakeCursor(request);
-  if (cursor.ok()) {
-    cursors_opened_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    failed_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return cursor;
-}
-
-Result<ResultCursor> QueryService::MakeCursor(const QueryRequest& request,
-                                              obs::TraceContext* trace) {
-  if (system_ == nullptr) return WrongBackend("single document");
-  std::shared_ptr<const CachedPlan> plan;
-  std::string key;
+Result<std::shared_ptr<const CachedQuery>> QueryService::LookupQuery(
+    const QueryRequest& request, obs::TraceContext* trace) {
   const QueryOptions& options = request.options;
   const bool use_cache =
       !request.bypass_plan_cache && plan_cache_.capacity() > 0;
+  std::shared_ptr<const CachedQuery> entry;
+  std::string key;
   if (use_cache) {
     key = PlanCacheKey(request.xpath, options.translator,
                        options.exec.optimize_join_order);
     obs::SpanTimer span(trace, "plan_cache");
-    plan = plan_cache_.Get(key);
-    if (trace != nullptr) span.set_note(plan != nullptr ? "hit" : "miss");
+    entry = plan_cache_.Get(key);
+    if (trace != nullptr) span.set_note(entry != nullptr ? "hit" : "miss");
+    if (entry != nullptr) return entry;
+  }
+  obs::SpanTimer span(trace, "parse");
+  Stopwatch timer;
+  Result<Query> parsed = ParseXPath(request.xpath);
+  stage_parse_ns_->Record(timer.ElapsedNanos());
+  if (!parsed.ok()) return std::move(parsed).status();
+  entry = std::make_shared<const CachedQuery>(std::move(parsed).value());
+  if (use_cache) plan_cache_.Put(key, entry);
+  return entry;
+}
+
+Result<ResultCursor> QueryService::OpenDocCursor(
+    const CachedQuery& entry, const std::string& doc, uint64_t epoch,
+    const BlasSystem& sys, const QueryOptions& options, bool count_doc_plans,
+    obs::TraceContext* trace) {
+  std::shared_ptr<const CachedPlan> plan = entry.ForDoc(doc, epoch);
+  if (count_doc_plans) {
+    (plan != nullptr ? doc_plan_hits_ : doc_plan_misses_)
+        .fetch_add(1, std::memory_order_relaxed);
   }
   if (plan == nullptr) {
-    Query parsed;
-    {
-      obs::SpanTimer span(trace, "parse");
-      Stopwatch timer;
-      Result<Query> query = ParseXPath(request.xpath);
-      stage_parse_ns_->Record(timer.ElapsedNanos());
-      if (!query.ok()) return std::move(query).status();
-      parsed = std::move(query).value();
-    }
     CachedPlan fresh;
     {
       obs::SpanTimer span(trace, "translate");
       if (trace != nullptr) span.set_note(TranslatorName(options.translator));
       Stopwatch timer;
-      Result<ExecPlan> planned = system_->Plan(parsed, options.translator);
+      Result<ExecPlan> planned = sys.Plan(entry.query(), options.translator);
       stage_translate_ns_->Record(timer.ElapsedNanos());
       if (!planned.ok()) return std::move(planned).status();
       fresh.plan = std::move(planned).value();
@@ -349,36 +338,28 @@ Result<ResultCursor> QueryService::MakeCursor(const QueryRequest& request,
     {
       obs::SpanTimer span(trace, "optimize");
       Stopwatch timer;
-      CostModel model(&system_->summary(), &system_->dict());
+      CostModel model(&sys.summary(), &sys.dict());
       if (options.exec.optimize_join_order) {
         fresh.plan = OptimizeJoinOrder(fresh.plan, model);
       }
-      if (use_cache || options.engine == Engine::kAuto) {
-        // Skippable when the engine is pinned and the plan won't be cached
-        // (cardinality estimation walks the path summary per part).
-        fresh.auto_engine = ChooseEngine(fresh.plan, model);
-      }
-      if (use_cache || options.limit > 0) {
-        // Same reasoning as auto_engine: skip the summary walks when the
-        // verdict can neither be cached nor used (unbounded request).
-        fresh.stream_info = system_->AnalyzeStreamability(fresh.plan);
-      }
+      fresh.auto_engine = ChooseEngine(fresh.plan, model);
+      fresh.stream_info = sys.AnalyzeStreamability(fresh.plan);
       stage_optimize_ns_->Record(timer.ElapsedNanos());
     }
     plan = std::make_shared<const CachedPlan>(std::move(fresh));
-    if (use_cache) plan_cache_.Put(key, plan);
+    entry.PutDoc(doc, epoch, plan);
   }
 
   Engine engine =
       options.engine == Engine::kAuto ? plan->auto_engine : options.engine;
-  // Alias the cached entry so the plan outlives any eviction while this
-  // cursor is still streaming.
+  // Alias the cached plan so it outlives any eviction while this cursor
+  // is still streaming.
   std::shared_ptr<const ExecPlan> shared_plan(plan, &plan->plan);
   obs::SpanTimer span(trace, "execute");
   if (trace != nullptr) span.set_note(EngineName(engine));
   Stopwatch timer;
-  Result<ResultCursor> cursor = system_->OpenPlan(
-      std::move(shared_plan), engine, options, &plan->stream_info);
+  Result<ResultCursor> cursor =
+      sys.OpenPlan(std::move(shared_plan), engine, options, &plan->stream_info);
   stage_execute_ns_->Record(timer.ElapsedNanos());
   if (trace != nullptr && cursor.ok()) {
     // Open runs the engine (or the streaming prefix); attribute the
@@ -389,111 +370,51 @@ Result<ResultCursor> QueryService::MakeCursor(const QueryRequest& request,
   return cursor;
 }
 
+Result<ResultCursor> QueryService::MakeCursor(const QueryRequest& request,
+                                              obs::TraceContext* trace) {
+  if (system_ == nullptr) return WrongBackend("single document");
+  BLAS_ASSIGN_OR_RETURN(std::shared_ptr<const CachedQuery> entry,
+                        LookupQuery(request, trace));
+  return OpenDocCursor(*entry, /*doc=*/"", /*epoch=*/0, *system_,
+                       request.options, /*count_doc_plans=*/false, trace);
+}
+
 Result<CollectionCursor> QueryService::MakeCollectionCursor(
     const QueryRequest& request, uint64_t* epoch_at_open,
     std::shared_ptr<obs::TraceContext> trace) {
-  if (collection_ == nullptr && live_ == nullptr) {
-    return WrongBackend("collection");
-  }
   // A live service pins the epoch current right now; the cursor drains
   // exactly this generation no matter what publishes meanwhile (each
   // per-document producer holds its document via shared_ptr).
   std::shared_ptr<const CollectionState> state =
-      live_ != nullptr ? live_->Snapshot() : nullptr;
-  const BlasCollection* collection =
-      state != nullptr ? &state->collection : collection_;
-  if (epoch_at_open != nullptr) {
-    *epoch_at_open = state != nullptr ? state->epoch : 0;
-  }
-  const QueryOptions& options = request.options;
-  const bool use_cache =
-      !request.bypass_plan_cache && collection_plan_cache_.capacity() > 0;
-  std::shared_ptr<const CachedCollectionPlan> entry;
-  std::string key;
-  if (use_cache) {
-    key = PlanCacheKey(request.xpath, options.translator,
-                       options.exec.optimize_join_order);
-    obs::SpanTimer span(trace.get(), "plan_cache");
-    entry = collection_plan_cache_.Get(key);
-    if (trace != nullptr) span.set_note(entry != nullptr ? "hit" : "miss");
-  }
-  if (entry == nullptr) {
-    obs::SpanTimer span(trace.get(), "parse");
-    Stopwatch timer;
-    Result<Query> parsed = ParseXPath(request.xpath);
-    stage_parse_ns_->Record(timer.ElapsedNanos());
-    if (!parsed.ok()) return std::move(parsed).status();
-    entry = std::make_shared<const CachedCollectionPlan>(
-        std::move(parsed).value());
-    if (use_cache) collection_plan_cache_.Put(key, entry);
-  }
+      live_ != nullptr ? live_->Snapshot() : static_state_;
+  if (state == nullptr) return WrongBackend("collection");
+  if (epoch_at_open != nullptr) *epoch_at_open = state->epoch;
+  BLAS_ASSIGN_OR_RETURN(std::shared_ptr<const CachedQuery> entry,
+                        LookupQuery(request, trace.get()));
 
-  // Per-document opener: the scatter workers consult the cached
-  // per-document plans and translate (then publish) on first touch.
-  // Plans are tagged with the document's last-changed epoch, so a
-  // replaced document can never serve its predecessor's plan (static
-  // collections tag everything 0).
+  // Per-document opener, run on the scatter workers. Plans are tagged
+  // with the document's last-changed epoch, so a replaced document can
+  // never serve its predecessor's plan (static collections tag
+  // everything 0).
   BlasCollection::DocCursorOpener opener =
       [this, entry, state, trace](const std::string& name,
-                                  const BlasSystem& sys, const Query& query,
-                                  const QueryOptions& doc_options)
-      -> Result<ResultCursor> {
-    // The opener runs on scatter workers: install the trace context so
-    // this document's page reads attribute to the query, and record the
-    // open (translate + engine run) as one span named for the document.
-    obs::TraceContext::Scope trace_scope(trace.get());
-    obs::SpanTimer span(trace.get(), "open_doc");
-    if (trace != nullptr) span.set_note(name);
-    uint64_t doc_epoch = 0;
-    if (state != nullptr) {
-      auto it = state->doc_epochs.find(name);
-      if (it != state->doc_epochs.end()) doc_epoch = it->second;
-    }
-    std::shared_ptr<const CachedPlan> plan = entry->ForDoc(name, doc_epoch);
-    if (plan == nullptr) {
-      doc_plan_misses_.fetch_add(1, std::memory_order_relaxed);
-      Stopwatch timer;
-      Result<ExecPlan> planned = sys.Plan(query, doc_options.translator);
-      stage_translate_ns_->Record(timer.ElapsedNanos());
-      if (!planned.ok()) return std::move(planned).status();
-      CachedPlan fresh;
-      fresh.plan = std::move(planned).value();
-      CostModel model(&sys.summary(), &sys.dict());
-      if (doc_options.exec.optimize_join_order) {
-        fresh.plan = OptimizeJoinOrder(fresh.plan, model);
-      }
-      fresh.auto_engine = ChooseEngine(fresh.plan, model);
-      fresh.stream_info = sys.AnalyzeStreamability(fresh.plan);
-      plan = std::make_shared<const CachedPlan>(std::move(fresh));
-      entry->PutDoc(name, doc_epoch, plan);
-    } else {
-      doc_plan_hits_.fetch_add(1, std::memory_order_relaxed);
-    }
-    Engine engine = doc_options.engine == Engine::kAuto ? plan->auto_engine
-                                                        : doc_options.engine;
-    std::shared_ptr<const ExecPlan> shared_plan(plan, &plan->plan);
-    Result<ResultCursor> cursor = sys.OpenPlan(
-        std::move(shared_plan), engine, doc_options, &plan->stream_info);
-    if (trace != nullptr && cursor.ok()) {
-      const ExecStats& s = cursor->stats();
-      span.set_counters(s.elements, s.page_fetches, s.page_misses,
-                        s.io_reads);
-    }
-    return cursor;
-  };
+                                  const BlasSystem& sys, const Query&,
+                                  const QueryOptions& doc_options) {
+        // Install the trace context so this document's page reads
+        // attribute to the query, and nest its open stages under one span
+        // named for the document.
+        obs::TraceContext::Scope trace_scope(trace.get());
+        obs::SpanTimer span(trace.get(), "open_doc");
+        if (trace != nullptr) span.set_note(name);
+        auto it = state->doc_epochs.find(name);
+        const uint64_t epoch = it != state->doc_epochs.end() ? it->second : 0;
+        return OpenDocCursor(*entry, name, epoch, sys, doc_options,
+                             /*count_doc_plans=*/true, trace.get());
+      };
 
-  BlasCollection::ScatterOptions scatter;
-  scatter.pool = &pool_;
-  scatter.queue_capacity = scatter_queue_capacity_;
   obs::SpanTimer span(trace.get(), "open_scatter");
-  return collection->OpenCursor(entry->query(), options, scatter,
-                                std::move(opener));
-}
-
-void QueryService::CountChurnOverlap(uint64_t epoch_at_open) {
-  if (live_ != nullptr && live_->epoch() != epoch_at_open) {
-    churn_queries_.fetch_add(1, std::memory_order_relaxed);
-  }
+  return state->collection.OpenCursor(entry->query(), request.options,
+                                      {.pool = &pool_}, std::move(opener));
 }
 
 Result<BlasCollection::CollectionResult> QueryService::RunCollection(
@@ -521,33 +442,11 @@ Result<BlasCollection::CollectionResult> QueryService::RunCollection(
     failed_.fetch_add(1, std::memory_order_relaxed);
     return result;
   }
-  completed_.fetch_add(1, std::memory_order_relaxed);
-  RollUp(result->stats);
-  offset_skipped_.fetch_add(result->offset_skipped,
-                            std::memory_order_relaxed);
-  CollectionCursor::ScatterStats scatter = cursor->scatter_stats();
-  docs_executed_.fetch_add(scatter.docs_executed, std::memory_order_relaxed);
-  docs_cancelled_.fetch_add(scatter.docs_cancelled,
-                            std::memory_order_relaxed);
-  CountChurnOverlap(epoch_at_open);
-  FinishQueryObs(request, watch.ElapsedMillis(), collection_latency_ns_,
-                 result->stats, result->total_matches,
-                 EngineName(request.options.engine), trace.get());
+  Complete(request, watch.ElapsedMillis(), result->stats,
+           result->offset_skipped, result->total_matches,
+           EngineName(request.options.engine), trace.get(), &*cursor,
+           epoch_at_open);
   return result;
-}
-
-Result<CollectionCursor> QueryService::RunOpenCollectionCursor(
-    const QueryRequest& request) {
-  // Same accounting stance as RunOpenCursor: the merge runs on the
-  // client's thread, so this counts as an opened cursor, not a
-  // completed query.
-  Result<CollectionCursor> cursor = MakeCollectionCursor(request);
-  if (cursor.ok()) {
-    cursors_opened_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    failed_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return cursor;
 }
 
 std::future<Result<BlasCollection::CollectionResult>>
@@ -591,19 +490,10 @@ std::future<Result<StreamSummary>> QueryService::SubmitCollection(
         if (summary.cancelled) {
           cancelled_.fetch_add(1, std::memory_order_relaxed);
         } else {
-          completed_.fetch_add(1, std::memory_order_relaxed);
-          RollUp(summary.stats);
-          offset_skipped_.fetch_add(cursor->offset_skipped(),
-                                    std::memory_order_relaxed);
-          CollectionCursor::ScatterStats scatter = cursor->scatter_stats();
-          docs_executed_.fetch_add(scatter.docs_executed,
-                                   std::memory_order_relaxed);
-          docs_cancelled_.fetch_add(scatter.docs_cancelled,
-                                    std::memory_order_relaxed);
-          CountChurnOverlap(epoch_at_open);
-          FinishQueryObs(request, summary.millis, collection_latency_ns_,
-                         summary.stats, summary.delivered,
-                         EngineName(request.options.engine), trace.get());
+          Complete(request, summary.millis, summary.stats,
+                   cursor->offset_skipped(), summary.delivered,
+                   EngineName(request.options.engine), trace.get(), &*cursor,
+                   epoch_at_open);
         }
         return summary;
       });
@@ -612,7 +502,7 @@ std::future<Result<StreamSummary>> QueryService::SubmitCollection(
 std::future<Result<CollectionCursor>> QueryService::SubmitCollectionCursor(
     QueryRequest request) {
   return SubmitTask<CollectionCursor>([this, request = std::move(request)]() {
-    return RunOpenCollectionCursor(request);
+    return CountOpened(MakeCollectionCursor(request));
   });
 }
 
@@ -625,7 +515,7 @@ Result<BlasCollection::CollectionResult> QueryService::ExecuteCollection(
 Result<CollectionCursor> QueryService::OpenCollectionCursor(
     const QueryRequest& request) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  return RunOpenCollectionCursor(request);
+  return CountOpened(MakeCollectionCursor(request));
 }
 
 // ------------------------------------------------------- admin (live) ---
@@ -701,12 +591,9 @@ Result<QueryResult> QueryService::Run(const QueryRequest& request) {
                         result.stats.io_reads - open_stats.io_reads);
     }
   }
-  completed_.fetch_add(1, std::memory_order_relaxed);
-  RollUp(result.stats);
-  offset_skipped_.fetch_add(result.offset_skipped, std::memory_order_relaxed);
-  result.trace = FinishQueryObs(
-      request, watch.ElapsedMillis(), query_latency_ns_, result.stats,
-      result.stats.output_rows, EngineName(cursor->engine()), trace.get());
+  result.trace = Complete(request, watch.ElapsedMillis(), result.stats,
+                          result.offset_skipped, result.stats.output_rows,
+                          EngineName(cursor->engine()), trace.get());
   return result;
 }
 
@@ -718,13 +605,10 @@ ServiceStats QueryService::stats() const {
   s.rejected = rejected_.load(std::memory_order_relaxed);
   s.cursors_opened = cursors_opened_.load(std::memory_order_relaxed);
   s.cancelled = cancelled_.load(std::memory_order_relaxed);
-  // Only one of the two caches sees traffic (the service fronts either a
-  // system or a collection); summing keeps the report uniform.
   PlanCache::Stats cache = plan_cache_.stats();
-  CollectionPlanCache::Stats coll_cache = collection_plan_cache_.stats();
-  s.plan_cache_hits = cache.hits + coll_cache.hits;
-  s.plan_cache_misses = cache.misses + coll_cache.misses;
-  s.plan_cache_evictions = cache.evictions + coll_cache.evictions;
+  s.plan_cache_hits = cache.hits;
+  s.plan_cache_misses = cache.misses;
+  s.plan_cache_evictions = cache.evictions;
   s.doc_plan_hits = doc_plan_hits_.load(std::memory_order_relaxed);
   s.doc_plan_misses = doc_plan_misses_.load(std::memory_order_relaxed);
   s.queries_served_during_churn =

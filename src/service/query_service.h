@@ -29,9 +29,6 @@ struct ServiceOptions {
   size_t queue_capacity = 1024;
   /// LRU entries of the plan cache. 0 disables caching entirely.
   size_t plan_cache_capacity = 256;
-  /// Bounded per-document match queue of collection scatter-gather
-  /// cursors (see BlasCollection::ScatterOptions::queue_capacity).
-  size_t scatter_queue_capacity = 256;
   /// Trace every Nth completed query in addition to explicit
   /// QueryOptions::trace requests (1 = every query, 0 = explicit only).
   /// Finished traces land in recent_traces().
@@ -82,16 +79,17 @@ struct ServiceStats {
   /// separately from `completed` for the same reason: their truncated
   /// ExecStats stay out of the exec roll-up.
   uint64_t cancelled = 0;
-  // Plan-cache accounting (mirrors PlanCache::stats(); for a
-  // collection-backed service these come from the collection plan cache).
+  // Plan-cache accounting (mirrors PlanCache::stats()).
   uint64_t plan_cache_hits = 0;
   uint64_t plan_cache_misses = 0;
   uint64_t plan_cache_evictions = 0;
-  /// Per-document plan reuse inside cached collection entries: a hot
-  /// collection query pays one parse plus one translation per document
-  /// (doc_plan_misses), then only doc_plan_hits. An epoch-mismatched
-  /// lookup (the document was replaced since the plan was translated)
-  /// counts as a miss — stale plans are structurally unservable.
+  /// Per-document plan reuse inside the cached entries of collection
+  /// queries: a hot collection query pays one parse plus one translation
+  /// per document (doc_plan_misses), then only doc_plan_hits. An
+  /// epoch-mismatched lookup (the document was replaced since the plan was
+  /// translated) counts as a miss — stale plans are structurally
+  /// unservable. Single-document queries leave both alone: their one slot
+  /// is reused exactly when the plan cache hits.
   uint64_t doc_plan_hits = 0;
   uint64_t doc_plan_misses = 0;
   // Churn counters (live-collection services; all 0 otherwise).
@@ -140,8 +138,9 @@ struct ServiceStats {
 /// against the shared read path (safe for concurrent readers), and
 /// results come back through futures. Repeat queries hit an LRU plan
 /// cache keyed by normalized query text and skip the whole
-/// parse/decompose/translate/optimize pipeline; collection entries cache
-/// the parsed query once plus one translated plan per document.
+/// parse/decompose/translate/optimize pipeline: an entry caches the
+/// parsed query once plus one translated plan per document (a single
+/// document is one slot).
 ///
 /// Collection submissions scatter per-document cursors across the same
 /// worker pool and gather them through a merge cursor (see
@@ -163,8 +162,10 @@ class QueryService {
   /// Shares ownership of the system.
   explicit QueryService(std::shared_ptr<const BlasSystem> system,
                         const ServiceOptions& options = {});
-  /// Serves collection queries against a collection owned by the caller,
-  /// which must outlive the service and stay unmodified while served.
+  /// Serves collection queries against the documents `collection` holds
+  /// now: the service keeps a shallow copy (sharing the member documents)
+  /// and serves it as a live-collection state that never publishes, so
+  /// later changes to `collection` are not seen.
   explicit QueryService(const BlasCollection* collection,
                         const ServiceOptions& options = {});
   /// Serves collection queries against a live (continuously-ingesting)
@@ -308,71 +309,79 @@ class QueryService {
   const obs::SlowQueryLog& slow_query_log() const { return slow_query_log_; }
 
   const PlanCache& plan_cache() const { return plan_cache_; }
-  const CollectionPlanCache& collection_plan_cache() const {
-    return collection_plan_cache_;
-  }
-  /// Non-null only for the single-document constructors.
-  const BlasSystem* system() const { return system_; }
-  /// Non-null only for the collection constructor.
-  const BlasCollection* collection() const { return collection_; }
-  /// Non-null only for the live-collection constructor.
-  LiveCollection* live() const { return live_; }
   size_t worker_threads() const { return pool_.thread_count(); }
 
  private:
+  /// Everything but the backing; every public constructor delegates here.
+  explicit QueryService(const ServiceOptions& options);
+
   Result<QueryResult> Run(const QueryRequest& request);
-  /// OpenCursor without the submission count (SubmitCursor counts in
-  /// SubmitTask).
-  Result<ResultCursor> RunOpenCursor(const QueryRequest& request);
-  /// Shared front half of every single-document path: plan-cache lookup /
-  /// translation, engine resolution, cursor creation. With a non-null
-  /// `trace` each stage (plan_cache / parse / translate / optimize /
-  /// execute) records a span.
+  /// Tallies a cursor handed out to the caller (or its failure to open).
+  template <typename C>
+  Result<C> CountOpened(Result<C> cursor);
+  /// Plan-cache lookup and, on a miss, the parse stage; a cacheable miss
+  /// inserts the new entry. With a non-null `trace` both record a span.
+  Result<std::shared_ptr<const CachedQuery>> LookupQuery(
+      const QueryRequest& request, obs::TraceContext* trace);
+  /// The one per-document open: the `doc` slot of `entry` at `epoch`; on a
+  /// miss translate, optimize, choose the engine and analyze
+  /// streamability, publishing the result into the slot; then OpenPlan.
+  /// With a non-null `trace` the translate, optimize and execute stages
+  /// each record a span. `count_doc_plans` tallies the slot lookup in
+  /// doc_plan_hits/misses (collection queries only).
+  Result<ResultCursor> OpenDocCursor(const CachedQuery& entry,
+                                     const std::string& doc, uint64_t epoch,
+                                     const BlasSystem& sys,
+                                     const QueryOptions& options,
+                                     bool count_doc_plans,
+                                     obs::TraceContext* trace);
+  /// Front half of every single-document path: LookupQuery, then
+  /// OpenDocCursor on the document's one slot (epoch 0).
   Result<ResultCursor> MakeCursor(const QueryRequest& request,
                                   obs::TraceContext* trace = nullptr);
-  /// Collection counterpart: collection plan-cache lookup (parsed query +
-  /// per-document plans), scatter-gather cursor creation over the pool.
-  /// On a live service the cursor is opened over the pinned current
-  /// snapshot; `epoch_at_open` (optional) receives its epoch. `trace` is
+  /// Collection counterpart: LookupQuery, then a scatter-gather cursor
+  /// over the pool whose per-document producers call OpenDocCursor. The
+  /// cursor drains the state pinned at open (a static collection's never
+  /// changes); `epoch_at_open` (optional) receives its epoch. `trace` is
   /// shared because the per-document opener reports spans from scatter
   /// workers that may outlive this call's frame.
   Result<CollectionCursor> MakeCollectionCursor(
       const QueryRequest& request, uint64_t* epoch_at_open = nullptr,
       std::shared_ptr<obs::TraceContext> trace = nullptr);
-  /// Counts a completed live-collection query that overlapped a publish.
-  void CountChurnOverlap(uint64_t epoch_at_open);
   Result<BlasCollection::CollectionResult> RunCollection(
-      const QueryRequest& request);
-  Result<CollectionCursor> RunOpenCollectionCursor(
       const QueryRequest& request);
   void RollUp(const ExecStats& stats);
 
   /// Registers this service's metrics (latency histograms, plan-cache
-  /// gauges). Called from every constructor.
+  /// gauge).
   void InitMetrics();
   /// A new trace context when this query is traced (explicit
   /// QueryOptions::trace or every-Nth sampling); null otherwise.
   std::shared_ptr<obs::TraceContext> MaybeStartTrace(
       const QueryRequest& request);
-  /// Completion hook of every non-cancelled query: records the latency
-  /// histogram, seals + rings the trace (when any) and feeds the
-  /// slow-query log. Returns the sealed trace (null when untraced).
-  std::shared_ptr<const obs::Trace> FinishQueryObs(
-      const QueryRequest& request, double millis, obs::Histogram* latency,
-      const ExecStats& stats, uint64_t output_rows, const char* engine,
-      obs::TraceContext* trace);
+  /// Completion accounting of every non-cancelled query: counts it, rolls
+  /// up its ExecStats and offset skips, records the latency histogram,
+  /// seals + rings the trace (when any) and feeds the slow-query log. A
+  /// collection query also passes its cursor (scatter accounting) and the
+  /// epoch it pinned (churn overlap). Returns the sealed trace (null when
+  /// untraced).
+  std::shared_ptr<const obs::Trace> Complete(
+      const QueryRequest& request, double millis, const ExecStats& stats,
+      uint64_t offset_skipped, uint64_t output_rows, const char* engine,
+      obs::TraceContext* trace, const CollectionCursor* collection = nullptr,
+      uint64_t epoch_at_open = 0);
 
   template <typename T>
   std::future<Result<T>> SubmitTask(
       std::function<Result<T>()> work);
 
+  // The backing: exactly one of system_ (single document), static_state_
+  // (static collection) and live_ is set.
   std::shared_ptr<const BlasSystem> owned_system_;
   const BlasSystem* system_ = nullptr;
-  const BlasCollection* collection_ = nullptr;
+  std::shared_ptr<const CollectionState> static_state_;
   LiveCollection* live_ = nullptr;
   PlanCache plan_cache_;
-  CollectionPlanCache collection_plan_cache_;
-  size_t scatter_queue_capacity_;
   /// Declared before pool_: the pool's shutdown (which runs queued
   /// ingest tasks) must happen while the queue still exists.
   std::unique_ptr<IngestQueue> ingest_;

@@ -1,14 +1,16 @@
-// Scatter-gather collection execution: equivalence of the parallel merge
-// cursor with the legacy sequential path (matches, order, offset/limit
-// accounting), numeric-comparison ground truth against NaiveEval on
-// auction data, early-termination cancellation accounting, and the
-// QueryService collection front door. Runs under the TSan CI job.
+// Scatter-gather collection execution: every cursor mode (pooled,
+// pool-less, inline claims) against a test-local oracle (matches, order,
+// offset/limit accounting), numeric-comparison ground truth against
+// NaiveEval on auction data, early-termination cancellation accounting,
+// and the QueryService collection front door. Runs under the TSan CI job.
 
+#include <algorithm>
 #include <atomic>
 #include <future>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -67,11 +69,56 @@ void ExpectSameResults(const BlasCollection::CollectionResult& a,
   }
 }
 
-// ------------------------------------------------ parallel ≡ sequential ---
+// ------------------------------------------------ every mode ≡ oracle ---
 
-TEST(CollectionParallelTest, DrainMatchesSequentialAcrossPlans) {
+/// (document, start) pairs in merge order.
+using Answer = std::vector<std::pair<std::string, uint32_t>>;
+
+/// Test-local oracle: every document's unbounded answer, concatenated in
+/// name order, then sliced to [offset, offset + limit). `offset_skipped`
+/// is how much of the offset the concatenation could absorb.
+Answer OracleAnswer(const BlasCollection& coll, const std::string& q,
+                    const QueryOptions& options, uint64_t* offset_skipped) {
+  Answer all;
+  for (const std::string& name : coll.names()) {
+    Result<ResultCursor> cursor = coll.Find(name)->Open(
+        q, {.translator = options.translator, .engine = options.engine});
+    EXPECT_TRUE(cursor.ok()) << q << " " << cursor.status();
+    if (!cursor.ok()) return {};
+    for (uint32_t start : cursor->Drain().starts) {
+      all.emplace_back(name, start);
+    }
+  }
+  const uint64_t begin = std::min<uint64_t>(options.offset, all.size());
+  const uint64_t end =
+      options.limit == 0
+          ? all.size()
+          : std::min<uint64_t>(all.size(), begin + options.limit);
+  *offset_skipped = begin;
+  return Answer(all.begin() + begin, all.begin() + end);
+}
+
+Answer Flatten(const BlasCollection::CollectionResult& result) {
+  Answer out;
+  for (const BlasCollection::DocMatches& doc : result.docs) {
+    for (uint32_t start : doc.starts) out.emplace_back(doc.name, start);
+  }
+  return out;
+}
+
+/// The grid of every collection cursor mode against the oracle: a pooled
+/// merge, a pool-less one (the merge claims each document inline), and a
+/// one-worker pool parked behind a gate, so every document is an inline
+/// claim although the cursor has a pool.
+TEST(CollectionParallelTest, EveryModeMatchesTheOracleAcrossPlans) {
   const BlasCollection& coll = RandomCorpus();
   ThreadPool pool(4, 64);
+  ThreadPool parked(1, 16);
+  std::promise<void> release;
+  std::shared_future<void> gate(release.get_future());
+  parked.Submit([gate] { gate.wait(); });
+  const std::pair<const char*, ThreadPool*> modes[] = {
+      {"pooled", &pool}, {"pool-less", nullptr}, {"inline claims", &parked}};
   const char* queries[] = {"//t3", "/root/t1", "//t1//t4", "//t2[t5]/t1",
                            "//t0[t1=\"v7\"]", "//nothere"};
   const Budget budgets[] = {{0, 0}, {7, 0}, {10, 5}, {3, 2}, {0, 4},
@@ -90,23 +137,25 @@ TEST(CollectionParallelTest, DrainMatchesSequentialAcrossPlans) {
                                 "/" + EngineName(e) + " limit=" +
                                 std::to_string(budget.limit) + " offset=" +
                                 std::to_string(budget.offset) + "]";
+          uint64_t skipped = 0;
+          const Answer expected = OracleAnswer(coll, q, options, &skipped);
 
-          Result<BlasCollection::CollectionResult> sequential =
-              coll.Execute(q, options);
-          ASSERT_TRUE(sequential.ok()) << context << sequential.status();
-
-          Result<CollectionCursor> cursor =
-              coll.OpenCursor(q, options, {.pool = &pool});
-          ASSERT_TRUE(cursor.ok()) << context;
-          Result<BlasCollection::CollectionResult> parallel =
-              cursor->Drain();
-          ASSERT_TRUE(parallel.ok()) << context << parallel.status();
-
-          ExpectSameResults(*parallel, *sequential, context);
+          for (const auto& [mode, mode_pool] : modes) {
+            const std::string where = context + " " + mode;
+            Result<CollectionCursor> cursor =
+                coll.OpenCursor(q, options, {.pool = mode_pool});
+            ASSERT_TRUE(cursor.ok()) << where;
+            Result<BlasCollection::CollectionResult> got = cursor->Drain();
+            ASSERT_TRUE(got.ok()) << where << got.status();
+            EXPECT_EQ(Flatten(*got), expected) << where;
+            EXPECT_EQ(got->total_matches, expected.size()) << where;
+            EXPECT_EQ(got->offset_skipped, skipped) << where;
+          }
         }
       }
     }
   }
+  release.set_value();
 }
 
 TEST(CollectionParallelTest, ProjectionSurvivesTheMerge) {
@@ -115,15 +164,15 @@ TEST(CollectionParallelTest, ProjectionSurvivesTheMerge) {
   QueryOptions options;
   options.projection = Projection::kValue;
   options.limit = 25;
-  Result<BlasCollection::CollectionResult> sequential =
+  Result<BlasCollection::CollectionResult> pool_less =
       coll.Execute("//t2", options);
-  ASSERT_TRUE(sequential.ok());
+  ASSERT_TRUE(pool_less.ok());
   Result<CollectionCursor> cursor =
       coll.OpenCursor("//t2", options, {.pool = &pool});
   ASSERT_TRUE(cursor.ok());
   Result<BlasCollection::CollectionResult> parallel = cursor->Drain();
   ASSERT_TRUE(parallel.ok());
-  ExpectSameResults(*parallel, *sequential, "kValue projection");
+  ExpectSameResults(*parallel, *pool_less, "kValue projection");
   ASSERT_FALSE(parallel->docs.empty());
   EXPECT_EQ(parallel->docs[0].matches.size(), parallel->docs[0].starts.size());
 }
@@ -149,10 +198,10 @@ TEST(CollectionParallelTest, NextStreamsInDocumentNameThenDocOrder) {
     ++count;
   }
   EXPECT_TRUE(cursor->status().ok());
-  Result<BlasCollection::CollectionResult> sequential = coll.Execute("//t1");
-  ASSERT_TRUE(sequential.ok());
-  EXPECT_EQ(count, sequential->total_matches);
-  EXPECT_EQ(cursor->delivered(), sequential->total_matches);
+  Result<BlasCollection::CollectionResult> pool_less = coll.Execute("//t1");
+  ASSERT_TRUE(pool_less.ok());
+  EXPECT_EQ(count, pool_less->total_matches);
+  EXPECT_EQ(cursor->delivered(), pool_less->total_matches);
 }
 
 TEST(CollectionParallelTest, SaturatedPoolDegradesToInlineExecution) {
@@ -162,33 +211,33 @@ TEST(CollectionParallelTest, SaturatedPoolDegradesToInlineExecution) {
   std::promise<void> release;
   std::shared_future<void> gate(release.get_future());
   pool.Submit([gate] { gate.wait(); });
-  Result<BlasCollection::CollectionResult> sequential = coll.Execute("//t3");
-  ASSERT_TRUE(sequential.ok());
+  Result<BlasCollection::CollectionResult> pool_less = coll.Execute("//t3");
+  ASSERT_TRUE(pool_less.ok());
   Result<CollectionCursor> cursor = coll.OpenCursor("//t3", {}, {.pool = &pool});
   ASSERT_TRUE(cursor.ok());
   Result<BlasCollection::CollectionResult> parallel = cursor->Drain();
   ASSERT_TRUE(parallel.ok());
-  ExpectSameResults(*parallel, *sequential, "saturated pool");
+  ExpectSameResults(*parallel, *pool_less, "saturated pool");
   release.set_value();
 }
 
-TEST(CollectionParallelTest, TranslationFailureAbortsLikeSequential) {
+TEST(CollectionParallelTest, TranslationFailureAbortsWithOrWithoutPool) {
   BlasCollection coll;
   ASSERT_TRUE(coll.AddXml("a", "<r><x>1</x></r>").ok());
   ASSERT_TRUE(coll.AddXml("b", "<r><y><x>2</x></y></r>").ok());
   // Wildcards are Unsupported under Split in every document.
   QueryOptions options;
   options.translator = Translator::kSplit;
-  Result<BlasCollection::CollectionResult> sequential =
+  Result<BlasCollection::CollectionResult> pool_less =
       coll.Execute("//*", options);
-  ASSERT_FALSE(sequential.ok());
+  ASSERT_FALSE(pool_less.ok());
   ThreadPool pool(2, 16);
   Result<CollectionCursor> cursor = coll.OpenCursor("//*", options,
                                                     {.pool = &pool});
   ASSERT_TRUE(cursor.ok());  // per-document errors surface at the merge
   Result<BlasCollection::CollectionResult> parallel = cursor->Drain();
   ASSERT_FALSE(parallel.ok());
-  EXPECT_EQ(parallel.status().code(), sequential.status().code());
+  EXPECT_EQ(parallel.status().code(), pool_less.status().code());
 }
 
 // -------------------------------------- early-termination cancellation ---
@@ -227,7 +276,7 @@ TEST(CollectionParallelTest, LimitCancelsUnstartedDocuments) {
   release.set_value();
 }
 
-TEST(CollectionParallelTest, SequentialLimitNeverOpensLaterDocuments) {
+TEST(CollectionParallelTest, PoolLessLimitNeverOpensLaterDocuments) {
   BlasCollection coll;
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(coll.AddXml("doc" + std::to_string(i),
@@ -243,8 +292,10 @@ TEST(CollectionParallelTest, SequentialLimitNeverOpensLaterDocuments) {
   EXPECT_EQ(result->total_matches, 3u);
   CollectionCursor::ScatterStats scatter = cursor->scatter_stats();
   EXPECT_EQ(scatter.docs_total, 4u);
-  EXPECT_EQ(scatter.docs_executed, 2u);   // doc0 (2 matches) + doc1 (1)
-  EXPECT_EQ(scatter.docs_cancelled, 2u);  // doc2, doc3 never opened
+  // doc0 delivers 2 matches, doc1 the third (it runs capped at 3, like
+  // every document); doc2 and doc3 are never opened.
+  EXPECT_EQ(scatter.docs_executed, 2u);
+  EXPECT_EQ(scatter.docs_cancelled, 2u);
 }
 
 TEST(CollectionParallelTest, AbandonedCursorCancelsProducers) {

@@ -48,8 +48,8 @@ TEST(CollectionTest, DuplicateAndRemove) {
 TEST(CollectionTest, CrossDocumentQuery) {
   BlasCollection coll = MakeLibraryCollection();
   Result<BlasCollection::CollectionResult> r = coll.Execute(
-      "//book[year=\"2001\"]/title", Translator::kPushUp,
-      Engine::kRelational);
+      "//book[year=\"2001\"]/title",
+      {.translator = Translator::kPushUp, .engine = Engine::kRelational});
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->total_matches, 2u);
   ASSERT_EQ(r->docs.size(), 2u);
@@ -64,7 +64,8 @@ TEST(CollectionTest, HeterogeneousSchemasAreFine) {
   // "paper" exists only in doc3; "book" only in doc1/doc2 -- per-document
   // codecs handle disjoint alphabets.
   Result<BlasCollection::CollectionResult> r =
-      coll.Execute("//title", Translator::kSplit, Engine::kTwig);
+      coll.Execute("//title",
+                   {.translator = Translator::kSplit, .engine = Engine::kTwig});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->total_matches, 4u);
   EXPECT_EQ(r->docs.size(), 3u);
@@ -73,14 +74,17 @@ TEST(CollectionTest, HeterogeneousSchemasAreFine) {
 TEST(CollectionTest, EmptyCollectionAndNoMatches) {
   BlasCollection empty;
   Result<BlasCollection::CollectionResult> r =
-      empty.Execute("//x", Translator::kDLabel, Engine::kRelational);
+      empty.Execute(
+          "//x",
+          {.translator = Translator::kDLabel, .engine = Engine::kRelational});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->total_matches, 0u);
   EXPECT_TRUE(r->docs.empty());
 
   BlasCollection coll = MakeLibraryCollection();
-  r = coll.Execute("//nonexistent", Translator::kDLabel,
-                   Engine::kRelational);
+  r = coll.Execute(
+      "//nonexistent",
+      {.translator = Translator::kDLabel, .engine = Engine::kRelational});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->total_matches, 0u);
 }
@@ -88,7 +92,9 @@ TEST(CollectionTest, EmptyCollectionAndNoMatches) {
 TEST(CollectionTest, ParseErrorPropagates) {
   BlasCollection coll = MakeLibraryCollection();
   EXPECT_FALSE(
-      coll.Execute("not an xpath", Translator::kSplit, Engine::kTwig).ok());
+      coll.Execute(
+          "not an xpath",
+          {.translator = Translator::kSplit, .engine = Engine::kTwig}).ok());
 }
 
 TEST(CollectionTest, AllTranslatorsAgreeAcrossDocs) {
@@ -108,7 +114,8 @@ TEST(CollectionTest, AllTranslatorsAgreeAcrossDocs) {
   for (Translator t : {Translator::kDLabel, Translator::kSplit,
                        Translator::kPushUp, Translator::kUnfold}) {
     Result<BlasCollection::CollectionResult> r =
-        coll.Execute("/PLAYS/PLAY/TITLE", t, Engine::kRelational);
+        coll.Execute("/PLAYS/PLAY/TITLE",
+                     {.translator = t, .engine = Engine::kRelational});
     ASSERT_TRUE(r.ok());
     if (first) {
       expected = r->total_matches;
@@ -144,7 +151,7 @@ TEST(CollectionTest, CollectionWideOffsetAndLimit) {
   EXPECT_TRUE(r->docs.empty());
 }
 
-TEST(CollectionTest, ExecuteShimEqualsSequentialCursorDrain) {
+TEST(CollectionTest, ExecuteEqualsPoolLessCursorDrain) {
   BlasCollection coll = MakeLibraryCollection();
   QueryOptions options;
   options.projection = Projection::kValue;
@@ -172,7 +179,9 @@ TEST(CollectionTest, AddFromIndexFile) {
   BlasCollection coll;
   ASSERT_TRUE(coll.AddIndexFile("persisted", path).ok());
   Result<BlasCollection::CollectionResult> r =
-      coll.Execute("//b", Translator::kUnfold, Engine::kRelational);
+      coll.Execute(
+          "//b",
+          {.translator = Translator::kUnfold, .engine = Engine::kRelational});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->total_matches, 1u);
 }

@@ -137,7 +137,9 @@ TEST(ExecutorTest, StatsAreReported) {
   BlasSystem sys = MustBuild(
       "<a><b><c>x</c></b><b><c>y</c></b><d><c>z</c></d></a>");
   Result<QueryResult> r =
-      sys.Execute("//b/c", Translator::kDLabel, Engine::kRelational);
+      sys.Execute(
+          "//b/c",
+          {.translator = Translator::kDLabel, .engine = Engine::kRelational});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->stats.d_joins, 1);
   // D-labeling reads all b (2) and all c (3) elements.
@@ -146,7 +148,9 @@ TEST(ExecutorTest, StatsAreReported) {
   EXPECT_EQ(r->stats.output_rows, 2u);
 
   Result<QueryResult> s =
-      sys.Execute("//b/c", Translator::kSplit, Engine::kRelational);
+      sys.Execute(
+          "//b/c",
+          {.translator = Translator::kSplit, .engine = Engine::kRelational});
   ASSERT_TRUE(s.ok());
   EXPECT_EQ(s->stats.d_joins, 0);
   // Suffix path: only the matching tuples are visited.
@@ -178,9 +182,9 @@ TEST(ExecutorTest, EmptyPlanRejected) {
 
 TEST(ExecutorTest, ValuePredicateNotInDictionary) {
   BlasSystem sys = MustBuild("<a><b>x</b></a>");
-  Result<QueryResult> r = sys.Execute("//b=\"never-seen\"",
-                                      Translator::kSplit,
-                                      Engine::kRelational);
+  Result<QueryResult> r = sys.Execute(
+      "//b=\"never-seen\"",
+      {.translator = Translator::kSplit, .engine = Engine::kRelational});
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->starts.empty());
   // The scan short-circuits: no elements visited at all.
@@ -191,7 +195,9 @@ TEST(ExecutorTest, IntermediateRowsTracked) {
   BlasSystem sys = MustBuild(
       "<a><b><c/><c/></b><b><c/></b></a>");
   Result<QueryResult> r =
-      sys.Execute("/a/b/c", Translator::kDLabel, Engine::kRelational);
+      sys.Execute(
+          "/a/b/c",
+          {.translator = Translator::kDLabel, .engine = Engine::kRelational});
   ASSERT_TRUE(r.ok());
   // Join 1: a x b -> 2 rows; join 2: rows x c -> 3 rows.
   EXPECT_EQ(r->stats.intermediate_rows, 5u);

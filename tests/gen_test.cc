@@ -93,7 +93,9 @@ TEST_P(CorpusTest, WorkloadQueriesAreNonEmpty) {
   ASSERT_TRUE(sys.ok());
   for (const BenchQuery& q : Figure10Queries(c.key)) {
     Result<QueryResult> r =
-        sys->Execute(q.xpath, Translator::kPushUp, Engine::kRelational);
+        sys->Execute(
+            q.xpath,
+            {.translator = Translator::kPushUp, .engine = Engine::kRelational});
     ASSERT_TRUE(r.ok()) << q.name;
     EXPECT_FALSE(r->starts.empty())
         << q.name << " should select something on " << c.name;
@@ -111,7 +113,9 @@ TEST(GenTest, XMarkQueriesNonEmptyOnAuction) {
   ASSERT_TRUE(sys.ok());
   for (const BenchQuery& q : XMarkBenchmarkQueries()) {
     Result<QueryResult> r =
-        sys->Execute(q.xpath, Translator::kPushUp, Engine::kTwig);
+        sys->Execute(
+            q.xpath,
+            {.translator = Translator::kPushUp, .engine = Engine::kTwig});
     ASSERT_TRUE(r.ok()) << q.name;
     EXPECT_FALSE(r->starts.empty()) << q.name;
   }
@@ -123,7 +127,8 @@ TEST(GenTest, AuctionReachesDepth12ViaParlistRecursion) {
   ASSERT_TRUE(sys.ok());
   // The recursive arm must actually occur: listitem inside listitem.
   Result<QueryResult> r = sys->Execute(
-      "//listitem//listitem", Translator::kDLabel, Engine::kRelational);
+      "//listitem//listitem",
+      {.translator = Translator::kDLabel, .engine = Engine::kRelational});
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->starts.empty());
 }
@@ -154,7 +159,8 @@ TEST(GenTest, PaperExampleQueryHitsProteinCorpus) {
       [](SaxHandler* h) { GenerateProtein(GenOptions{}, h); });
   ASSERT_TRUE(sys.ok());
   Result<QueryResult> r = sys->Execute(
-      PaperExampleQuery(), Translator::kUnfold, Engine::kRelational);
+      PaperExampleQuery(),
+      {.translator = Translator::kUnfold, .engine = Engine::kRelational});
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r->starts.empty());
 }

@@ -55,7 +55,8 @@ TEST(IntegrationTest, PaperExampleQueryAllPipelines) {
 TEST(IntegrationTest, PaperExampleReturnsTheRightTitle) {
   BlasSystem sys = MustBuild(kProteinXml);
   Result<QueryResult> r = sys.Execute(
-      PaperExampleQuery(), Translator::kPushUp, Engine::kRelational);
+      PaperExampleQuery(),
+      {.translator = Translator::kPushUp, .engine = Engine::kRelational});
   ASSERT_TRUE(r.ok()) << r.status();
   ASSERT_EQ(r->starts.size(), 1u);
   // The match must be the title of the first entry (the 2001 cytochrome c

@@ -1,6 +1,6 @@
 // Tests for the live ingestion subsystem: durable manifest log,
 // epoch-snapshot publishes, crash recovery, reader/churn isolation, and
-// the epoch-tagged collection plan cache.
+// the epoch-tagged plan cache.
 
 #include <sys/stat.h>
 #include <unistd.h>

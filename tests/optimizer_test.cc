@@ -85,8 +85,10 @@ TEST(OptimizerTest, PreservesResultsOnRandomQueries) {
     for (Translator t : {Translator::kDLabel, Translator::kSplit,
                          Translator::kPushUp, Translator::kUnfold}) {
       for (Engine e : {Engine::kRelational, Engine::kTwig}) {
-        Result<QueryResult> plain = sys->Execute(q, t, e);
-        Result<QueryResult> optimized = sys->Execute(q, t, e, opt);
+        Result<QueryResult> plain = sys->Execute(
+            q, {.translator = t, .engine = e});
+        Result<QueryResult> optimized = sys->Execute(
+            q, {.translator = t, .engine = e, .exec = opt});
         ASSERT_TRUE(plain.ok());
         ASSERT_TRUE(optimized.ok());
         EXPECT_EQ(plain->starts, optimized->starts)
@@ -106,11 +108,13 @@ TEST(OptimizerTest, ReducesIntermediateRows) {
   BlasSystem sys = MustBuild(xml);
   ExecOptions opt;
   opt.optimize_join_order = true;
-  Result<QueryResult> plain = sys.Execute("//p[big]/tiny",
-                                          Translator::kSplit,
-                                          Engine::kRelational);
+  Result<QueryResult> plain = sys.Execute(
+      "//p[big]/tiny",
+      {.translator = Translator::kSplit, .engine = Engine::kRelational});
   Result<QueryResult> optimized = sys.Execute(
-      "//p[big]/tiny", Translator::kSplit, Engine::kRelational, opt);
+      "//p[big]/tiny", {.translator = Translator::kSplit,
+                        .engine = Engine::kRelational,
+                        .exec = opt});
   ASSERT_TRUE(plain.ok());
   ASSERT_TRUE(optimized.ok());
   EXPECT_EQ(plain->starts, optimized->starts);

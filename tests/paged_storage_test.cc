@@ -96,8 +96,10 @@ TEST(PagedStorageTest, RoundTripAnswersIdenticallyUnderTinyBudget) {
       for (Translator t : {Translator::kDLabel, Translator::kSplit,
                            Translator::kPushUp, Translator::kUnfold}) {
         for (Engine e : {Engine::kRelational, Engine::kTwig}) {
-          Result<QueryResult> a = original.Execute(q, t, e);
-          Result<QueryResult> b = paged->Execute(q, t, e);
+          Result<QueryResult> a = original.Execute(
+              q, {.translator = t, .engine = e});
+          Result<QueryResult> b = paged->Execute(
+              q, {.translator = t, .engine = e});
           if (!a.ok()) {
             EXPECT_EQ(a.status().code(), b.status().code()) << q;
             continue;
@@ -150,8 +152,10 @@ TEST(PagedStorageTest, ValuePredicatesUseThePagedFindPath) {
   for (const char* q : {"//t0[t1=\"v7\"]", "//t1=\"v3\"", "//t2[t4=\"v99\"]",
                         "//t0[t1<\"20\"]"}) {
     for (Translator t : {Translator::kDLabel, Translator::kPushUp}) {
-      Result<QueryResult> a = original.Execute(q, t, Engine::kRelational);
-      Result<QueryResult> b = paged->Execute(q, t, Engine::kRelational);
+      Result<QueryResult> a = original.Execute(
+          q, {.translator = t, .engine = Engine::kRelational});
+      Result<QueryResult> b = paged->Execute(
+          q, {.translator = t, .engine = Engine::kRelational});
       ASSERT_TRUE(a.ok()) << q << a.status();
       ASSERT_TRUE(b.ok()) << q << b.status();
       EXPECT_EQ(a->starts, b->starts) << q;

@@ -56,12 +56,15 @@ TEST_P(PaperClaims, ElementAccessBound) {
   for (const BenchQuery& q : Figure10Queries(GetParam().key)) {
     sys_->ResetCounters();
     Result<QueryResult> base =
-        sys_->Execute(q.xpath, Translator::kDLabel, Engine::kRelational);
+        sys_->Execute(
+            q.xpath,
+            {.translator = Translator::kDLabel, .engine = Engine::kRelational});
     ASSERT_TRUE(base.ok()) << q.name;
     for (Translator t :
          {Translator::kSplit, Translator::kPushUp, Translator::kUnfold}) {
       sys_->ResetCounters();
-      Result<QueryResult> r = sys_->Execute(q.xpath, t, Engine::kRelational);
+      Result<QueryResult> r = sys_->Execute(
+          q.xpath, {.translator = t, .engine = Engine::kRelational});
       ASSERT_TRUE(r.ok()) << q.name;
       EXPECT_LE(r->stats.elements, base->stats.elements)
           << q.name << " " << TranslatorName(t);
@@ -89,7 +92,9 @@ TEST_P(PaperClaims, SuffixPathSelectionsVisitOnlyMatches) {
     if (!parsed->IsSuffixPathQuery()) continue;
     sys_->ResetCounters();
     Result<QueryResult> r =
-        sys_->Execute(q.xpath, Translator::kSplit, Engine::kRelational);
+        sys_->Execute(
+            q.xpath,
+            {.translator = Translator::kSplit, .engine = Engine::kRelational});
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r->stats.elements, r->starts.size()) << q.name;
   }

@@ -213,8 +213,10 @@ TEST(PersistTest, SystemRoundTripAnswersQueriesIdentically) {
     for (Translator t : {Translator::kDLabel, Translator::kSplit,
                          Translator::kPushUp, Translator::kUnfold}) {
       for (Engine e : {Engine::kRelational, Engine::kTwig}) {
-        Result<QueryResult> ra = original.Execute(q, t, e);
-        Result<QueryResult> rb = reopened->Execute(q, t, e);
+        Result<QueryResult> ra = original.Execute(
+            q, {.translator = t, .engine = e});
+        Result<QueryResult> rb = reopened->Execute(
+            q, {.translator = t, .engine = e});
         if (!ra.ok()) {
           EXPECT_EQ(ra.status().code(), rb.status().code());
           continue;
@@ -241,12 +243,12 @@ TEST(PersistTest, GeneratedCorpusRoundTrip) {
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   EXPECT_EQ(reopened->doc_stats().nodes, sys->doc_stats().nodes);
   Result<QueryResult> r = reopened->Execute(
-      "/site/regions/asia/item[shipping]/description", Translator::kUnfold,
-      Engine::kRelational);
+      "/site/regions/asia/item[shipping]/description",
+      {.translator = Translator::kUnfold, .engine = Engine::kRelational});
   ASSERT_TRUE(r.ok());
   Result<QueryResult> orig = sys->Execute(
-      "/site/regions/asia/item[shipping]/description", Translator::kUnfold,
-      Engine::kRelational);
+      "/site/regions/asia/item[shipping]/description",
+      {.translator = Translator::kUnfold, .engine = Engine::kRelational});
   ASSERT_TRUE(orig.ok());
   EXPECT_EQ(r->starts, orig->starts);
 }

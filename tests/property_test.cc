@@ -105,7 +105,7 @@ TEST_P(DifferentialTest, AllTranslatorsAndEnginesMatchNaiveEval) {
           Translator::kUnfold}) {
       for (Engine engine : {Engine::kRelational, Engine::kTwig}) {
         Result<QueryResult> result =
-            sys->Execute(query, translator, engine);
+            sys->Execute(query, {.translator = translator, .engine = engine});
         if (!result.ok() &&
             result.status().code() == StatusCode::kUnsupported) {
           continue;

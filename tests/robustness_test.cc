@@ -100,7 +100,8 @@ TEST(RobustnessTest, ExecuteWithBadQueryFailsCleanly) {
   BlasSystem sys = MustBuild("<a><b/></a>");
   for (const char* bad : {"", "b", "/a[", "//", "/a=\"x", "/a//[b]"}) {
     EXPECT_FALSE(
-        sys.Execute(bad, Translator::kSplit, Engine::kRelational).ok())
+        sys.Execute(bad, {.translator = Translator::kSplit,
+                          .engine = Engine::kRelational}).ok())
         << bad;
   }
 }
@@ -155,9 +156,9 @@ TEST(RobustnessTest, HugeValuesAndNamesSurvive) {
   std::string xml = "<a><b>" + big_value + "</b><b attr=\"" + big_value +
                     "\"/></a>";
   BlasSystem sys = MustBuild(xml);
-  Result<QueryResult> r = sys.Execute("//b=\"" + big_value + "\"",
-                                      Translator::kSplit,
-                                      Engine::kRelational);
+  Result<QueryResult> r = sys.Execute(
+      "//b=\"" + big_value + "\"",
+      {.translator = Translator::kSplit, .engine = Engine::kRelational});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->starts.size(), 1u);
 }

@@ -36,10 +36,10 @@ TEST(ScalingTest, ResultCountsScaleWithReplication) {
   std::vector<BenchQuery> queries = Figure10Queries('A');
   for (const BenchQuery& bq : XMarkBenchmarkQueries()) queries.push_back(bq);
   for (const BenchQuery& q : queries) {
-    Result<QueryResult> r1 = ctx.x1->Execute(q.xpath, Translator::kPushUp,
-                                             Engine::kTwig);
-    Result<QueryResult> r3 = ctx.x3->Execute(q.xpath, Translator::kPushUp,
-                                             Engine::kTwig);
+    Result<QueryResult> r1 = ctx.x1->Execute(
+        q.xpath, {.translator = Translator::kPushUp, .engine = Engine::kTwig});
+    Result<QueryResult> r3 = ctx.x3->Execute(
+        q.xpath, {.translator = Translator::kPushUp, .engine = Engine::kTwig});
     ASSERT_TRUE(r1.ok()) << q.name;
     ASSERT_TRUE(r3.ok()) << q.name;
     EXPECT_EQ(r3->starts.size(), r1->starts.size() * 3) << q.name;
@@ -53,7 +53,8 @@ TEST(ScalingTest, SuffixPathElementsEqualResults) {
   for (BlasSystem* sys : {ctx.x1.get(), ctx.x3.get()}) {
     sys->ResetCounters();
     Result<QueryResult> r =
-        sys->Execute(qa1, Translator::kSplit, Engine::kTwig);
+        sys->Execute(
+            qa1, {.translator = Translator::kSplit, .engine = Engine::kTwig});
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r->stats.elements, r->starts.size());
     EXPECT_EQ(r->stats.d_joins, 0);
@@ -69,11 +70,13 @@ TEST(ScalingTest, DLabelElementsScaleLinearly) {
   ExecStats s3;
   ctx.x1->ResetCounters();
   Result<QueryResult> r1 =
-      ctx.x1->Execute(qa1, Translator::kDLabel, Engine::kTwig);
+      ctx.x1->Execute(
+          qa1, {.translator = Translator::kDLabel, .engine = Engine::kTwig});
   ASSERT_TRUE(r1.ok());
   ctx.x3->ResetCounters();
   Result<QueryResult> r3 =
-      ctx.x3->Execute(qa1, Translator::kDLabel, Engine::kTwig);
+      ctx.x3->Execute(
+          qa1, {.translator = Translator::kDLabel, .engine = Engine::kTwig});
   ASSERT_TRUE(r3.ok());
   // Within one element of exactly 3x (the root element is shared).
   EXPECT_NEAR(static_cast<double>(r3->stats.elements),
@@ -110,12 +113,15 @@ TEST(ScalingTest, ElementsReadNeverExceedDLabel) {
   for (const BenchQuery& q : Figure10Queries('A')) {
     ctx.x3->ResetCounters();
     Result<QueryResult> base =
-        ctx.x3->Execute(q.xpath, Translator::kDLabel, Engine::kTwig);
+        ctx.x3->Execute(
+            q.xpath,
+            {.translator = Translator::kDLabel, .engine = Engine::kTwig});
     ASSERT_TRUE(base.ok());
     for (Translator t : {Translator::kSplit, Translator::kPushUp,
                          Translator::kUnfold}) {
       ctx.x3->ResetCounters();
-      Result<QueryResult> r = ctx.x3->Execute(q.xpath, t, Engine::kTwig);
+      Result<QueryResult> r = ctx.x3->Execute(
+          q.xpath, {.translator = t, .engine = Engine::kTwig});
       ASSERT_TRUE(r.ok());
       EXPECT_LE(r->stats.elements, base->stats.elements)
           << q.name << " " << TranslatorName(t);

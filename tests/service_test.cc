@@ -54,7 +54,11 @@ TEST(NormalizeTest, KeyIncludesTranslatorAndOptimizerFlag) {
 
 // ---------------------------------------------------------- plan cache ---
 
-std::shared_ptr<const CachedPlan> DummyPlan() {
+std::shared_ptr<const CachedQuery> DummyEntry() {
+  return std::make_shared<const CachedQuery>(Query{});
+}
+
+std::shared_ptr<const CachedPlan> DummyDocPlan() {
   auto plan = std::make_shared<CachedPlan>();
   plan->plan.parts.emplace_back();
   return plan;
@@ -66,7 +70,7 @@ TEST(PlanCacheTest, HitAndMissAccounting) {
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 0u);
 
-  auto plan = DummyPlan();
+  auto plan = DummyEntry();
   cache.Put("k1", plan);
   EXPECT_EQ(cache.Get("k1"), plan);
   EXPECT_EQ(cache.stats().hits, 1u);
@@ -76,12 +80,12 @@ TEST(PlanCacheTest, HitAndMissAccounting) {
 
 TEST(PlanCacheTest, EvictsLeastRecentlyUsed) {
   PlanCache cache(3);
-  cache.Put("a", DummyPlan());
-  cache.Put("b", DummyPlan());
-  cache.Put("c", DummyPlan());
+  cache.Put("a", DummyEntry());
+  cache.Put("b", DummyEntry());
+  cache.Put("c", DummyEntry());
   // Touch "a" so "b" becomes the LRU entry.
   EXPECT_NE(cache.Get("a"), nullptr);
-  cache.Put("d", DummyPlan());  // evicts "b"
+  cache.Put("d", DummyEntry());  // evicts "b"
 
   EXPECT_EQ(cache.size(), 3u);
   EXPECT_EQ(cache.stats().evictions, 1u);
@@ -96,19 +100,48 @@ TEST(PlanCacheTest, EvictsLeastRecentlyUsed) {
 
 TEST(PlanCacheTest, ZeroCapacityDisables) {
   PlanCache cache(0);
-  cache.Put("a", DummyPlan());
+  cache.Put("a", DummyEntry());
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.Get("a"), nullptr);
 }
 
 TEST(PlanCacheTest, PutRefreshesExistingKey) {
   PlanCache cache(2);
-  auto first = DummyPlan();
-  auto second = DummyPlan();
+  auto first = DummyEntry();
+  auto second = DummyEntry();
   cache.Put("a", first);
   cache.Put("a", second);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.Get("a"), second);
+}
+
+TEST(PlanCacheTest, DocumentSlotsAreEpochTagged) {
+  std::shared_ptr<const CachedQuery> entry = DummyEntry();
+  auto v1 = DummyDocPlan();
+  auto v2 = DummyDocPlan();
+  EXPECT_EQ(entry->ForDoc("d", 0), nullptr);
+  entry->PutDoc("d", 1, v1);
+  EXPECT_EQ(entry->ForDoc("d", 1), v1);
+  EXPECT_EQ(entry->ForDoc("d", 2), nullptr);  // another generation misses
+  entry->PutDoc("d", 1, v2);                  // same epoch: first wins
+  EXPECT_EQ(entry->ForDoc("d", 1), v1);
+  entry->PutDoc("d", 2, v2);                  // newer epoch replaces
+  EXPECT_EQ(entry->ForDoc("d", 2), v2);
+  entry->PutDoc("d", 1, v1);                  // older never displaces
+  EXPECT_EQ(entry->ForDoc("d", 2), v2);
+  EXPECT_EQ(entry->ForDoc("other", 2), nullptr);
+}
+
+TEST(PlanCacheTest, InvalidateDocumentDropsOnlyThatSlot) {
+  PlanCache cache(4);
+  auto entry = DummyEntry();
+  cache.Put("q", entry);
+  entry->PutDoc("a", 0, DummyDocPlan());
+  entry->PutDoc("b", 0, DummyDocPlan());
+  cache.InvalidateDocument("a");
+  EXPECT_EQ(entry->ForDoc("a", 0), nullptr);
+  EXPECT_NE(entry->ForDoc("b", 0), nullptr);
+  EXPECT_EQ(cache.Get("q"), entry);  // the parsed query survives
 }
 
 // ---------------------------------------------------------- thread pool ---
@@ -192,7 +225,8 @@ TEST(QueryServiceTest, ExecutesAndMatchesFacade) {
   ASSERT_TRUE(via_service.ok()) << via_service.status().ToString();
 
   Result<QueryResult> via_facade =
-      sys.Execute(request.xpath, request.options.translator, Engine::kRelational);
+      sys.Execute(request.xpath, {.translator = request.options.translator,
+                                  .engine = Engine::kRelational});
   ASSERT_TRUE(via_facade.ok());
   EXPECT_EQ(via_service->starts, via_facade->starts);
   EXPECT_EQ(via_service->stats.elements, via_facade->stats.elements);
@@ -289,7 +323,8 @@ TEST(QueryServiceConcurrencyTest, MatchesSingleThreadedBaselines) {
   for (const BenchQuery& q : suite) {
     for (Engine engine : {Engine::kRelational, Engine::kTwig}) {
       Result<QueryResult> r =
-          sys.Execute(q.xpath, Translator::kPushUp, engine);
+          sys.Execute(q.xpath,
+                      {.translator = Translator::kPushUp, .engine = engine});
       ASSERT_TRUE(r.ok()) << q.name << ": " << r.status().ToString();
       expected[{q.xpath, engine}] =
           Baseline{r->starts, r->stats.elements};
@@ -353,6 +388,70 @@ TEST(QueryServiceConcurrencyTest, MatchesSingleThreadedBaselines) {
   ASSERT_TRUE(service.Execute(warm).ok());
   ASSERT_TRUE(service.Execute(warm).ok());
   EXPECT_GT(service.stats().plan_cache_hits, stats.plan_cache_hits);
+}
+
+/// One query path: a single-document service and a service over a
+/// one-member collection of the same document give identical answers and
+/// ExecStats for every fig-10 query × translator × engine.
+TEST(QueryServiceConcurrencyTest, SingleDocumentEqualsOneMemberCollection) {
+  auto build = [] {
+    Result<BlasSystem> built = BlasSystem::FromEvents(
+        [](SaxHandler* h) { GenerateAuction(GenOptions{}, h); });
+    EXPECT_TRUE(built.ok()) << built.status();
+    return std::make_shared<const BlasSystem>(std::move(built).value());
+  };
+  // Two identical systems, so the two services see identical page caches.
+  std::shared_ptr<const BlasSystem> single_sys = build();
+  std::shared_ptr<const BlasSystem> member_sys = build();
+  BlasCollection coll;
+  ASSERT_TRUE(coll.AddSystem("auction", member_sys).ok());
+  QueryService single(single_sys, ServiceOptions{.worker_threads = 2});
+  QueryService collection(&coll, ServiceOptions{.worker_threads = 2});
+
+  size_t compared = 0;
+  for (const BenchQuery& q : Figure10Queries('A')) {
+    for (Translator t : {Translator::kDLabel, Translator::kSplit,
+                         Translator::kPushUp, Translator::kUnfold}) {
+      for (Engine e : {Engine::kRelational, Engine::kTwig, Engine::kAuto}) {
+        const std::string context = q.name + " " + TranslatorName(t) + "/" +
+                                    EngineName(e);
+        QueryRequest request{.xpath = q.xpath};
+        request.options.translator = t;
+        request.options.engine = e;
+        Result<QueryResult> a = single.Execute(request);
+        Result<BlasCollection::CollectionResult> b =
+            collection.ExecuteCollection(request);
+        ASSERT_EQ(a.ok(), b.ok()) << context;
+        if (!a.ok()) {
+          EXPECT_EQ(a.status().code(), b.status().code()) << context;
+          continue;
+        }
+        std::vector<uint32_t> b_starts;
+        if (!b->docs.empty()) b_starts = b->docs[0].starts;
+        EXPECT_EQ(a->starts, b_starts) << context;
+        EXPECT_EQ(a->stats.elements, b->stats.elements) << context;
+        EXPECT_EQ(a->stats.page_fetches, b->stats.page_fetches) << context;
+        EXPECT_EQ(a->stats.page_misses, b->stats.page_misses) << context;
+        EXPECT_EQ(a->stats.d_joins, b->stats.d_joins) << context;
+        EXPECT_EQ(a->stats.intermediate_rows, b->stats.intermediate_rows)
+            << context;
+        EXPECT_EQ(a->stats.output_rows, b->stats.output_rows) << context;
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 0u);
+
+  // A warm single-document repeat is one plan-cache hit; its one slot is
+  // not a per-document lookup, so doc_plan_* stay untouched.
+  QueryRequest warm{.xpath = Figure10Queries('A')[0].xpath};
+  ServiceStats before = single.stats();
+  ASSERT_TRUE(single.Execute(warm).ok());
+  ServiceStats after = single.stats();
+  EXPECT_EQ(after.plan_cache_hits, before.plan_cache_hits + 1);
+  EXPECT_EQ(after.plan_cache_misses, before.plan_cache_misses);
+  EXPECT_EQ(after.doc_plan_hits, 0u);
+  EXPECT_EQ(after.doc_plan_misses, 0u);
 }
 
 /// Service-wide element roll-up equals the store's own global counter when

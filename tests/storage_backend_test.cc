@@ -112,8 +112,10 @@ TEST(StorageBackendTest, AllBackendsAnswerByteIdentically) {
         for (Translator t : {Translator::kDLabel, Translator::kSplit,
                              Translator::kPushUp, Translator::kUnfold}) {
           for (Engine e : {Engine::kRelational, Engine::kTwig}) {
-            Result<QueryResult> a = original.Execute(q, t, e);
-            Result<QueryResult> b = paged->Execute(q, t, e);
+            Result<QueryResult> a = original.Execute(
+                q, {.translator = t, .engine = e});
+            Result<QueryResult> b = paged->Execute(
+                q, {.translator = t, .engine = e});
             if (!a.ok()) {
               EXPECT_EQ(a.status().code(), b.status().code()) << q;
               continue;

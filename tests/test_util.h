@@ -36,7 +36,8 @@ inline void ExpectAllAgree(const BlasSystem& sys, const std::string& xpath) {
        {Translator::kDLabel, Translator::kSplit, Translator::kPushUp,
         Translator::kUnfold}) {
     for (Engine engine : {Engine::kRelational, Engine::kTwig}) {
-      Result<QueryResult> result = sys.Execute(*query, translator, engine);
+      Result<QueryResult> result = sys.Execute(
+          *query, {.translator = translator, .engine = engine});
       if (!result.ok() &&
           result.status().code() == StatusCode::kUnsupported) {
         continue;

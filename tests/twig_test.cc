@@ -116,8 +116,10 @@ TEST(TwigTest, MatchesRelationalEngineOnBranchyQueries) {
        {"//p[n]/q", "//p[q/r]/n", "/s/p[q][n]", "//q[r]", "//p//r"}) {
     for (Translator t : {Translator::kDLabel, Translator::kSplit,
                          Translator::kPushUp, Translator::kUnfold}) {
-      Result<QueryResult> rel = sys.Execute(q, t, Engine::kRelational);
-      Result<QueryResult> twig = sys.Execute(q, t, Engine::kTwig);
+      Result<QueryResult> rel = sys.Execute(
+          q, {.translator = t, .engine = Engine::kRelational});
+      Result<QueryResult> twig = sys.Execute(
+          q, {.translator = t, .engine = Engine::kTwig});
       ASSERT_TRUE(rel.ok());
       ASSERT_TRUE(twig.ok());
       EXPECT_EQ(rel->starts, twig->starts)

@@ -94,7 +94,9 @@ TEST(ValuePredTest, ComparisonCountsMatchExpectations) {
   BlasSystem sys = MustBuild(kDoc);
   auto run = [&](const std::string& q) {
     Result<QueryResult> r =
-        sys.Execute(q, Translator::kPushUp, Engine::kRelational);
+        sys.Execute(
+            q,
+            {.translator = Translator::kPushUp, .engine = Engine::kRelational});
     EXPECT_TRUE(r.ok()) << q;
     return r.ok() ? r->starts.size() : size_t{0};
   };
@@ -133,8 +135,9 @@ TEST(ValuePredTest, SqlRendersOperator) {
 
 TEST(ValuePredTest, NonEqualityOnTwigEngine) {
   BlasSystem sys = MustBuild(kDoc);
-  Result<QueryResult> r = sys.Execute("//item[price > \"12\"]/name",
-                                      Translator::kSplit, Engine::kTwig);
+  Result<QueryResult> r = sys.Execute(
+      "//item[price > \"12\"]/name",
+      {.translator = Translator::kSplit, .engine = Engine::kTwig});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->starts.size(), 2u);
 }
