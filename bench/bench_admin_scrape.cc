@@ -147,7 +147,7 @@ struct AdminBenchStack {
     request.xpath = "//item/name";
     request.options.projection = Projection::kValue;
     for (int i = 0; i < 20; ++i) {
-      (void)service->SubmitCollection(request).get();
+      (void)service->Submit(request).get();
     }
 
     admin = std::make_unique<server::AdminServer>();
@@ -244,7 +244,7 @@ void BM_ConcurrentScrapeChurn(benchmark::State& state) {
       request.xpath = "//item/name";
       request.options.projection = Projection::kValue;
       while (!done.load(std::memory_order_acquire)) {
-        if (!g_stack->service->SubmitCollection(request).get().ok()) {
+        if (!g_stack->service->Submit(request).get().ok()) {
           failed.store(true, std::memory_order_relaxed);
         }
         std::this_thread::sleep_for(std::chrono::microseconds(500));

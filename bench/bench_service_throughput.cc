@@ -9,6 +9,7 @@
 // (plan cache accounting for the run), elements (visited elements rolled
 // up service-wide).
 
+#include <future>
 #include <memory>
 #include <string>
 #include <vector>
@@ -59,18 +60,18 @@ void RunServiceThroughput(benchmark::State& state, bool with_plan_cache) {
 
   uint64_t queries = 0;
   for (auto _ : state) {
-    std::vector<QueryRequest> batch;
-    batch.reserve(suite.size() * kRepeats);
+    std::vector<std::future<Result<BlasCollection::CollectionResult>>> futures;
+    futures.reserve(suite.size() * kRepeats);
     for (int r = 0; r < kRepeats; ++r) {
       for (const std::string& xpath : suite) {
         QueryRequest request;
         request.xpath = xpath;
         request.options.engine = Engine::kRelational;
-        batch.push_back(std::move(request));
+        futures.push_back(service.Submit(std::move(request)));
       }
     }
-    for (auto& future : service.SubmitBatch(std::move(batch))) {
-      Result<QueryResult> result = future.get();
+    for (auto& future : futures) {
+      Result<BlasCollection::CollectionResult> result = future.get();
       if (!result.ok()) {
         state.SkipWithError(result.status().ToString().c_str());
         return;
@@ -115,12 +116,13 @@ void RunPlanColdVsWarm(benchmark::State& state, bool warm) {
       request.xpath = xpath;
       request.options.translator = Translator::kUnfold;
       request.bypass_plan_cache = !warm;
-      Result<QueryResult> result = service.Execute(request);
+      Result<BlasCollection::CollectionResult> result =
+          service.Execute(request);
       if (!result.ok()) {
         state.SkipWithError(result.status().ToString().c_str());
         return;
       }
-      benchmark::DoNotOptimize(result->starts.data());
+      benchmark::DoNotOptimize(result->total_matches);
     }
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

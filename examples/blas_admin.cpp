@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
     request.xpath = "//item/name";
     request.options.projection = blas::Projection::kValue;
     while (!done.load(std::memory_order_acquire)) {
-      (void)service.SubmitCollection(request).get();
+      (void)service.Submit(request).get();
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
   });

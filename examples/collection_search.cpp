@@ -98,7 +98,7 @@ int main() {
   // per shard on the first request, pure cache hits afterwards.
   blas::QueryService service(&collection, {.worker_threads = 4});
   for (int round = 0; round < 3; ++round) {
-    auto future = service.SubmitCollection({.xpath = query});
+    auto future = service.Submit({.xpath = query});
     blas::Result<blas::BlasCollection::CollectionResult> served =
         future.get();
     if (!served.ok()) return Fail(served.status());

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -66,10 +67,15 @@ int main(int argc, char** argv) {
     clients.emplace_back([&service, &mix, rounds, c] {
       size_t matches = 0;
       for (int round = 0; round < rounds; ++round) {
-        std::vector<blas::QueryRequest> batch = mix;
-        for (auto& future : service.SubmitBatch(std::move(batch))) {
-          blas::Result<blas::QueryResult> result = future.get();
-          if (result.ok()) matches += result->starts.size();
+        std::vector<std::future<
+            blas::Result<blas::BlasCollection::CollectionResult>>>
+            futures;
+        for (const blas::QueryRequest& request : mix) {
+          futures.push_back(service.Submit(request));
+        }
+        for (auto& future : futures) {
+          auto result = future.get();
+          if (result.ok()) matches += result->total_matches;
         }
       }
       std::printf("client %d done (%zu matches total)\n", c, matches);

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   blas::QueryService service(&live, blas::ServiceOptions{.worker_threads = 4});
   std::printf("live collection at %s (16 MB shared budget)\n\n", dir.c_str());
 
-  // Reader: hammers the service with streaming queries the whole time,
+  // Reader: hammers the service with queries the whole time,
   // recording how often an answer drained across a publish.
   std::atomic<bool> done{false};
   std::atomic<uint64_t> reads{0}, matches{0};
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
     request.xpath = "//item/name";
     request.options.projection = blas::Projection::kValue;
     while (!done.load(std::memory_order_acquire)) {
-      auto result = service.SubmitCollection(request).get();
+      auto result = service.Submit(request).get();
       if (result.ok()) {
         reads.fetch_add(1, std::memory_order_relaxed);
         matches.fetch_add(result->total_matches, std::memory_order_relaxed);

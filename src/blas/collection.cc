@@ -127,10 +127,8 @@ struct CollectionCursor::Shared {
     ExecStats stats;
   };
 
-  // The four setup fields below are populated once at OpenCursor time,
+  // The three setup fields below are populated once at OpenCursor time,
   // before any producer task exists, and read-only afterwards.
-  // blas-analyze: allow(guarded-coverage) -- set before producers exist
-  Query query;  // parsed once; translated per document
   // blas-analyze: allow(guarded-coverage) -- set before producers exist
   QueryOptions base;
   // blas-analyze: allow(guarded-coverage) -- set before producers exist
@@ -152,14 +150,12 @@ struct CollectionCursor::Shared {
   // blas-analyze: allow(guarded-coverage) -- set before producers exist
   size_t doc_count = 0;
 
-  /// Producer body: claims the document, opens its cursor with the
-  /// per-document budget, and streams matches into the bounded queue.
-  /// `bounded` is false when the merge runs a document inline on its own
-  /// thread (nobody would drain the queue meanwhile).
-  void RunDoc(size_t index, bool bounded) BLAS_EXCLUDES(mu);
+  /// Scatter worker body: claims the document, opens its cursor capped at
+  /// offset + limit, and streams matches into the bounded queue.
+  void RunDoc(size_t index) BLAS_EXCLUDES(mu);
 };
 
-void CollectionCursor::Shared::RunDoc(size_t index, bool bounded) {
+void CollectionCursor::Shared::RunDoc(size_t index) {
   Doc* doc;
   {
     MutexLock lock(mu);
@@ -187,8 +183,7 @@ void CollectionCursor::Shared::RunDoc(size_t index, bool bounded) {
                             : base.offset + base.limit;
   }
 
-  Result<ResultCursor> cursor =
-      opener(doc->name, *doc->sys, query, doc_options);
+  Result<ResultCursor> cursor = opener(doc->name, *doc->sys, doc_options);
   {
     MutexLock lock(mu);
     doc->executed = true;
@@ -212,7 +207,7 @@ void CollectionCursor::Shared::RunDoc(size_t index, bool bounded) {
   auto flush = [&]() -> bool {  // false = cancelled
     if (batch.empty()) return true;
     MutexLock lock(mu);
-    while (!cancelled && bounded && doc->queue.size() >= queue_capacity) {
+    while (!cancelled && doc->queue.size() >= queue_capacity) {
       space.Wait(lock);
     }
     if (cancelled) return false;
@@ -240,23 +235,22 @@ void CollectionCursor::Shared::RunDoc(size_t index, bool bounded) {
 Result<CollectionCursor> BlasCollection::OpenCursor(
     std::string_view xpath, const QueryOptions& options,
     const ScatterOptions& scatter) const {
-  BLAS_ASSIGN_OR_RETURN(Query query, ParseXPath(xpath));
-  return OpenCursor(query, options, scatter, nullptr);
+  BLAS_ASSIGN_OR_RETURN(Query parsed, ParseXPath(xpath));
+  auto query = std::make_shared<const Query>(std::move(parsed));
+  return OpenCursor(
+      [query](const std::string&, const BlasSystem& sys,
+              const QueryOptions& doc_options) {
+        return sys.Open(*query, doc_options);
+      },
+      options, scatter);
 }
 
-Result<CollectionCursor> BlasCollection::OpenCursor(
-    const Query& query, const QueryOptions& options,
-    const ScatterOptions& scatter, DocCursorOpener opener) const {
+CollectionCursor BlasCollection::OpenCursor(
+    DocCursorOpener opener, const QueryOptions& options,
+    const ScatterOptions& scatter) const {
   auto shared = std::make_shared<CollectionCursor::Shared>();
-  shared->query = query.Clone();
   shared->base = options;
-  shared->opener =
-      opener != nullptr
-          ? std::move(opener)
-          : [](const std::string&, const BlasSystem& sys, const Query& q,
-               const QueryOptions& doc_options) {
-              return sys.Open(q, doc_options);
-            };
+  shared->opener = std::move(opener);
   shared->queue_capacity =
       scatter.queue_capacity == 0 ? 1 : scatter.queue_capacity;
   {
@@ -275,14 +269,25 @@ Result<CollectionCursor> BlasCollection::OpenCursor(
 
   CollectionCursor cursor(shared);
   if (scatter.pool != nullptr) {
-    for (size_t i = 0; i < shared->doc_count; ++i) {
-      // Never block the opener on a full pool: a rejected document stays
-      // kPending and the merge claims it inline when reached.
-      (void)scatter.pool->TrySubmit(
-          [shared, i] { shared->RunDoc(i, /*bounded=*/true); });
+    // The first document is the merge's own; scattering it would only add
+    // a hand-off. Never block the opener on a full pool: a rejected
+    // document stays kPending and the merge claims it when reached.
+    for (size_t i = 1; i < shared->doc_count; ++i) {
+      (void)scatter.pool->TrySubmit([shared, i] { shared->RunDoc(i); });
     }
   }
   return cursor;
+}
+
+void BlasCollection::CollectionResult::Add(CollectionMatch match,
+                                           bool project) {
+  if (docs.empty() || docs.back().name != match.document) {
+    docs.push_back(DocMatches{std::string(match.document), {}, {}});
+  }
+  DocMatches& doc = docs.back();
+  doc.starts.push_back(match.match.start);
+  if (project) doc.matches.push_back(std::move(match.match));
+  ++total_matches;
 }
 
 Result<BlasCollection::CollectionResult> BlasCollection::Execute(
@@ -303,6 +308,8 @@ CollectionCursor& CollectionCursor::operator=(CollectionCursor&& other) {
     status_ = std::move(other.status_);
     exhausted_ = other.exhausted_;
     doc_index_ = other.doc_index_;
+    doc_name_ = other.doc_name_;
+    inline_ = std::move(other.inline_);
     local_ = std::move(other.local_);
     delivered_ = other.delivered_;
     skipped_ = other.skipped_;
@@ -317,6 +324,7 @@ CollectionCursor::~CollectionCursor() {
 
 void CollectionCursor::Cancel() {
   if (shared_ == nullptr) return;
+  SettleInline();
   Shared& s = *shared_;
   MutexLock lock(s.mu);
   s.cancelled = true;
@@ -339,6 +347,17 @@ std::optional<CollectionMatch> CollectionCursor::Next() {
       exhausted_ = true;
       return std::nullopt;
     }
+    if (inline_.has_value()) {
+      // A document the merge runs itself: its cursor already applies the
+      // remaining window, so every match it yields is delivered.
+      if (std::optional<Match> match = inline_->Next()) {
+        ++delivered_;
+        return CollectionMatch{*doc_name_, std::move(*match)};
+      }
+      SettleInline();
+      ++doc_index_;
+      continue;
+    }
     if (!local_.empty()) {
       Match match = std::move(local_.front());
       local_.pop_front();
@@ -347,22 +366,18 @@ std::optional<CollectionMatch> CollectionCursor::Next() {
         continue;
       }
       ++delivered_;
-      const std::string* name;
-      {
-        MutexLock lock(s.mu);
-        name = &s.docs[doc_index_].name;  // identity field: stable
-      }
-      return CollectionMatch{*name, std::move(match)};
+      return CollectionMatch{*doc_name_, std::move(match)};
     }
     if (doc_index_ >= s.doc_count) {
       exhausted_ = true;
       return std::nullopt;
     }
-    bool run_inline = false;
+    const BlasSystem* claimed = nullptr;
     bool failed = false;
     {
       MutexLock lock(s.mu);
       Shared::Doc& doc = s.docs[doc_index_];
+      doc_name_ = &doc.name;  // identity field: stable
       if (!doc.queue.empty()) {
         // Grab everything queued in one lock acquisition; serve from
         // local_ without further locking. One cv serves every producer,
@@ -391,11 +406,12 @@ std::optional<CollectionMatch> CollectionCursor::Next() {
           ++doc_index_;  // only reachable after Cancel; nothing queued
           continue;
         case Shared::DocState::kPending:
-          // No pool, or the pool has not started this document (rejected
-          // submission or still queued behind other work): claim it and
-          // run inline, so a saturated pool degrades to one document at
-          // a time and never deadlocks.
-          run_inline = true;
+          // The first document, no pool, or the pool has not started this
+          // one (rejected submission or still queued behind other work):
+          // claim it and run it here, so a saturated pool degrades to one
+          // document at a time and never deadlocks.
+          doc.state = Shared::DocState::kRunning;
+          claimed = doc.sys.get();
           break;
         case Shared::DocState::kRunning:
           s.items.Wait(lock);
@@ -406,8 +422,41 @@ std::optional<CollectionMatch> CollectionCursor::Next() {
       Cancel();
       return std::nullopt;
     }
-    if (run_inline) s.RunDoc(doc_index_, /*bounded=*/false);
+    if (claimed != nullptr) OpenInline(*claimed);
   }
+}
+
+void CollectionCursor::OpenInline(const BlasSystem& sys) {
+  Shared& s = *shared_;
+  // Matches this document skips or delivers come straight off its own
+  // cursor, so open it with exactly the window the merge still owes:
+  // skipped matches are then never projected or counted as output, and
+  // nothing past the limit is ever produced.
+  QueryOptions window = s.base;
+  window.offset = s.base.offset - skipped_;
+  window.limit = s.base.limit == 0 ? 0 : s.base.limit - delivered_;
+  Result<ResultCursor> cursor = s.opener(*doc_name_, sys, window);
+  MutexLock lock(s.mu);
+  Shared::Doc& doc = s.docs[doc_index_];
+  doc.executed = true;
+  if (cursor.ok()) {
+    inline_.emplace(std::move(cursor).value());
+    return;
+  }
+  // Only the merge itself waits on this document: no notify needed.
+  doc.status = std::move(cursor).status();
+  doc.state = Shared::DocState::kDone;
+}
+
+void CollectionCursor::SettleInline() {
+  if (!inline_.has_value()) return;
+  Shared& s = *shared_;
+  skipped_ += inline_->offset_skipped();
+  MutexLock lock(s.mu);
+  Shared::Doc& doc = s.docs[doc_index_];
+  doc.stats = inline_->stats();
+  doc.state = Shared::DocState::kDone;
+  inline_.reset();
 }
 
 void CollectionCursor::WaitSettled() {
@@ -429,17 +478,9 @@ void CollectionCursor::WaitSettled() {
 
 Result<BlasCollection::CollectionResult> CollectionCursor::Drain() {
   BlasCollection::CollectionResult result;
-  BlasCollection::DocMatches* bucket = nullptr;
   const bool project = shared_->base.projection != Projection::kDLabel;
   while (std::optional<CollectionMatch> cm = Next()) {
-    if (bucket == nullptr || bucket->name != cm->document) {
-      result.docs.push_back(
-          BlasCollection::DocMatches{std::string(cm->document), {}, {}});
-      bucket = &result.docs.back();
-    }
-    bucket->starts.push_back(cm->match.start);
-    if (project) bucket->matches.push_back(std::move(cm->match));
-    ++result.total_matches;
+    result.Add(std::move(*cm), project);
   }
   if (!status_.ok()) return status_;
   // Producers cancelled mid-stream still hold partial stats until they

@@ -27,12 +27,13 @@ struct CollectionMatch {
 
 /// How a collection cursor executes its per-document cursors.
 struct ScatterOptions {
-  /// Worker pool the per-document producers fan out onto. Producers are
-  /// TrySubmit-ted (never blocking the opener); any document whose task
-  /// has not started by the time the merge needs it is claimed and run
-  /// inline, so a saturated pool degrades to one-document-at-a-time
-  /// execution instead of deadlocking. Null is the limiting case: the
-  /// merge claims every document inline, lazily and in name order.
+  /// Worker pool the per-document producers fan out onto. Every document
+  /// but the first is TrySubmit-ted (never blocking the opener); the merge
+  /// runs the first one itself, and claims any document whose task has not
+  /// started by the time the merge needs it, so a saturated pool degrades
+  /// to one-document-at-a-time execution instead of deadlocking. Null is
+  /// the limiting case: the merge runs every document itself, lazily and
+  /// in name order.
   ThreadPool* pool = nullptr;
   /// Bounded per-document match queue: producers ahead of the merge
   /// block once their queue is full, bounding memory and delay.
@@ -124,28 +125,36 @@ class BlasCollection {
     /// Matches consumed by the collection-wide `offset` before the first
     /// delivered one.
     uint64_t offset_skipped = 0;
+
+    /// Appends the next merged match to its document's entry (a new one
+    /// when the document changes), keeping its content when `project`.
+    void Add(CollectionMatch match, bool project);
   };
 
   /// How a collection cursor executes its per-document cursors (see the
   /// namespace-scope ScatterOptions).
   using ScatterOptions = blas::ScatterOptions;
 
-  /// Service hook: opens the per-document ResultCursor for one document.
-  /// Called concurrently from scatter workers (one call per document);
-  /// the query service uses it to consult its per-document plan cache.
-  /// `doc_options` already carries the per-document offset/limit budget.
+  /// Opens the per-document ResultCursor for one document with the
+  /// per-document offset/limit window in `doc_options`. Called once per
+  /// document, concurrently from the merge thread and scatter workers; the
+  /// query service's opener consults its per-document plan cache.
   using DocCursorOpener = std::function<Result<ResultCursor>(
-      const std::string& name, const BlasSystem& sys, const Query& query,
+      const std::string& name, const BlasSystem& sys,
       const QueryOptions& doc_options)>;
 
   /// Opens a streaming cursor over the collection-wide answer sequence,
-  /// ordered by (document name, document order). Per-document cursors
-  /// fan out onto `scatter.pool` and their matches merge through bounded
-  /// queues; collection-wide `options.offset`/`options.limit` apply to
-  /// the merged sequence, and a bounded cursor cancels still-queued
-  /// documents once offset + limit answers have been delivered (each
-  /// document also runs with an offset+limit cap of its own, reusing the
-  /// per-document limit-k machinery).
+  /// ordered by (document name, document order). Collection-wide
+  /// `options.offset`/`options.limit` apply to the merged sequence.
+  ///
+  /// The merge runs the first document itself, and any other it reaches
+  /// before a worker has started it, opening it with the window that
+  /// remains (offset not yet skipped, limit not yet delivered) and pulling
+  /// it one Next() at a time — so a one-member collection costs exactly
+  /// what the member's own cursor costs. The other documents fan out onto
+  /// `scatter.pool`, each capped at offset + limit answers, and merge
+  /// through bounded queues; a bounded cursor cancels still-queued
+  /// documents once the window is delivered.
   ///
   /// A per-document translation failure surfaces when the merge reaches
   /// that document: Next() returns nullopt with CollectionCursor::status()
@@ -156,12 +165,10 @@ class BlasCollection {
   Result<CollectionCursor> OpenCursor(std::string_view xpath,
                                       const QueryOptions& options = {},
                                       const ScatterOptions& scatter = {}) const;
-  /// As above, over an already-parsed query; `opener` overrides how each
-  /// per-document cursor is created (null = translate per document).
-  Result<CollectionCursor> OpenCursor(const Query& query,
-                                      const QueryOptions& options = {},
-                                      const ScatterOptions& scatter = {},
-                                      DocCursorOpener opener = nullptr) const;
+  /// As above, with `opener` creating each per-document cursor.
+  CollectionCursor OpenCursor(DocCursorOpener opener,
+                              const QueryOptions& options,
+                              const ScatterOptions& scatter = {}) const;
 
   /// Runs `xpath` over every document (in name order) with the unified
   /// per-query knobs: translator, engine (kAuto resolves per document —
@@ -169,8 +176,8 @@ class BlasCollection {
   /// collection-wide `limit`/`offset` over the concatenated name-ordered
   /// match sequence — enumeration stops (documents are not even opened)
   /// once offset + limit matches have been produced. OpenCursor + Drain
-  /// with no pool (lazy, name order, each document capped at
-  /// offset + limit).
+  /// with no pool (lazy, name order, each document opened with the window
+  /// that remains).
   ///
   /// A per-document translation failure aborts the query; that includes
   /// Unsupported (e.g. wildcards under Split) — pick Unfold or DLabel for
@@ -235,7 +242,9 @@ class CollectionCursor {
   /// Matches delivered so far (after the collection-wide offset).
   uint64_t delivered() const { return delivered_; }
   /// Matches consumed by the collection-wide offset so far.
-  uint64_t offset_skipped() const { return skipped_; }
+  uint64_t offset_skipped() const {
+    return skipped_ + (inline_.has_value() ? inline_->offset_skipped() : 0);
+  }
   ScatterStats scatter_stats() const;
 
  private:
@@ -244,6 +253,12 @@ class CollectionCursor {
 
   explicit CollectionCursor(std::shared_ptr<Shared> shared);
 
+  /// Opens the claimed current document on the merge thread with the
+  /// window that remains.
+  void OpenInline(const BlasSystem& sys);
+  /// Publishes the inline document's stats and offset skips and marks it
+  /// done; no-op without one.
+  void SettleInline();
   /// Blocks until no producer is mid-execution (their stats are final).
   void WaitSettled();
 
@@ -251,11 +266,15 @@ class CollectionCursor {
   Status status_;
   bool exhausted_ = false;
   size_t doc_index_ = 0;
+  /// The current document's name (stable: owned by shared_).
+  const std::string* doc_name_ = nullptr;
+  /// The current document when the merge runs it itself.
+  std::optional<ResultCursor> inline_;
   /// The current document's matches grabbed from its producer queue a
   /// whole batch per lock acquisition.
   std::deque<Match> local_;
   uint64_t delivered_ = 0;
-  /// Matches skipped by the merge for the collection-wide offset.
+  /// Offset consumed by settled inline documents and by the merge.
   uint64_t skipped_ = 0;
 };
 

@@ -10,7 +10,6 @@
 #include "blas/projection.h"
 #include "blas/query_options.h"
 #include "common/result.h"
-#include "obs/trace.h"
 #include "exec/executor.h"
 #include "exec/operators.h"
 #include "exec/plan.h"
@@ -35,10 +34,6 @@ struct QueryResult {
   /// Matches consumed by the cursor's `offset` before the first delivered
   /// one.
   uint64_t offset_skipped = 0;
-  /// The span tree of this query's execution; non-null only when the
-  /// query ran through a QueryService with tracing on for it
-  /// (QueryOptions::trace or the service's sampling knob).
-  std::shared_ptr<const obs::Trace> trace;
 };
 
 /// Plan-derived inputs of the bounded-cursor streaming decision. Computing
@@ -123,9 +118,6 @@ class ResultCursor {
   uint64_t offset_skipped() const { return skipped_; }
   /// Execution counters accumulated so far; grows as the cursor advances.
   const ExecStats& stats() const { return stats_; }
-  const ExecPlan::Shape& shape() const { return shape_; }
-  /// Wall time spent producing (setup + pulls) so far.
-  double millis() const { return millis_; }
   /// The resolved engine this cursor executes with.
   Engine engine() const { return engine_; }
   /// True when the limit-k incremental producer is active (the plan's

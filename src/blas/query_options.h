@@ -67,10 +67,10 @@ struct QueryOptions {
   uint64_t offset = 0;
   /// Per-match content materialization.
   Projection projection = Projection::kDLabel;
-  /// Collect a per-stage trace (span tree) for this query. The service
-  /// attaches it to the QueryResult and its recent-traces ring; see
-  /// QueryService and obs/trace.h. Queries may also be traced without
-  /// this flag via ServiceOptions::trace_sample_every.
+  /// Collect a per-stage trace (span tree) for this query into the
+  /// service's recent-traces ring; see QueryService and obs/trace.h.
+  /// Queries may also be traced without this flag via
+  /// ServiceOptions::trace_sample_every.
   bool trace = false;
 };
 

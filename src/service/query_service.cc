@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "common/stopwatch.h"
 #include "exec/optimizer.h"
 #include "obs/snapshot.h"
 #include "service/normalize.h"
@@ -15,12 +14,6 @@
 namespace blas {
 
 namespace {
-
-Status WrongBackend(const char* wanted) {
-  return Status::InvalidArgument(
-      std::string("service does not front a ") + wanted +
-      "; use the matching constructor");
-}
 
 void AppendF(std::string* out, const char* fmt, ...) {
   char buf[256];
@@ -32,10 +25,27 @@ void AppendF(std::string* out, const char* fmt, ...) {
                                   n, static_cast<int>(sizeof(buf)) - 1)));
 }
 
+/// A collection state that never publishes (epoch 0 for every document).
+std::shared_ptr<const CollectionState> StaticState(BlasCollection collection) {
+  auto state = std::make_shared<CollectionState>();
+  state->collection = std::move(collection);
+  return state;
+}
+
+/// A single document as the one member, named "", of a static collection.
+std::shared_ptr<const CollectionState> OneMember(
+    std::shared_ptr<const BlasSystem> system) {
+  BlasCollection collection;
+  collection.PutSystem("", std::move(system));
+  return StaticState(std::move(collection));
+}
+
 }  // namespace
 
-QueryService::QueryService(const ServiceOptions& options)
-    : plan_cache_(options.plan_cache_capacity),
+QueryService::QueryService(const ServiceOptions& options,
+                           std::shared_ptr<const CollectionState> static_state)
+    : static_state_(std::move(static_state)),
+      plan_cache_(options.plan_cache_capacity),
       pool_(options.worker_threads, options.queue_capacity),
       trace_ring_(options.trace_ring_capacity),
       slow_query_log_(options.slow_query_millis,
@@ -46,27 +56,18 @@ QueryService::QueryService(const ServiceOptions& options)
 
 QueryService::QueryService(const BlasSystem* system,
                            const ServiceOptions& options)
-    : QueryService(options) {
-  system_ = system;
-}
-
-QueryService::QueryService(std::shared_ptr<const BlasSystem> system,
-                           const ServiceOptions& options)
-    : QueryService(options) {
-  owned_system_ = std::move(system);
-  system_ = owned_system_.get();
-}
+    : QueryService(options,
+                   // Borrowed: the caller keeps the document alive.
+                   OneMember(std::shared_ptr<const BlasSystem>(
+                       system, [](const BlasSystem*) {}))) {}
 
 QueryService::QueryService(const BlasCollection* collection,
                            const ServiceOptions& options)
-    : QueryService(options) {
-  auto state = std::make_shared<CollectionState>();
-  state->collection = *collection;  // shallow: shares the member documents
-  static_state_ = std::move(state);
-}
+    // Shallow copy: shares the member documents.
+    : QueryService(options, StaticState(*collection)) {}
 
 QueryService::QueryService(LiveCollection* live, const ServiceOptions& options)
-    : QueryService(options) {
+    : QueryService(options, nullptr) {
   live_ = live;
   ingest_ = std::make_unique<IngestQueue>(live_, &pool_);
   // Epoch tags already make stale per-document plans unservable; the
@@ -83,8 +84,8 @@ Result<std::unique_ptr<QueryService>> QueryService::FromXml(
     std::string_view xml, const BlasOptions& blas_options,
     const ServiceOptions& options) {
   BLAS_ASSIGN_OR_RETURN(BlasSystem sys, BlasSystem::FromXml(xml, blas_options));
-  auto shared = std::make_shared<const BlasSystem>(std::move(sys));
-  return std::make_unique<QueryService>(std::move(shared), options);
+  return std::unique_ptr<QueryService>(new QueryService(
+      options, OneMember(std::make_shared<const BlasSystem>(std::move(sys)))));
 }
 
 QueryService::~QueryService() {
@@ -98,10 +99,10 @@ void QueryService::Shutdown() { pool_.Shutdown(); }
 void QueryService::InitMetrics() {
   query_latency_ns_ = metrics_.GetHistogram(
       "blas_query_latency_ns",
-      "Wall time of completed single-document queries");
-  collection_latency_ns_ = metrics_.GetHistogram(
-      "blas_collection_query_latency_ns",
-      "Wall time of completed collection queries (scatter + merge)");
+      "Wall time of completed queries, from submission to the last match");
+  queue_wait_ns_ = metrics_.GetHistogram(
+      "blas_queue_wait_ns",
+      "Time from submission to a worker starting the query");
   stage_parse_ns_ =
       metrics_.GetHistogram("blas_stage_parse_ns", "XPath parse stage");
   stage_translate_ns_ = metrics_.GetHistogram(
@@ -135,29 +136,24 @@ std::shared_ptr<obs::TraceContext> QueryService::MaybeStartTrace(
   return std::make_shared<obs::TraceContext>(NormalizeXPath(request.xpath));
 }
 
-std::shared_ptr<const obs::Trace> QueryService::Complete(
-    const QueryRequest& request, double millis, const ExecStats& stats,
-    uint64_t offset_skipped, uint64_t output_rows, const char* engine,
-    obs::TraceContext* trace, const CollectionCursor* collection,
-    uint64_t epoch_at_open) {
+void QueryService::Complete(const QueryRequest& request, double millis,
+                            const ExecStats& stats,
+                            const CollectionCursor& cursor,
+                            obs::TraceContext* trace,
+                            uint64_t epoch_at_open) {
   completed_.fetch_add(1, std::memory_order_relaxed);
   RollUp(stats);
-  offset_skipped_.fetch_add(offset_skipped, std::memory_order_relaxed);
-  obs::Histogram* latency = query_latency_ns_;
-  if (collection != nullptr) {
-    latency = collection_latency_ns_;
-    CollectionCursor::ScatterStats scatter = collection->scatter_stats();
-    docs_executed_.fetch_add(scatter.docs_executed,
-                             std::memory_order_relaxed);
-    docs_cancelled_.fetch_add(scatter.docs_cancelled,
-                              std::memory_order_relaxed);
-    // A live query that overlapped a publish: the epoch it pinned was
-    // superseded by the time it drained.
-    if (live_ != nullptr && live_->epoch() != epoch_at_open) {
-      churn_queries_.fetch_add(1, std::memory_order_relaxed);
-    }
+  offset_skipped_.fetch_add(cursor.offset_skipped(),
+                            std::memory_order_relaxed);
+  CollectionCursor::ScatterStats scatter = cursor.scatter_stats();
+  docs_executed_.fetch_add(scatter.docs_executed, std::memory_order_relaxed);
+  docs_cancelled_.fetch_add(scatter.docs_cancelled, std::memory_order_relaxed);
+  // A live query that overlapped a publish: the epoch it pinned was
+  // superseded by the time it drained.
+  if (live_ != nullptr && live_->epoch() != epoch_at_open) {
+    churn_queries_.fetch_add(1, std::memory_order_relaxed);
   }
-  latency->Record(static_cast<uint64_t>(millis * 1e6));
+  query_latency_ns_->Record(static_cast<uint64_t>(millis * 1e6));
   std::shared_ptr<const obs::Trace> sealed;
   if (trace != nullptr) {
     sealed = trace->Finish();
@@ -168,25 +164,30 @@ std::shared_ptr<const obs::Trace> QueryService::Complete(
     obs::SlowQueryEntry entry;
     entry.query = NormalizeXPath(request.xpath);
     entry.translator = TranslatorName(request.options.translator);
-    entry.engine = engine;
+    entry.engine = EngineName(request.options.engine);
     entry.millis = millis;
     entry.elements = stats.elements;
     entry.page_fetches = stats.page_fetches;
     entry.page_misses = stats.page_misses;
     entry.io_reads = stats.io_reads;
-    entry.output_rows = output_rows;
-    entry.trace = sealed;
+    entry.output_rows = cursor.delivered();
+    entry.trace = std::move(sealed);
     slow_query_log_.MaybeRecord(std::move(entry));
   }
-  return sealed;
 }
 
 template <typename T>
 std::future<Result<T>> QueryService::SubmitTask(
-    std::function<Result<T>()> work) {
+    std::function<Result<T>(const Stopwatch& since)> work) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
+  // Started before the (possibly blocking) enqueue: latency includes
+  // backpressure and queue wait.
+  Stopwatch since;
   auto task = std::make_shared<std::packaged_task<Result<T>()>>(
-      std::move(work));
+      [this, since, work = std::move(work)] {
+        queue_wait_ns_->Record(since.ElapsedNanos());
+        return work(since);
+      });
   std::future<Result<T>> future = task->get_future();
   if (!pool_.Submit([task] { (*task)(); })) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
@@ -197,97 +198,47 @@ std::future<Result<T>> QueryService::SubmitTask(
   return future;
 }
 
-template <typename C>
-Result<C> QueryService::CountOpened(Result<C> cursor) {
-  // The cursor escapes the service and executes on the client's thread,
-  // so it is tallied as an opened cursor, not a completed query, and its
-  // ExecStats stay out of the exec roll-up.
-  if (cursor.ok()) {
-    cursors_opened_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    failed_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return cursor;
+std::future<Result<BlasCollection::CollectionResult>> QueryService::Submit(
+    QueryRequest request) {
+  return SubmitTask<BlasCollection::CollectionResult>(
+      [this, request = std::move(request)](const Stopwatch& since) {
+        return Run(request, since);
+      });
 }
 
-std::future<Result<QueryResult>> QueryService::Submit(QueryRequest request) {
-  return SubmitTask<QueryResult>(
-      [this, request = std::move(request)]() { return Run(request); });
+std::future<Result<StreamSummary>> QueryService::SubmitCollection(
+    QueryRequest request, CollectionMatchCallback on_match) {
+  return SubmitTask<StreamSummary>(
+      [this, request = std::move(request),
+       on_match = std::move(on_match)](const Stopwatch& since) {
+        return Stream(request, on_match, since);
+      });
 }
 
 std::future<Result<StreamSummary>> QueryService::Submit(
     QueryRequest request, MatchCallback on_match) {
-  return SubmitTask<StreamSummary>(
-      [this, request = std::move(request),
-       on_match = std::move(on_match)]() -> Result<StreamSummary> {
-        Stopwatch watch;
-        std::shared_ptr<obs::TraceContext> trace = MaybeStartTrace(request);
-        obs::TraceContext::Scope scope(trace.get());
-        Result<ResultCursor> cursor = MakeCursor(request, trace.get());
-        if (!cursor.ok()) {
-          failed_.fetch_add(1, std::memory_order_relaxed);
-          return std::move(cursor).status();
-        }
-        const ExecStats open_stats = cursor->stats();
-        StreamSummary summary;
-        {
-          obs::SpanTimer span(trace.get(), "stream");
-          while (std::optional<Match> match = cursor->Next()) {
-            ++summary.delivered;
-            if (!on_match(*match)) {
-              summary.cancelled = true;
-              break;
-            }
-          }
-          summary.stats = cursor->stats();
-          if (trace != nullptr) {
-            span.set_counters(
-                summary.stats.elements - open_stats.elements,
-                summary.stats.page_fetches - open_stats.page_fetches,
-                summary.stats.page_misses - open_stats.page_misses,
-                summary.stats.io_reads - open_stats.io_reads);
-          }
-        }
-        summary.shape = cursor->shape();
-        summary.millis = cursor->millis();
-        if (summary.cancelled) {
-          // An abandoned scan's truncated stats would skew the
-          // per-completed-query roll-up.
-          cancelled_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          Complete(request, watch.ElapsedMillis(), summary.stats,
-                   cursor->offset_skipped(), summary.delivered,
-                   EngineName(cursor->engine()), trace.get());
-        }
-        return summary;
+  return SubmitCollection(
+      std::move(request),
+      [on_match = std::move(on_match)](const CollectionMatch& m) {
+        return on_match(m.match);
       });
 }
 
-std::future<Result<ResultCursor>> QueryService::SubmitCursor(
-    QueryRequest request) {
-  return SubmitTask<ResultCursor>([this, request = std::move(request)]() {
-    return CountOpened(MakeCursor(request));
-  });
-}
-
-std::vector<std::future<Result<QueryResult>>> QueryService::SubmitBatch(
-    std::vector<QueryRequest> requests) {
-  std::vector<std::future<Result<QueryResult>>> futures;
-  futures.reserve(requests.size());
-  for (QueryRequest& request : requests) {
-    futures.push_back(Submit(std::move(request)));
-  }
-  return futures;
-}
-
-Result<QueryResult> QueryService::Execute(const QueryRequest& request) {
+Result<BlasCollection::CollectionResult> QueryService::Execute(
+    const QueryRequest& request) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  return Run(request);
+  return Run(request, Stopwatch());
 }
 
-Result<ResultCursor> QueryService::OpenCursor(const QueryRequest& request) {
+Result<CollectionCursor> QueryService::OpenCursor(const QueryRequest& request) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  return CountOpened(MakeCursor(request));
+  Result<CollectionCursor> cursor = MakeCursor(request);
+  // The cursor escapes the service and executes on the client's thread,
+  // so it is tallied as an opened cursor, not a completed query, and its
+  // ExecStats stay out of the exec roll-up.
+  (cursor.ok() ? cursors_opened_ : failed_)
+      .fetch_add(1, std::memory_order_relaxed);
+  return cursor;
 }
 
 Result<std::shared_ptr<const CachedQuery>> QueryService::LookupQuery(
@@ -315,71 +266,7 @@ Result<std::shared_ptr<const CachedQuery>> QueryService::LookupQuery(
   return entry;
 }
 
-Result<ResultCursor> QueryService::OpenDocCursor(
-    const CachedQuery& entry, const std::string& doc, uint64_t epoch,
-    const BlasSystem& sys, const QueryOptions& options, bool count_doc_plans,
-    obs::TraceContext* trace) {
-  std::shared_ptr<const CachedPlan> plan = entry.ForDoc(doc, epoch);
-  if (count_doc_plans) {
-    (plan != nullptr ? doc_plan_hits_ : doc_plan_misses_)
-        .fetch_add(1, std::memory_order_relaxed);
-  }
-  if (plan == nullptr) {
-    CachedPlan fresh;
-    {
-      obs::SpanTimer span(trace, "translate");
-      if (trace != nullptr) span.set_note(TranslatorName(options.translator));
-      Stopwatch timer;
-      Result<ExecPlan> planned = sys.Plan(entry.query(), options.translator);
-      stage_translate_ns_->Record(timer.ElapsedNanos());
-      if (!planned.ok()) return std::move(planned).status();
-      fresh.plan = std::move(planned).value();
-    }
-    {
-      obs::SpanTimer span(trace, "optimize");
-      Stopwatch timer;
-      CostModel model(&sys.summary(), &sys.dict());
-      if (options.exec.optimize_join_order) {
-        fresh.plan = OptimizeJoinOrder(fresh.plan, model);
-      }
-      fresh.auto_engine = ChooseEngine(fresh.plan, model);
-      fresh.stream_info = sys.AnalyzeStreamability(fresh.plan);
-      stage_optimize_ns_->Record(timer.ElapsedNanos());
-    }
-    plan = std::make_shared<const CachedPlan>(std::move(fresh));
-    entry.PutDoc(doc, epoch, plan);
-  }
-
-  Engine engine =
-      options.engine == Engine::kAuto ? plan->auto_engine : options.engine;
-  // Alias the cached plan so it outlives any eviction while this cursor
-  // is still streaming.
-  std::shared_ptr<const ExecPlan> shared_plan(plan, &plan->plan);
-  obs::SpanTimer span(trace, "execute");
-  if (trace != nullptr) span.set_note(EngineName(engine));
-  Stopwatch timer;
-  Result<ResultCursor> cursor =
-      sys.OpenPlan(std::move(shared_plan), engine, options, &plan->stream_info);
-  stage_execute_ns_->Record(timer.ElapsedNanos());
-  if (trace != nullptr && cursor.ok()) {
-    // Open runs the engine (or the streaming prefix); attribute the
-    // counters it accumulated to this stage.
-    const ExecStats& s = cursor->stats();
-    span.set_counters(s.elements, s.page_fetches, s.page_misses, s.io_reads);
-  }
-  return cursor;
-}
-
-Result<ResultCursor> QueryService::MakeCursor(const QueryRequest& request,
-                                              obs::TraceContext* trace) {
-  if (system_ == nullptr) return WrongBackend("single document");
-  BLAS_ASSIGN_OR_RETURN(std::shared_ptr<const CachedQuery> entry,
-                        LookupQuery(request, trace));
-  return OpenDocCursor(*entry, /*doc=*/"", /*epoch=*/0, *system_,
-                       request.options, /*count_doc_plans=*/false, trace);
-}
-
-Result<CollectionCursor> QueryService::MakeCollectionCursor(
+Result<CollectionCursor> QueryService::MakeCursor(
     const QueryRequest& request, uint64_t* epoch_at_open,
     std::shared_ptr<obs::TraceContext> trace) {
   // A live service pins the epoch current right now; the cursor drains
@@ -387,135 +274,141 @@ Result<CollectionCursor> QueryService::MakeCollectionCursor(
   // per-document producer holds its document via shared_ptr).
   std::shared_ptr<const CollectionState> state =
       live_ != nullptr ? live_->Snapshot() : static_state_;
-  if (state == nullptr) return WrongBackend("collection");
   if (epoch_at_open != nullptr) *epoch_at_open = state->epoch;
   BLAS_ASSIGN_OR_RETURN(std::shared_ptr<const CachedQuery> entry,
                         LookupQuery(request, trace.get()));
 
-  // Per-document opener, run on the scatter workers. Plans are tagged
-  // with the document's last-changed epoch, so a replaced document can
-  // never serve its predecessor's plan (static collections tag
-  // everything 0).
+  // Per-document opener, run on the merge thread or a scatter worker.
+  // Plans are tagged with the document's last-changed epoch, so a
+  // replaced document can never serve its predecessor's plan (static
+  // collections tag everything 0).
   BlasCollection::DocCursorOpener opener =
-      [this, entry, state, trace](const std::string& name,
-                                  const BlasSystem& sys, const Query&,
-                                  const QueryOptions& doc_options) {
-        // Install the trace context so this document's page reads
-        // attribute to the query, and nest its open stages under one span
-        // named for the document.
-        obs::TraceContext::Scope trace_scope(trace.get());
-        obs::SpanTimer span(trace.get(), "open_doc");
-        if (trace != nullptr) span.set_note(name);
-        auto it = state->doc_epochs.find(name);
-        const uint64_t epoch = it != state->doc_epochs.end() ? it->second : 0;
-        return OpenDocCursor(*entry, name, epoch, sys, doc_options,
-                             /*count_doc_plans=*/true, trace.get());
-      };
+      [this, entry, state, trace](
+          const std::string& name, const BlasSystem& sys,
+          const QueryOptions& options) -> Result<ResultCursor> {
+    // Install the trace context so this document's page reads attribute
+    // to the query, and nest its open stages under one span named for the
+    // document.
+    obs::TraceContext* ctx = trace.get();
+    obs::TraceContext::Scope trace_scope(ctx);
+    obs::SpanTimer doc_span(ctx, "open_doc");
+    if (ctx != nullptr) doc_span.set_note(name);
+    auto it = state->doc_epochs.find(name);
+    const uint64_t epoch = it != state->doc_epochs.end() ? it->second : 0;
+    std::shared_ptr<const CachedPlan> plan = entry->ForDoc(name, epoch);
+    (plan != nullptr ? doc_plan_hits_ : doc_plan_misses_)
+        .fetch_add(1, std::memory_order_relaxed);
+    if (plan == nullptr) {
+      CachedPlan fresh;
+      {
+        obs::SpanTimer span(ctx, "translate");
+        if (ctx != nullptr) span.set_note(TranslatorName(options.translator));
+        Stopwatch timer;
+        Result<ExecPlan> planned = sys.Plan(entry->query(), options.translator);
+        stage_translate_ns_->Record(timer.ElapsedNanos());
+        if (!planned.ok()) return std::move(planned).status();
+        fresh.plan = std::move(planned).value();
+      }
+      {
+        obs::SpanTimer span(ctx, "optimize");
+        Stopwatch timer;
+        CostModel model(&sys.summary(), &sys.dict());
+        if (options.exec.optimize_join_order) {
+          fresh.plan = OptimizeJoinOrder(fresh.plan, model);
+        }
+        fresh.auto_engine = ChooseEngine(fresh.plan, model);
+        fresh.stream_info = sys.AnalyzeStreamability(fresh.plan);
+        stage_optimize_ns_->Record(timer.ElapsedNanos());
+      }
+      plan = std::make_shared<const CachedPlan>(std::move(fresh));
+      entry->PutDoc(name, epoch, plan);
+    }
+
+    Engine engine =
+        options.engine == Engine::kAuto ? plan->auto_engine : options.engine;
+    // Alias the cached plan so it outlives any eviction while this cursor
+    // is still streaming.
+    std::shared_ptr<const ExecPlan> shared_plan(plan, &plan->plan);
+    obs::SpanTimer span(ctx, "execute");
+    if (ctx != nullptr) span.set_note(EngineName(engine));
+    Stopwatch timer;
+    Result<ResultCursor> cursor = sys.OpenPlan(std::move(shared_plan), engine,
+                                               options, &plan->stream_info);
+    stage_execute_ns_->Record(timer.ElapsedNanos());
+    if (ctx != nullptr && cursor.ok()) {
+      // Open runs the engine (or the streaming prefix); attribute the
+      // counters it accumulated to this stage.
+      const ExecStats& s = cursor->stats();
+      span.set_counters(s.elements, s.page_fetches, s.page_misses,
+                        s.io_reads);
+    }
+    return cursor;
+  };
 
   obs::SpanTimer span(trace.get(), "open_scatter");
-  return state->collection.OpenCursor(entry->query(), request.options,
-                                      {.pool = &pool_}, std::move(opener));
+  return state->collection.OpenCursor(std::move(opener), request.options,
+                                      {.pool = &pool_});
 }
 
-Result<BlasCollection::CollectionResult> QueryService::RunCollection(
-    const QueryRequest& request) {
-  Stopwatch watch;
+Result<StreamSummary> QueryService::Stream(
+    const QueryRequest& request, const CollectionMatchCallback& on_match,
+    const Stopwatch& since, uint64_t* offset_skipped) {
   std::shared_ptr<obs::TraceContext> trace = MaybeStartTrace(request);
   obs::TraceContext::Scope scope(trace.get());
   uint64_t epoch_at_open = 0;
   Result<CollectionCursor> cursor =
-      MakeCollectionCursor(request, &epoch_at_open, trace);
+      MakeCursor(request, &epoch_at_open, trace);
   if (!cursor.ok()) {
     failed_.fetch_add(1, std::memory_order_relaxed);
     return std::move(cursor).status();
   }
-  Result<BlasCollection::CollectionResult> result = [&] {
+  StreamSummary summary;
+  {
     obs::SpanTimer span(trace.get(), "merge");
-    Result<BlasCollection::CollectionResult> drained = cursor->Drain();
-    if (trace != nullptr && drained.ok()) {
-      span.set_counters(drained->stats.elements, drained->stats.page_fetches,
-                        drained->stats.page_misses, drained->stats.io_reads);
+    while (std::optional<CollectionMatch> match = cursor->Next()) {
+      ++summary.delivered;
+      if (!on_match(*match)) {
+        summary.cancelled = true;
+        break;
+      }
     }
-    return drained;
-  }();
-  if (!result.ok()) {
-    failed_.fetch_add(1, std::memory_order_relaxed);
-    return result;
+    if (!cursor->status().ok()) {
+      failed_.fetch_add(1, std::memory_order_relaxed);
+      return cursor->status();
+    }
+    summary.stats = cursor->SettledStats();
+    if (trace != nullptr) {
+      span.set_counters(summary.stats.elements, summary.stats.page_fetches,
+                        summary.stats.page_misses, summary.stats.io_reads);
+    }
   }
-  Complete(request, watch.ElapsedMillis(), result->stats,
-           result->offset_skipped, result->total_matches,
-           EngineName(request.options.engine), trace.get(), &*cursor,
-           epoch_at_open);
+  summary.millis = since.ElapsedMillis();
+  if (offset_skipped != nullptr) *offset_skipped = cursor->offset_skipped();
+  if (summary.cancelled) {
+    // An abandoned stream's truncated stats would skew the
+    // per-completed-query roll-up.
+    cancelled_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    Complete(request, summary.millis, summary.stats, *cursor, trace.get(),
+             epoch_at_open);
+  }
+  return summary;
+}
+
+Result<BlasCollection::CollectionResult> QueryService::Run(
+    const QueryRequest& request, const Stopwatch& since) {
+  BlasCollection::CollectionResult result;
+  const bool project = request.options.projection != Projection::kDLabel;
+  Result<StreamSummary> summary = Stream(
+      request,
+      [&result, project](const CollectionMatch& m) {
+        result.Add(m, project);
+        return true;
+      },
+      since, &result.offset_skipped);
+  if (!summary.ok()) return std::move(summary).status();
+  result.stats = summary->stats;
   return result;
-}
-
-std::future<Result<BlasCollection::CollectionResult>>
-QueryService::SubmitCollection(QueryRequest request) {
-  return SubmitTask<BlasCollection::CollectionResult>(
-      [this, request = std::move(request)]() { return RunCollection(request); });
-}
-
-std::future<Result<StreamSummary>> QueryService::SubmitCollection(
-    QueryRequest request, CollectionMatchCallback on_match) {
-  return SubmitTask<StreamSummary>(
-      [this, request = std::move(request),
-       on_match = std::move(on_match)]() -> Result<StreamSummary> {
-        Stopwatch watch;
-        std::shared_ptr<obs::TraceContext> trace = MaybeStartTrace(request);
-        obs::TraceContext::Scope scope(trace.get());
-        uint64_t epoch_at_open = 0;
-        Result<CollectionCursor> cursor =
-            MakeCollectionCursor(request, &epoch_at_open, trace);
-        if (!cursor.ok()) {
-          failed_.fetch_add(1, std::memory_order_relaxed);
-          return std::move(cursor).status();
-        }
-        StreamSummary summary;
-        {
-          obs::SpanTimer span(trace.get(), "merge");
-          while (std::optional<CollectionMatch> match = cursor->Next()) {
-            ++summary.delivered;
-            if (!on_match(*match)) {
-              summary.cancelled = true;
-              break;
-            }
-          }
-        }
-        if (!cursor->status().ok()) {
-          failed_.fetch_add(1, std::memory_order_relaxed);
-          return cursor->status();
-        }
-        summary.stats = cursor->SettledStats();
-        summary.millis = watch.ElapsedMillis();
-        if (summary.cancelled) {
-          cancelled_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          Complete(request, summary.millis, summary.stats,
-                   cursor->offset_skipped(), summary.delivered,
-                   EngineName(request.options.engine), trace.get(), &*cursor,
-                   epoch_at_open);
-        }
-        return summary;
-      });
-}
-
-std::future<Result<CollectionCursor>> QueryService::SubmitCollectionCursor(
-    QueryRequest request) {
-  return SubmitTask<CollectionCursor>([this, request = std::move(request)]() {
-    return CountOpened(MakeCollectionCursor(request));
-  });
-}
-
-Result<BlasCollection::CollectionResult> QueryService::ExecuteCollection(
-    const QueryRequest& request) {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  return RunCollection(request);
-}
-
-Result<CollectionCursor> QueryService::OpenCollectionCursor(
-    const QueryRequest& request) {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  return CountOpened(MakeCollectionCursor(request));
 }
 
 // ------------------------------------------------------- admin (live) ---
@@ -568,33 +461,6 @@ void QueryService::RollUp(const ExecStats& stats) {
   intermediate_rows_.fetch_add(stats.intermediate_rows,
                                std::memory_order_relaxed);
   output_rows_.fetch_add(stats.output_rows, std::memory_order_relaxed);
-}
-
-Result<QueryResult> QueryService::Run(const QueryRequest& request) {
-  Stopwatch watch;
-  std::shared_ptr<obs::TraceContext> trace = MaybeStartTrace(request);
-  obs::TraceContext::Scope scope(trace.get());
-  Result<ResultCursor> cursor = MakeCursor(request, trace.get());
-  if (!cursor.ok()) {
-    failed_.fetch_add(1, std::memory_order_relaxed);
-    return std::move(cursor).status();
-  }
-  const ExecStats open_stats = cursor->stats();
-  QueryResult result;
-  {
-    obs::SpanTimer span(trace.get(), "drain");
-    result = cursor->Drain();
-    if (trace != nullptr) {
-      span.set_counters(result.stats.elements - open_stats.elements,
-                        result.stats.page_fetches - open_stats.page_fetches,
-                        result.stats.page_misses - open_stats.page_misses,
-                        result.stats.io_reads - open_stats.io_reads);
-    }
-  }
-  result.trace = Complete(request, watch.ElapsedMillis(), result.stats,
-                          result.offset_skipped, result.stats.output_rows,
-                          EngineName(cursor->engine()), trace.get());
-  return result;
 }
 
 ServiceStats QueryService::stats() const {

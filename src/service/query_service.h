@@ -9,8 +9,8 @@
 #include <string>
 #include <vector>
 
-#include "blas/blas.h"
 #include "blas/collection.h"
+#include "common/stopwatch.h"
 #include "ingest/ingest_queue.h"
 #include "ingest/live_collection.h"
 #include "obs/metrics.h"
@@ -54,7 +54,7 @@ struct QueryRequest {
 /// Final measurements of a streamed (callback) query.
 struct StreamSummary {
   ExecStats stats;
-  ExecPlan::Shape shape;
+  /// Wall time from submission to the last match delivered.
   double millis = 0.0;
   /// Matches handed to the callback.
   uint64_t delivered = 0;
@@ -70,9 +70,9 @@ struct ServiceStats {
   uint64_t completed = 0;  // queries run to completion by the service
   uint64_t failed = 0;     // parse/translate/execute errors
   uint64_t rejected = 0;   // submissions refused after Shutdown
-  /// Cursors handed out via SubmitCursor/OpenCursor. Counted separately
-  /// from `completed`: an escaped cursor executes on the client's thread,
-  /// so its ExecStats never enter the `exec` roll-up below and must not
+  /// Cursors handed out via OpenCursor. Counted separately from
+  /// `completed`: an escaped cursor executes on the client's thread, so
+  /// its ExecStats never enter the `exec` roll-up below and must not
   /// dilute per-completed-query averages.
   uint64_t cursors_opened = 0;
   /// Streaming submissions whose callback cancelled mid-stream. Counted
@@ -83,13 +83,13 @@ struct ServiceStats {
   uint64_t plan_cache_hits = 0;
   uint64_t plan_cache_misses = 0;
   uint64_t plan_cache_evictions = 0;
-  /// Per-document plan reuse inside the cached entries of collection
-  /// queries: a hot collection query pays one parse plus one translation
-  /// per document (doc_plan_misses), then only doc_plan_hits. An
+  /// Per-document plan reuse inside the cached entries: a hot query pays
+  /// one parse plus one translation per document (doc_plan_misses), then
+  /// only doc_plan_hits. A single-document service has one slot per entry,
+  /// so its doc_plan_* track the plan cache's own hits and misses. An
   /// epoch-mismatched lookup (the document was replaced since the plan was
   /// translated) counts as a miss — stale plans are structurally
-  /// unservable. Single-document queries leave both alone: their one slot
-  /// is reused exactly when the plan cache hits.
+  /// unservable.
   uint64_t doc_plan_hits = 0;
   uint64_t doc_plan_misses = 0;
   // Churn counters (live-collection services; all 0 otherwise).
@@ -106,10 +106,10 @@ struct ServiceStats {
   /// headline number of the live-ingestion design — readers kept
   /// streaming while the data changed under them.
   uint64_t queries_served_during_churn = 0;
-  /// Scatter-side collection accounting, summed over completed collection
-  /// queries (see CollectionCursor::ScatterStats): documents whose
-  /// per-document cursor actually ran, and documents cancelled while
-  /// still queued because the limit budget was already spent.
+  /// Scatter-side accounting, summed over completed queries (see
+  /// CollectionCursor::ScatterStats): documents whose per-document cursor
+  /// actually ran, and documents cancelled while still queued because the
+  /// limit budget was already spent.
   uint64_t docs_executed = 0;
   uint64_t docs_cancelled = 0;
   // Roll-up of every completed query's ExecStats.
@@ -123,7 +123,7 @@ struct ServiceStats {
     uint64_t intermediate_rows = 0;
     uint64_t output_rows = 0;
     /// Matches consumed by `offset` before the first delivered one,
-    /// summed over completed queries (single-document and collection).
+    /// summed over completed queries.
     uint64_t offset_skipped = 0;
   };
   ExecRollup exec;
@@ -132,52 +132,49 @@ struct ServiceStats {
 /// \brief Concurrent query front door over one indexed document or a
 /// whole document collection.
 ///
-/// Owns (or borrows) a BlasSystem — or borrows a BlasCollection — and
-/// serves XPath queries from many clients at once: requests enter a
-/// bounded queue, a fixed pool of workers translates and executes them
-/// against the shared read path (safe for concurrent readers), and
-/// results come back through futures. Repeat queries hit an LRU plan
-/// cache keyed by normalized query text and skip the whole
-/// parse/decompose/translate/optimize pipeline: an entry caches the
-/// parsed query once plus one translated plan per document (a single
-/// document is one slot).
+/// Every backing is served as a collection snapshot: a single document is
+/// a one-member static collection (the member is named ""), a
+/// BlasCollection a static copy, a LiveCollection the epoch current at
+/// each query's open. Requests enter a bounded queue, a fixed pool of
+/// workers translates and executes them against the shared read path
+/// (safe for concurrent readers), and results come back through futures.
+/// Repeat queries hit an LRU plan cache keyed by normalized query text and
+/// skip the whole parse/decompose/translate/optimize pipeline: an entry
+/// caches the parsed query once plus one translated plan per document.
 ///
-/// Collection submissions scatter per-document cursors across the same
-/// worker pool and gather them through a merge cursor (see
-/// BlasCollection::OpenCursor), so one collection query can occupy
-/// several workers while bounded queues cap its memory.
+/// A query's merge runs the first document itself and scatters the others
+/// across the same worker pool (see BlasCollection::OpenCursor), so one
+/// collection query can occupy several workers while bounded queues cap
+/// its memory.
 ///
 /// \code
 ///   QueryService service(&sys, {.worker_threads = 4});
 ///   auto f1 = service.Submit({.xpath = "/site/regions//item"});
 ///   auto f2 = service.Submit({.xpath = "//person[name]"});
-///   Result<QueryResult> r1 = f1.get();
+///   Result<BlasCollection::CollectionResult> r1 = f1.get();
 /// \endcode
 class QueryService {
  public:
-  /// Serves queries against a system owned by the caller, which must
+  /// Serves queries against a document owned by the caller, which must
   /// outlive the service.
   explicit QueryService(const BlasSystem* system,
                         const ServiceOptions& options = {});
-  /// Shares ownership of the system.
-  explicit QueryService(std::shared_ptr<const BlasSystem> system,
-                        const ServiceOptions& options = {});
-  /// Serves collection queries against the documents `collection` holds
-  /// now: the service keeps a shallow copy (sharing the member documents)
-  /// and serves it as a live-collection state that never publishes, so
-  /// later changes to `collection` are not seen.
+  /// Serves queries against the documents `collection` holds now: the
+  /// service keeps a shallow copy (sharing the member documents) and
+  /// serves it as a collection state that never publishes, so later
+  /// changes to `collection` are not seen.
   explicit QueryService(const BlasCollection* collection,
                         const ServiceOptions& options = {});
-  /// Serves collection queries against a live (continuously-ingesting)
-  /// collection owned by the caller, which must outlive the service.
-  /// Every query pins the epoch current at its open and drains it to the
-  /// end regardless of concurrent publishes; the admin Submit*Document
-  /// methods below feed the same worker pool. The service installs
-  /// itself as the collection's change listener (per-document plan
-  /// invalidation) — don't overwrite it while the service is alive.
+  /// Serves queries against a live (continuously-ingesting) collection
+  /// owned by the caller, which must outlive the service. Every query
+  /// pins the epoch current at its open and drains it to the end
+  /// regardless of concurrent publishes; the admin Submit*Document methods
+  /// below feed the same worker pool. The service installs itself as the
+  /// collection's change listener (per-document plan invalidation) — don't
+  /// overwrite it while the service is alive.
   explicit QueryService(LiveCollection* live,
                         const ServiceOptions& options = {});
-  /// Builds the system from XML text and owns it.
+  /// Builds a document from XML text and serves it, owning it.
   static Result<std::unique_ptr<QueryService>> FromXml(
       std::string_view xml, const BlasOptions& blas_options = {},
       const ServiceOptions& options = {});
@@ -187,73 +184,39 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Per-match delivery callback of the streaming Submit overload. Return
-  /// false to cancel the stream. For bounded requests (limit > 0) the
-  /// incremental producer then abandons its remaining scans; an unbounded
-  /// request has already materialized the full result by the time the
-  /// first match is delivered, so cancelling only stops delivery.
-  using MatchCallback = std::function<bool(const Match&)>;
-  /// Collection flavor: the match plus its owning document's name.
-  /// Cancelling additionally cancels still-queued documents.
+  /// Per-match delivery callback of the streaming Submit. Return false to
+  /// cancel the stream: the merge cancels still-queued documents and a
+  /// bounded request's producers abandon their remaining scans.
   using CollectionMatchCallback = std::function<bool(const CollectionMatch&)>;
+  /// The same without the owning document's name.
+  using MatchCallback = std::function<bool(const Match&)>;
 
   /// Enqueues one query; blocks only when the submission queue is full.
-  /// After Shutdown the returned future holds a kUnsupported error.
-  std::future<Result<QueryResult>> Submit(QueryRequest request);
-
-  /// Streaming overload: a worker opens a cursor and pushes each match
-  /// into `on_match` as it is produced (bounded requests terminate their
-  /// scans early); the future completes with the final measurements. The
-  /// callback runs on the worker thread and must be thread-compatible
-  /// with the caller.
-  std::future<Result<StreamSummary>> Submit(QueryRequest request,
-                                            MatchCallback on_match);
-
-  /// Cursor overload: the worker runs the setup phase (parse / plan cache
-  /// / translate / streaming prefix) and hands the cursor back through the
-  /// future; the caller then pulls matches on its own thread. The cursor
-  /// borrows the service's system and must not outlive it.
-  std::future<Result<ResultCursor>> SubmitCursor(QueryRequest request);
-
-  /// Enqueues a batch; futures are in request order.
-  std::vector<std::future<Result<QueryResult>>> SubmitBatch(
-      std::vector<QueryRequest> requests);
-
-  /// Runs one query on the calling thread (same plan cache and stats).
-  Result<QueryResult> Execute(const QueryRequest& request);
-
-  /// Opens a cursor on the calling thread (same plan cache and stats).
-  Result<ResultCursor> OpenCursor(const QueryRequest& request);
-
-  // ------------------------------------------ collection front door ---
-  // These require the collection constructor; on a single-document
-  // service they fail with InvalidArgument (and vice versa for the
-  // single-document methods on a collection service).
-
-  /// Enqueues one collection-wide query: a worker runs the merge while
-  /// per-document producers scatter across the same pool.
-  std::future<Result<BlasCollection::CollectionResult>> SubmitCollection(
+  /// A worker runs the merge while other documents' producers scatter
+  /// across the same pool. After Shutdown the returned future holds a
+  /// kUnsupported error.
+  std::future<Result<BlasCollection::CollectionResult>> Submit(
       QueryRequest request);
 
-  /// Streaming overload: matches arrive in (document name, doc order)
-  /// through `on_match` on a worker thread.
+  /// Streaming form: matches arrive in (document name, document order)
+  /// through `on_match` on a worker thread, which must be
+  /// thread-compatible with the caller; the future completes with the
+  /// final measurements.
   std::future<Result<StreamSummary>> SubmitCollection(
       QueryRequest request, CollectionMatchCallback on_match);
 
-  /// Cursor overload: the worker opens the scatter-gather cursor (plan
-  /// cache, producer fan-out) and hands it back; the caller pulls the
-  /// merged stream on its own thread. The cursor borrows the service's
-  /// collection and pool and must not outlive the service.
-  std::future<Result<CollectionCursor>> SubmitCollectionCursor(
-      QueryRequest request);
+  /// SubmitCollection for callers that ignore the document name.
+  std::future<Result<StreamSummary>> Submit(QueryRequest request,
+                                            MatchCallback on_match);
 
-  /// Runs one collection query on the calling thread (the merge runs
-  /// here; producers still scatter onto the worker pool).
-  Result<BlasCollection::CollectionResult> ExecuteCollection(
-      const QueryRequest& request);
+  /// Runs one query on the calling thread (same plan cache and stats; the
+  /// merge runs here, other documents still scatter onto the pool).
+  Result<BlasCollection::CollectionResult> Execute(const QueryRequest& request);
 
-  /// Opens a scatter-gather cursor on the calling thread.
-  Result<CollectionCursor> OpenCollectionCursor(const QueryRequest& request);
+  /// Opens a cursor on the calling thread; the caller pulls the merged
+  /// stream. The cursor borrows the service's pool and must not outlive
+  /// the service.
+  Result<CollectionCursor> OpenCursor(const QueryRequest& request);
 
   // --------------------------------------------------- admin (live) ---
   // Document mutations on a live-collection service. Each runs the full
@@ -312,44 +275,37 @@ class QueryService {
   size_t worker_threads() const { return pool_.thread_count(); }
 
  private:
-  /// Everything but the backing; every public constructor delegates here.
-  explicit QueryService(const ServiceOptions& options);
+  /// Everything but a live backing; every public constructor delegates
+  /// here.
+  QueryService(const ServiceOptions& options,
+               std::shared_ptr<const CollectionState> static_state);
 
-  Result<QueryResult> Run(const QueryRequest& request);
-  /// Tallies a cursor handed out to the caller (or its failure to open).
-  template <typename C>
-  Result<C> CountOpened(Result<C> cursor);
   /// Plan-cache lookup and, on a miss, the parse stage; a cacheable miss
   /// inserts the new entry. With a non-null `trace` both record a span.
   Result<std::shared_ptr<const CachedQuery>> LookupQuery(
       const QueryRequest& request, obs::TraceContext* trace);
-  /// The one per-document open: the `doc` slot of `entry` at `epoch`; on a
-  /// miss translate, optimize, choose the engine and analyze
+  /// Front half of every query: LookupQuery, then a merge cursor over the
+  /// pinned state. Its per-document opener is the one per-document open:
+  /// the document's plan slot at its epoch (counted in doc_plan_hits /
+  /// misses); on a miss translate, optimize, choose the engine and analyze
   /// streamability, publishing the result into the slot; then OpenPlan.
-  /// With a non-null `trace` the translate, optimize and execute stages
-  /// each record a span. `count_doc_plans` tallies the slot lookup in
-  /// doc_plan_hits/misses (collection queries only).
-  Result<ResultCursor> OpenDocCursor(const CachedQuery& entry,
-                                     const std::string& doc, uint64_t epoch,
-                                     const BlasSystem& sys,
-                                     const QueryOptions& options,
-                                     bool count_doc_plans,
-                                     obs::TraceContext* trace);
-  /// Front half of every single-document path: LookupQuery, then
-  /// OpenDocCursor on the document's one slot (epoch 0).
-  Result<ResultCursor> MakeCursor(const QueryRequest& request,
-                                  obs::TraceContext* trace = nullptr);
-  /// Collection counterpart: LookupQuery, then a scatter-gather cursor
-  /// over the pool whose per-document producers call OpenDocCursor. The
-  /// cursor drains the state pinned at open (a static collection's never
-  /// changes); `epoch_at_open` (optional) receives its epoch. `trace` is
-  /// shared because the per-document opener reports spans from scatter
-  /// workers that may outlive this call's frame.
-  Result<CollectionCursor> MakeCollectionCursor(
+  /// A live service pins the epoch current now; `epoch_at_open`
+  /// (optional) receives it. `trace` is shared because the per-document
+  /// opener reports spans from scatter workers that may outlive this
+  /// call's frame.
+  Result<CollectionCursor> MakeCursor(
       const QueryRequest& request, uint64_t* epoch_at_open = nullptr,
       std::shared_ptr<obs::TraceContext> trace = nullptr);
-  Result<BlasCollection::CollectionResult> RunCollection(
-      const QueryRequest& request);
+  /// The one query body: opens the cursor, pushes every match into
+  /// `on_match` and completes the query. `since` started at submission;
+  /// `offset_skipped` (optional) receives the matches the offset consumed.
+  Result<StreamSummary> Stream(const QueryRequest& request,
+                               const CollectionMatchCallback& on_match,
+                               const Stopwatch& since,
+                               uint64_t* offset_skipped = nullptr);
+  /// Stream into a materialized result.
+  Result<BlasCollection::CollectionResult> Run(const QueryRequest& request,
+                                               const Stopwatch& since);
   void RollUp(const ExecStats& stats);
 
   /// Registers this service's metrics (latency histograms, plan-cache
@@ -360,25 +316,22 @@ class QueryService {
   std::shared_ptr<obs::TraceContext> MaybeStartTrace(
       const QueryRequest& request);
   /// Completion accounting of every non-cancelled query: counts it, rolls
-  /// up its ExecStats and offset skips, records the latency histogram,
-  /// seals + rings the trace (when any) and feeds the slow-query log. A
-  /// collection query also passes its cursor (scatter accounting) and the
-  /// epoch it pinned (churn overlap). Returns the sealed trace (null when
-  /// untraced).
-  std::shared_ptr<const obs::Trace> Complete(
-      const QueryRequest& request, double millis, const ExecStats& stats,
-      uint64_t offset_skipped, uint64_t output_rows, const char* engine,
-      obs::TraceContext* trace, const CollectionCursor* collection = nullptr,
-      uint64_t epoch_at_open = 0);
+  /// up its ExecStats, offset skips and scatter accounting, records the
+  /// latency histogram, seals + rings the trace (when any), feeds the
+  /// slow-query log and notes churn overlap (the live epoch moved past
+  /// `epoch_at_open`).
+  void Complete(const QueryRequest& request, double millis,
+                const ExecStats& stats, const CollectionCursor& cursor,
+                obs::TraceContext* trace, uint64_t epoch_at_open);
 
+  /// Enqueues `work`, handing it a stopwatch started at submission (the
+  /// latency clock), and records the queue wait when a worker picks it up.
   template <typename T>
   std::future<Result<T>> SubmitTask(
-      std::function<Result<T>()> work);
+      std::function<Result<T>(const Stopwatch& since)> work);
 
-  // The backing: exactly one of system_ (single document), static_state_
-  // (static collection) and live_ is set.
-  std::shared_ptr<const BlasSystem> owned_system_;
-  const BlasSystem* system_ = nullptr;
+  // The backing: exactly one of static_state_ (a document or a static
+  // collection) and live_ is set.
   std::shared_ptr<const CollectionState> static_state_;
   LiveCollection* live_ = nullptr;
   PlanCache plan_cache_;
@@ -395,7 +348,7 @@ class QueryService {
   const size_t trace_sample_every_;
   std::atomic<uint64_t> trace_ticker_{0};
   obs::Histogram* query_latency_ns_ = nullptr;
-  obs::Histogram* collection_latency_ns_ = nullptr;
+  obs::Histogram* queue_wait_ns_ = nullptr;
   obs::Histogram* stage_parse_ns_ = nullptr;
   obs::Histogram* stage_translate_ns_ = nullptr;
   obs::Histogram* stage_optimize_ns_ = nullptr;

@@ -205,7 +205,7 @@ class AdminStack {
     request.xpath = "//item/name";
     request.options.projection = Projection::kValue;
     for (int i = 0; i < n; ++i) {
-      auto result = service_->SubmitCollection(request).get();
+      auto result = service_->Submit(request).get();
       ASSERT_TRUE(result.ok()) << result.status();
     }
   }
@@ -322,6 +322,10 @@ TEST(AdminEndpoints, EveryStandardEndpointServes) {
             std::string::npos);
   EXPECT_NE(metrics.body.find("# TYPE blas_query_latency_ns histogram"),
             std::string::npos);
+  EXPECT_NE(metrics.body.find("# TYPE blas_queue_wait_ns histogram"),
+            std::string::npos);
+  EXPECT_EQ(metrics.body.find("blas_collection_query_latency_ns"),
+            std::string::npos);
   EXPECT_NE(metrics.body.find("blas_admin_requests_ok"), std::string::npos);
 
   HttpReply timez = Get(port, "/timez");
@@ -416,23 +420,18 @@ TEST(AdminEndpoints, PrometheusBucketsMatchRegistry) {
   ASSERT_EQ(metrics.status, 200);
 
   // The service is idle after RunQueries, so the registry cannot move
-  // between the scrape above and these snapshots. Collection queries
-  // record into the collection-latency and parse-stage histograms (the
-  // execute stage is single-document only); the single-document latency
-  // histogram stays present (and empty) in the exposition.
+  // between the scrape above and these snapshots. Every query records
+  // into the one latency histogram, the queue-wait histogram and the
+  // parse stage.
   obs::MetricsRegistry& registry = stack.service().metrics();
-  EXPECT_GT(ExpectBucketsMatch(metrics.body,
-                               "blas_collection_query_latency_ns",
-                               registry.GetHistogram(
-                                   "blas_collection_query_latency_ns")),
-            0u);
-  EXPECT_GT(ExpectBucketsMatch(metrics.body, "blas_stage_parse_ns",
-                               registry.GetHistogram(
-                                   "blas_stage_parse_ns")),
-            0u);
-  ExpectBucketsMatch(metrics.body, "blas_query_latency_ns",
-                     registry.GetHistogram("blas_query_latency_ns"));
-  EXPECT_NE(metrics.body.find("blas_query_latency_ns_count 0\n"),
+  for (const char* name : {"blas_query_latency_ns", "blas_queue_wait_ns",
+                           "blas_stage_parse_ns"}) {
+    EXPECT_GT(ExpectBucketsMatch(metrics.body, name,
+                                 registry.GetHistogram(name)),
+              0u)
+        << name;
+  }
+  EXPECT_NE(metrics.body.find("blas_query_latency_ns_count 25\n"),
             std::string::npos);
 }
 
@@ -677,7 +676,7 @@ TEST(AdminConcurrency, ScrapersDuringIngestChurn) {
     request.xpath = "//item/name";
     request.options.projection = Projection::kValue;
     while (!done.load(std::memory_order_acquire)) {
-      auto result = stack.service().SubmitCollection(request).get();
+      auto result = stack.service().Submit(request).get();
       if (!result.ok()) failures.fetch_add(1, std::memory_order_relaxed);
     }
   });

@@ -2,7 +2,9 @@
 // pool-less, inline claims) against a test-local oracle (matches, order,
 // offset/limit accounting), numeric-comparison ground truth against
 // NaiveEval on auction data, early-termination cancellation accounting,
-// and the QueryService collection front door. Runs under the TSan CI job.
+// the cost of documents the merge runs itself against a bare
+// ResultCursor, and the QueryService front door over a collection. Runs
+// under the TSan CI job.
 
 #include <algorithm>
 #include <atomic>
@@ -10,6 +12,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -17,6 +20,7 @@
 
 #include "blas/collection.h"
 #include "gen/generator.h"
+#include "gen/queries.h"
 #include "service/query_service.h"
 #include "service/thread_pool.h"
 #include "tests/test_util.h"
@@ -292,8 +296,8 @@ TEST(CollectionParallelTest, PoolLessLimitNeverOpensLaterDocuments) {
   EXPECT_EQ(result->total_matches, 3u);
   CollectionCursor::ScatterStats scatter = cursor->scatter_stats();
   EXPECT_EQ(scatter.docs_total, 4u);
-  // doc0 delivers 2 matches, doc1 the third (it runs capped at 3, like
-  // every document); doc2 and doc3 are never opened.
+  // doc0 delivers 2 matches, doc1 the third (it opens with the one match
+  // of the window that remains); doc2 and doc3 are never opened.
   EXPECT_EQ(scatter.docs_executed, 2u);
   EXPECT_EQ(scatter.docs_cancelled, 2u);
 }
@@ -334,6 +338,112 @@ TEST(CollectionParallelTest, MoveAssignmentCancelsOverwrittenCursor) {
   // Would deadlock joining workers if the overwritten cursor's producers
   // were left blocked on their full queues.
   pool.Shutdown();
+}
+
+// ------------------------- documents the merge runs ≡ a bare cursor ---
+
+/// The fig-10 auction document, shared by the tests below.
+std::shared_ptr<const BlasSystem> AuctionSystem() {
+  static const std::shared_ptr<const BlasSystem> sys = [] {
+    Result<BlasSystem> built = BlasSystem::FromEvents(
+        [](SaxHandler* h) { GenerateAuction(GenOptions{}, h); });
+    EXPECT_TRUE(built.ok()) << built.status();
+    return std::make_shared<const BlasSystem>(std::move(built).value());
+  }();
+  return sys;
+}
+
+/// A bare ResultCursor's cost after `pulls` Next() calls (all of them when
+/// `pulls` is 0).
+ExecStats CursorStatsAfter(const BlasSystem& sys, const std::string& q,
+                           const QueryOptions& options, size_t pulls) {
+  Result<ResultCursor> cursor = sys.Open(q, options);
+  EXPECT_TRUE(cursor.ok()) << q << " " << cursor.status();
+  if (!cursor.ok()) return {};
+  for (size_t i = 0; pulls == 0 || i < pulls; ++i) {
+    if (!cursor->Next().has_value()) break;
+  }
+  return cursor->stats();
+}
+
+/// A document the merge runs itself — the first one, or a pending one it
+/// claims — is pulled one match at a time, so one Next() on a bounded
+/// streaming query costs what one Next() on the document's own cursor
+/// costs, not a drain up to the limit. Covered with no pool and with a
+/// pool whose one worker is parked (every scattered task stays queued).
+TEST(CollectionParallelTest, InlineDocumentsArePulledLazily) {
+  std::shared_ptr<const BlasSystem> auction = AuctionSystem();
+  const std::string qa2 = Figure10Queries('A')[1].xpath;
+  QueryOptions options;
+  options.translator = Translator::kPushUp;
+  options.limit = 500;
+  const ExecStats one = CursorStatsAfter(*auction, qa2, options, 1);
+
+  // "a" has no QA2 match, so the merge drains it and then claims "b".
+  BlasSystem empty = MustBuild(
+      "<site><regions><item/></regions><description/></site>");
+  const ExecStats empty_all = CursorStatsAfter(empty, qa2, options, 0);
+  BlasCollection single;
+  ASSERT_TRUE(single.AddSystem("auction", auction).ok());
+  BlasCollection pair;
+  ASSERT_TRUE(pair.AddSystem(
+                      "a", std::shared_ptr<const BlasSystem>(
+                               &empty, [](const BlasSystem*) {}))
+                  .ok());
+  ASSERT_TRUE(pair.AddSystem("b", auction).ok());
+
+  ThreadPool parked(1, 16);
+  std::promise<void> release;
+  std::shared_future<void> gate(release.get_future());
+  parked.Submit([gate] { gate.wait(); });
+  const std::pair<const char*, ThreadPool*> modes[] = {
+      {"pool-less", nullptr}, {"parked worker", &parked}};
+  for (const auto& [mode, pool] : modes) {
+    for (const auto& [name, coll, expected] :
+         {std::tuple{"first document", &single, one.elements},
+          std::tuple{"claimed document", &pair,
+                     empty_all.elements + one.elements}}) {
+      const std::string where = std::string(mode) + ", " + name;
+      Result<CollectionCursor> cursor =
+          coll->OpenCursor(qa2, options, {.pool = pool});
+      ASSERT_TRUE(cursor.ok()) << where;
+      ASSERT_TRUE(cursor->Next().has_value()) << where;
+      EXPECT_EQ(cursor->SettledStats().elements, expected) << where;
+    }
+  }
+  release.set_value();
+}
+
+/// The offset is consumed by the document's own cursor, not by the merge:
+/// skipped matches are neither projected (elements) nor counted as output
+/// rows, exactly as on BlasSystem::Open.
+TEST(CollectionParallelTest, OneMemberOffsetCostsWhatTheDocumentCosts) {
+  std::shared_ptr<const BlasSystem> auction = AuctionSystem();
+  BlasCollection single;
+  ASSERT_TRUE(single.AddSystem("auction", auction).ok());
+  ThreadPool pool(2, 16);
+  for (const BenchQuery& q : Figure10Queries('A')) {
+    QueryOptions options;
+    options.projection = Projection::kValue;
+    options.offset = 50;
+    options.limit = 200;
+    Result<ResultCursor> direct = auction->Open(q.xpath, options);
+    ASSERT_TRUE(direct.ok()) << q.name;
+    const QueryResult expected = direct->Drain();
+    for (ThreadPool* mode : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      const std::string where =
+          q.name + (mode == nullptr ? " pool-less" : " pooled");
+      Result<CollectionCursor> cursor =
+          single.OpenCursor(q.xpath, options, {.pool = mode});
+      ASSERT_TRUE(cursor.ok()) << where;
+      Result<BlasCollection::CollectionResult> got = cursor->Drain();
+      ASSERT_TRUE(got.ok()) << where << got.status();
+      EXPECT_EQ(got->total_matches, expected.starts.size()) << where;
+      EXPECT_EQ(got->stats.output_rows, expected.stats.output_rows) << where;
+      EXPECT_EQ(got->stats.elements, expected.stats.elements) << where;
+      EXPECT_EQ(got->offset_skipped, expected.offset_skipped) << where;
+    }
+  }
 }
 
 // ----------------------------- numeric ground truth vs NaiveEval ---------
@@ -384,7 +494,7 @@ TEST(CollectionServiceTest, SubmitCollectionMatchesDirectExecution) {
   QueryService service(coll.get(), {.worker_threads = 4});
   Result<BlasCollection::CollectionResult> direct = coll->Execute("//t2[t1]");
   ASSERT_TRUE(direct.ok());
-  auto future = service.SubmitCollection({.xpath = "//t2[t1]"});
+  auto future = service.Submit({.xpath = "//t2[t1]"});
   Result<BlasCollection::CollectionResult> served = future.get();
   ASSERT_TRUE(served.ok()) << served.status();
   ExpectSameResults(*served, *direct, "service collection");
@@ -397,7 +507,7 @@ TEST(CollectionServiceTest, PerDocumentPlansCacheAcrossRequests) {
   std::unique_ptr<BlasCollection> coll = MakeServiceCorpus();
   QueryService service(coll.get(), {.worker_threads = 2});
   QueryRequest request{.xpath = "//t3"};
-  ASSERT_TRUE(service.ExecuteCollection(request).ok());
+  ASSERT_TRUE(service.Execute(request).ok());
   ServiceStats cold = service.stats();
   EXPECT_EQ(cold.plan_cache_misses, 1u);
   EXPECT_EQ(cold.plan_cache_hits, 0u);
@@ -405,7 +515,7 @@ TEST(CollectionServiceTest, PerDocumentPlansCacheAcrossRequests) {
   EXPECT_EQ(cold.doc_plan_misses, coll->size());
   EXPECT_EQ(cold.doc_plan_hits, 0u);
 
-  ASSERT_TRUE(service.ExecuteCollection(request).ok());
+  ASSERT_TRUE(service.Execute(request).ok());
   ServiceStats warm = service.stats();
   // The hot query pays one parse (cache hit) and N per-doc cache hits.
   EXPECT_EQ(warm.plan_cache_hits, 1u);
@@ -441,31 +551,17 @@ TEST(CollectionServiceTest, StreamingCallbackAndCancellation) {
   EXPECT_EQ(service.stats().cancelled, 1u);
 }
 
-TEST(CollectionServiceTest, CursorHandoffPullsOnClientThread) {
+TEST(CollectionServiceTest, CursorPullsOnClientThread) {
   std::unique_ptr<BlasCollection> coll = MakeServiceCorpus();
   QueryService service(coll.get(), {.worker_threads = 2});
   QueryRequest request{.xpath = "//t2"};
   request.options.limit = 5;
-  auto future = service.SubmitCollectionCursor(std::move(request));
-  Result<CollectionCursor> cursor = future.get();
+  Result<CollectionCursor> cursor = service.OpenCursor(request);
   ASSERT_TRUE(cursor.ok()) << cursor.status();
   size_t n = 0;
   while (cursor->Next().has_value()) ++n;
   EXPECT_EQ(n, 5u);
   EXPECT_EQ(service.stats().cursors_opened, 1u);
-}
-
-TEST(CollectionServiceTest, WrongBackendIsRejected) {
-  BlasSystem sys = MustBuild("<r><x>1</x></r>");
-  QueryService doc_service(&sys, {.worker_threads = 1});
-  Result<BlasCollection::CollectionResult> r =
-      doc_service.ExecuteCollection({.xpath = "//x"});
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-
-  std::unique_ptr<BlasCollection> coll = MakeServiceCorpus();
-  QueryService coll_service(coll.get(), {.worker_threads = 1});
-  Result<QueryResult> single = coll_service.Execute({.xpath = "//t1"});
-  EXPECT_EQ(single.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(CollectionServiceTest, ConcurrentCollectionClients) {
@@ -490,7 +586,7 @@ TEST(CollectionServiceTest, ConcurrentCollectionClients) {
         int q = (c + r) % 4;
         QueryRequest request{.xpath = queries[q]};
         if (r % 2 == 0) request.options.limit = 4;
-        auto future = service.SubmitCollection(std::move(request));
+        auto future = service.Submit(std::move(request));
         Result<BlasCollection::CollectionResult> result = future.get();
         if (!result.ok()) {
           ++failures;

@@ -388,23 +388,22 @@ TEST(CursorTest, DrainCarriesProjectedMatches) {
 
 // ---- QueryService: cursors, streaming callbacks, N concurrent clients. --
 
-TEST(CursorServiceTest, SubmitCursorDeliversThroughFuture) {
+TEST(CursorServiceTest, OpenCursorDeliversProjectedMatches) {
   const BlasSystem& sys = Shakespeare();
   QueryService service(&sys, ServiceOptions{.worker_threads = 2});
   QueryRequest request;
   request.xpath = "/PLAYS/PLAY/TITLE";
   request.options.limit = 4;
   request.options.projection = Projection::kValue;
-  std::future<Result<ResultCursor>> future =
-      service.SubmitCursor(std::move(request));
-  Result<ResultCursor> cursor = future.get();
+  Result<CollectionCursor> cursor = service.OpenCursor(request);
   ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
   size_t count = 0;
-  while (std::optional<Match> match = cursor->Next()) {
-    EXPECT_FALSE(match->content.empty());
+  while (std::optional<CollectionMatch> match = cursor->Next()) {
+    EXPECT_FALSE(match->match.content.empty());
     ++count;
   }
   EXPECT_EQ(count, 4u);
+  EXPECT_EQ(service.stats().cursors_opened, 1u);
 }
 
 TEST(CursorServiceTest, StreamingCallbackDeliversAndCancels) {
@@ -467,15 +466,14 @@ TEST(CursorServiceTest, ConcurrentClientsPullIndependentCursors) {
         request.xpath = queries[qi];
         request.options.engine = Engine::kRelational;
         request.options.limit = 20;
-        auto future = service.SubmitCursor(request);
-        Result<ResultCursor> cursor = future.get();
+        Result<CollectionCursor> cursor = service.OpenCursor(request);
         if (!cursor.ok()) {
           ++failures[c];
           continue;
         }
         std::vector<uint32_t> pulled;
-        while (std::optional<Match> match = cursor->Next()) {
-          pulled.push_back(match->start);
+        while (std::optional<CollectionMatch> match = cursor->Next()) {
+          pulled.push_back(match->match.start);
         }
         if (pulled != baselines[qi]) ++failures[c];
       }

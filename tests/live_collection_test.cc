@@ -596,8 +596,7 @@ TEST(LiveCollectionTest, ServiceAdminFuturesAndChurnCounters) {
   QueryRequest request;
   request.xpath = "//item/name";
   request.options.projection = Projection::kValue;
-  Result<BlasCollection::CollectionResult> r =
-      service.SubmitCollection(request).get();
+  Result<BlasCollection::CollectionResult> r = service.Submit(request).get();
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->total_matches, 12u);
 
@@ -652,15 +651,14 @@ TEST(LiveCollectionTest, ReplacedDocumentNeverServesStalePlan) {
   QueryRequest request;
   request.xpath = "//item/name";
   request.options.projection = Projection::kValue;
-  Result<BlasCollection::CollectionResult> r =
-      service.ExecuteCollection(request);
+  Result<BlasCollection::CollectionResult> r = service.Execute(request);
   ASSERT_TRUE(r.ok()) << r.status();
   ASSERT_EQ(r->total_matches, 1u);
   EXPECT_EQ(r->docs[0].matches[0].content, "old");
   uint64_t misses_before = service.stats().doc_plan_misses;
 
   // Warm repeat: pure per-document plan hit.
-  r = service.ExecuteCollection(request);
+  r = service.Execute(request);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(service.stats().doc_plan_misses, misses_before);
   EXPECT_GT(service.stats().doc_plan_hits, 0u);
@@ -673,7 +671,7 @@ TEST(LiveCollectionTest, ReplacedDocumentNeverServesStalePlan) {
 
   // Same query text, same cached entry — but the document's epoch moved,
   // so the per-document plan retranslates against the new generation.
-  r = service.ExecuteCollection(request);
+  r = service.Execute(request);
   ASSERT_TRUE(r.ok()) << r.status();
   ASSERT_EQ(r->total_matches, 2u);
   EXPECT_EQ(r->docs[0].matches[0].content, "new");

@@ -661,7 +661,7 @@ TEST(PagedStorageTest, CollectionLargerThanSharedBudgetAnswersEverything) {
 
   // The QueryService front door reports the real reads too.
   QueryService service(&paged_coll, ServiceOptions{.worker_threads = 4});
-  auto future = service.SubmitCollection(QueryRequest{"//item/name", {}});
+  auto future = service.Submit(QueryRequest{"//item/name", {}});
   Result<BlasCollection::CollectionResult> via_service = future.get();
   ASSERT_TRUE(via_service.ok());
   EXPECT_GT(service.stats().exec.io_reads, 0u);

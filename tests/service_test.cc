@@ -214,6 +214,15 @@ constexpr char kDoc[] =
     "<people><person><name>alice</name></person>"
     "<person><name>bob</name></person></people></site>";
 
+/// Start positions of a result, in merge order.
+std::vector<uint32_t> Starts(const BlasCollection::CollectionResult& result) {
+  std::vector<uint32_t> out;
+  for (const BlasCollection::DocMatches& doc : result.docs) {
+    out.insert(out.end(), doc.starts.begin(), doc.starts.end());
+  }
+  return out;
+}
+
 TEST(QueryServiceTest, ExecutesAndMatchesFacade) {
   BlasSystem sys = MustBuild(kDoc);
   QueryService service(&sys, ServiceOptions{.worker_threads = 2});
@@ -221,14 +230,15 @@ TEST(QueryServiceTest, ExecutesAndMatchesFacade) {
   QueryRequest request;
   request.xpath = "/site/regions//item/name";
   request.options.engine = Engine::kRelational;
-  Result<QueryResult> via_service = service.Submit(request).get();
+  Result<BlasCollection::CollectionResult> via_service =
+      service.Submit(request).get();
   ASSERT_TRUE(via_service.ok()) << via_service.status().ToString();
 
   Result<QueryResult> via_facade =
       sys.Execute(request.xpath, {.translator = request.options.translator,
                                   .engine = Engine::kRelational});
   ASSERT_TRUE(via_facade.ok());
-  EXPECT_EQ(via_service->starts, via_facade->starts);
+  EXPECT_EQ(Starts(*via_service), via_facade->starts);
   EXPECT_EQ(via_service->stats.elements, via_facade->stats.elements);
 }
 
@@ -274,7 +284,8 @@ TEST(QueryServiceTest, BypassFlagSkipsCache) {
 TEST(QueryServiceTest, ParseErrorsCountAsFailed) {
   BlasSystem sys = MustBuild(kDoc);
   QueryService service(&sys, ServiceOptions{.worker_threads = 1});
-  Result<QueryResult> bad = service.Submit({.xpath = "not an xpath"}).get();
+  Result<BlasCollection::CollectionResult> bad =
+      service.Submit({.xpath = "not an xpath"}).get();
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(service.stats().failed, 1u);
   EXPECT_EQ(service.stats().completed, 0u);
@@ -284,7 +295,7 @@ TEST(QueryServiceTest, SubmitAfterShutdownReturnsError) {
   BlasSystem sys = MustBuild(kDoc);
   QueryService service(&sys, ServiceOptions{.worker_threads = 1});
   service.Shutdown();
-  Result<QueryResult> refused =
+  Result<BlasCollection::CollectionResult> refused =
       service.Submit({.xpath = "//person/name"}).get();
   EXPECT_FALSE(refused.ok());
   EXPECT_EQ(service.stats().rejected, 1u);
@@ -293,10 +304,10 @@ TEST(QueryServiceTest, SubmitAfterShutdownReturnsError) {
 TEST(QueryServiceTest, OwnsSystemViaFromXml) {
   Result<std::unique_ptr<QueryService>> service = QueryService::FromXml(kDoc);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
-  Result<QueryResult> result =
+  Result<BlasCollection::CollectionResult> result =
       (*service)->Submit({.xpath = "//item/name"}).get();
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->starts.size(), 2u);
+  EXPECT_EQ(result->total_matches, 2u);
 }
 
 // --------------------------------------------------------- concurrency ---
@@ -345,7 +356,8 @@ TEST(QueryServiceConcurrencyTest, MatchesSingleThreadedBaselines) {
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       for (int round = 0; round < kRounds; ++round) {
-        std::vector<std::future<Result<QueryResult>>> futures;
+        std::vector<std::future<Result<BlasCollection::CollectionResult>>>
+            futures;
         std::vector<std::pair<std::string, Engine>> keys;
         for (const BenchQuery& q : suite) {
           Engine engine = (c + round) % 2 == 0 ? Engine::kRelational
@@ -357,11 +369,11 @@ TEST(QueryServiceConcurrencyTest, MatchesSingleThreadedBaselines) {
           keys.emplace_back(q.xpath, engine);
         }
         for (size_t i = 0; i < futures.size(); ++i) {
-          Result<QueryResult> r = futures[i].get();
+          Result<BlasCollection::CollectionResult> r = futures[i].get();
           // .at(): the map is shared across threads and must stay
           // read-only; a missing key should throw, not insert.
           const Baseline& base = expected.at(keys[i]);
-          if (!r.ok() || r->starts != base.starts ||
+          if (!r.ok() || Starts(*r) != base.starts ||
               r->stats.elements != base.elements) {
             ++mismatches;
           }
@@ -390,68 +402,146 @@ TEST(QueryServiceConcurrencyTest, MatchesSingleThreadedBaselines) {
   EXPECT_GT(service.stats().plan_cache_hits, stats.plan_cache_hits);
 }
 
-/// One query path: a single-document service and a service over a
-/// one-member collection of the same document give identical answers and
-/// ExecStats for every fig-10 query × translator × engine.
-TEST(QueryServiceConcurrencyTest, SingleDocumentEqualsOneMemberCollection) {
-  auto build = [] {
-    Result<BlasSystem> built = BlasSystem::FromEvents(
-        [](SaxHandler* h) { GenerateAuction(GenOptions{}, h); });
-    EXPECT_TRUE(built.ok()) << built.status();
-    return std::make_shared<const BlasSystem>(std::move(built).value());
-  };
-  // Two identical systems, so the two services see identical page caches.
-  std::shared_ptr<const BlasSystem> single_sys = build();
-  std::shared_ptr<const BlasSystem> member_sys = build();
-  BlasCollection coll;
-  ASSERT_TRUE(coll.AddSystem("auction", member_sys).ok());
-  QueryService single(single_sys, ServiceOptions{.worker_threads = 2});
-  QueryService collection(&coll, ServiceOptions{.worker_threads = 2});
+/// One query path: the single-document service, served as a one-member
+/// collection, costs exactly what BlasSystem::Open costs — same matches,
+/// offset skips and every ExecStats counter — for every fig-10 query ×
+/// translator × engine × offset/limit window × projection, through
+/// Execute, OpenCursor and the streaming Submit. Every run starts from a
+/// cold page cache, so page misses compare too.
+TEST(QueryServiceConcurrencyTest, SingleDocumentServiceEqualsBlasSystemOpen) {
+  Result<BlasSystem> built = BlasSystem::FromEvents(
+      [](SaxHandler* h) { GenerateAuction(GenOptions{}, h); });
+  ASSERT_TRUE(built.ok()) << built.status();
+  BlasSystem sys = std::move(built).value();
+  QueryService service(&sys, ServiceOptions{.worker_threads = 2});
 
+  struct Run {
+    std::vector<uint32_t> starts;
+    std::vector<std::string> contents;
+    ExecStats stats;
+    uint64_t offset_skipped = 0;
+  };
+  auto expect_same = [](const Run& want, const Run& got,
+                        const std::string& context) {
+    EXPECT_EQ(got.starts, want.starts) << context;
+    EXPECT_EQ(got.contents, want.contents) << context;
+    EXPECT_EQ(got.offset_skipped, want.offset_skipped) << context;
+    EXPECT_EQ(got.stats.elements, want.stats.elements) << context;
+    EXPECT_EQ(got.stats.page_fetches, want.stats.page_fetches) << context;
+    EXPECT_EQ(got.stats.page_misses, want.stats.page_misses) << context;
+    EXPECT_EQ(got.stats.io_reads, want.stats.io_reads) << context;
+    EXPECT_EQ(got.stats.d_joins, want.stats.d_joins) << context;
+    EXPECT_EQ(got.stats.intermediate_rows, want.stats.intermediate_rows)
+        << context;
+    EXPECT_EQ(got.stats.output_rows, want.stats.output_rows) << context;
+  };
+  auto add = [](Run* run, const Match& m, bool project) {
+    run->starts.push_back(m.start);
+    if (project) run->contents.push_back(m.content);
+  };
+
+  struct Window {
+    uint64_t offset, limit;
+  };
+  const Window windows[] = {{0, 0}, {0, 1}, {0, 10}, {5, 10}, {50, 200}};
   size_t compared = 0;
   for (const BenchQuery& q : Figure10Queries('A')) {
     for (Translator t : {Translator::kDLabel, Translator::kSplit,
                          Translator::kPushUp, Translator::kUnfold}) {
       for (Engine e : {Engine::kRelational, Engine::kTwig, Engine::kAuto}) {
-        const std::string context = q.name + " " + TranslatorName(t) + "/" +
-                                    EngineName(e);
-        QueryRequest request{.xpath = q.xpath};
-        request.options.translator = t;
-        request.options.engine = e;
-        Result<QueryResult> a = single.Execute(request);
-        Result<BlasCollection::CollectionResult> b =
-            collection.ExecuteCollection(request);
-        ASSERT_EQ(a.ok(), b.ok()) << context;
-        if (!a.ok()) {
-          EXPECT_EQ(a.status().code(), b.status().code()) << context;
-          continue;
+        for (const Window& w : windows) {
+          for (Projection p : {Projection::kDLabel, Projection::kValue}) {
+            const bool project = p != Projection::kDLabel;
+            QueryRequest request{.xpath = q.xpath};
+            request.options.translator = t;
+            request.options.engine = e;
+            request.options.offset = w.offset;
+            request.options.limit = w.limit;
+            request.options.projection = p;
+            const std::string context =
+                q.name + " " + TranslatorName(t) + "/" + EngineName(e) +
+                " offset=" + std::to_string(w.offset) +
+                " limit=" + std::to_string(w.limit) +
+                (project ? " kValue" : " kDLabel");
+
+            sys.ResetCounters();
+            Result<ResultCursor> direct = sys.Open(q.xpath, request.options);
+            Run want;
+            if (direct.ok()) {
+              while (std::optional<Match> m = direct->Next()) {
+                add(&want, *m, project);
+              }
+              want.stats = direct->stats();
+              want.offset_skipped = direct->offset_skipped();
+            }
+
+            sys.ResetCounters();
+            Result<BlasCollection::CollectionResult> executed =
+                service.Execute(request);
+            ASSERT_EQ(executed.ok(), direct.ok()) << context;
+            if (!direct.ok()) {
+              EXPECT_EQ(executed.status().code(), direct.status().code())
+                  << context;
+              continue;
+            }
+            Run got;
+            for (const BlasCollection::DocMatches& doc : executed->docs) {
+              got.starts.insert(got.starts.end(), doc.starts.begin(),
+                                doc.starts.end());
+              for (const Match& m : doc.matches) {
+                got.contents.push_back(m.content);
+              }
+            }
+            got.stats = executed->stats;
+            got.offset_skipped = executed->offset_skipped;
+            expect_same(want, got, context + " Execute");
+
+            sys.ResetCounters();
+            Result<CollectionCursor> cursor = service.OpenCursor(request);
+            ASSERT_TRUE(cursor.ok()) << context;
+            got = Run();
+            while (std::optional<CollectionMatch> m = cursor->Next()) {
+              add(&got, m->match, project);
+            }
+            got.stats = cursor->SettledStats();
+            got.offset_skipped = cursor->offset_skipped();
+            expect_same(want, got, context + " OpenCursor");
+
+            sys.ResetCounters();
+            const uint64_t skipped_before =
+                service.stats().exec.offset_skipped;
+            got = Run();
+            Result<StreamSummary> streamed =
+                service
+                    .Submit(request,
+                            [&](const Match& m) {
+                              add(&got, m, project);
+                              return true;
+                            })
+                    .get();
+            ASSERT_TRUE(streamed.ok()) << context;
+            got.stats = streamed->stats;
+            got.offset_skipped =
+                service.stats().exec.offset_skipped - skipped_before;
+            expect_same(want, got, context + " Submit");
+            ++compared;
+          }
         }
-        std::vector<uint32_t> b_starts;
-        if (!b->docs.empty()) b_starts = b->docs[0].starts;
-        EXPECT_EQ(a->starts, b_starts) << context;
-        EXPECT_EQ(a->stats.elements, b->stats.elements) << context;
-        EXPECT_EQ(a->stats.page_fetches, b->stats.page_fetches) << context;
-        EXPECT_EQ(a->stats.page_misses, b->stats.page_misses) << context;
-        EXPECT_EQ(a->stats.d_joins, b->stats.d_joins) << context;
-        EXPECT_EQ(a->stats.intermediate_rows, b->stats.intermediate_rows)
-            << context;
-        EXPECT_EQ(a->stats.output_rows, b->stats.output_rows) << context;
-        ++compared;
       }
     }
   }
   EXPECT_GT(compared, 0u);
 
-  // A warm single-document repeat is one plan-cache hit; its one slot is
-  // not a per-document lookup, so doc_plan_* stay untouched.
+  // A warm repeat is one plan-cache hit, and one hit on the document's
+  // plan slot.
   QueryRequest warm{.xpath = Figure10Queries('A')[0].xpath};
-  ServiceStats before = single.stats();
-  ASSERT_TRUE(single.Execute(warm).ok());
-  ServiceStats after = single.stats();
+  ServiceStats before = service.stats();
+  ASSERT_TRUE(service.Execute(warm).ok());
+  ServiceStats after = service.stats();
   EXPECT_EQ(after.plan_cache_hits, before.plan_cache_hits + 1);
   EXPECT_EQ(after.plan_cache_misses, before.plan_cache_misses);
-  EXPECT_EQ(after.doc_plan_hits, 0u);
-  EXPECT_EQ(after.doc_plan_misses, 0u);
+  EXPECT_EQ(after.doc_plan_hits, before.doc_plan_hits + 1);
+  EXPECT_EQ(after.doc_plan_misses, before.doc_plan_misses);
 }
 
 /// Service-wide element roll-up equals the store's own global counter when
@@ -461,14 +551,14 @@ TEST(QueryServiceConcurrencyTest, StatsRollUpMatchesStoreCounters) {
   sys.ResetCounters();
   QueryService service(&sys, ServiceOptions{.worker_threads = 4});
 
-  std::vector<QueryRequest> batch;
+  std::vector<std::future<Result<BlasCollection::CollectionResult>>> futures;
   for (int i = 0; i < 40; ++i) {
     QueryRequest request;
     request.xpath = i % 2 == 0 ? "//item/name" : "/site/people/person/name";
     request.options.engine = i % 3 == 0 ? Engine::kTwig : Engine::kRelational;
-    batch.push_back(std::move(request));
+    futures.push_back(service.Submit(std::move(request)));
   }
-  for (auto& future : service.SubmitBatch(std::move(batch))) {
+  for (auto& future : futures) {
     ASSERT_TRUE(future.get().ok());
   }
   EXPECT_EQ(service.stats().exec.elements, sys.store().stats().elements);
@@ -489,7 +579,7 @@ TEST(QueryServiceObsTest, StatszCountersMatchPerQueryExecStatsSums) {
   for (int i = 0; i < 12; ++i) {
     QueryRequest request;
     request.xpath = i % 2 == 0 ? "//item/name" : "//person/name";
-    Result<QueryResult> result = service.Execute(request);
+    Result<BlasCollection::CollectionResult> result = service.Execute(request);
     ASSERT_TRUE(result.ok());
     sum.elements += result->stats.elements;
     sum.page_fetches += result->stats.page_fetches;
@@ -529,7 +619,8 @@ TEST(QueryServiceObsTest, StatszCountersMatchPerQueryExecStatsSums) {
 }
 
 /// QueryOptions::trace yields the full stage span tree on a cold plan:
-/// plan_cache(miss) -> parse -> translate -> optimize -> execute -> drain.
+/// plan_cache(miss) -> parse -> merge, which opens the document lazily:
+/// translate -> optimize -> execute.
 TEST(QueryServiceObsTest, ExplicitTraceYieldsStageSpans) {
   BlasSystem sys = MustBuild(kDoc);
   QueryService service(&sys, ServiceOptions{.worker_threads = 1});
@@ -537,46 +628,40 @@ TEST(QueryServiceObsTest, ExplicitTraceYieldsStageSpans) {
   QueryRequest request;
   request.xpath = "//item/name";
   request.options.trace = true;
-  Result<QueryResult> result = service.Execute(request);
-  ASSERT_TRUE(result.ok());
-  ASSERT_NE(result->trace, nullptr);
-  EXPECT_EQ(result->trace->label, NormalizeXPath(request.xpath));
-  EXPECT_GT(result->trace->total_ns, 0u);
+  ASSERT_TRUE(service.Execute(request).ok());
+  auto recent = service.recent_traces();
+  ASSERT_EQ(recent.size(), 1u);
+  const std::shared_ptr<const obs::Trace> cold = recent[0];
+  EXPECT_EQ(cold->label, NormalizeXPath(request.xpath));
+  EXPECT_GT(cold->total_ns, 0u);
 
   std::map<std::string, const obs::TraceSpan*> by_name;
-  for (const obs::TraceSpan& span : result->trace->spans) {
-    by_name[span.name] = &span;
-  }
-  for (const char* stage :
-       {"plan_cache", "parse", "translate", "optimize", "execute", "drain"}) {
+  for (const obs::TraceSpan& span : cold->spans) by_name[span.name] = &span;
+  for (const char* stage : {"plan_cache", "parse", "translate", "optimize",
+                            "execute", "merge"}) {
     ASSERT_TRUE(by_name.count(stage)) << "missing span " << stage << "\n"
-                                      << result->trace->Render();
+                                      << cold->Render();
   }
   EXPECT_EQ(by_name["plan_cache"]->note, "miss");
-  // Stages run in order.
-  EXPECT_LE(by_name["parse"]->start_ns, by_name["translate"]->start_ns);
+  // Stages run in order; the merge opens the document inside its span.
+  EXPECT_LE(by_name["parse"]->start_ns, by_name["merge"]->start_ns);
+  EXPECT_LE(by_name["merge"]->start_ns, by_name["translate"]->start_ns);
   EXPECT_LE(by_name["translate"]->start_ns, by_name["optimize"]->start_ns);
   EXPECT_LE(by_name["optimize"]->start_ns, by_name["execute"]->start_ns);
-  EXPECT_LE(by_name["execute"]->start_ns, by_name["drain"]->start_ns);
   // The engine ran during execute: its counter delta is attributed there.
   EXPECT_GT(by_name["execute"]->elements, 0u);
 
   // Warm plan: the cache hit skips parse/translate/optimize entirely.
-  Result<QueryResult> warm = service.Execute(request);
-  ASSERT_TRUE(warm.ok());
-  ASSERT_NE(warm->trace, nullptr);
+  ASSERT_TRUE(service.Execute(request).ok());
+  recent = service.recent_traces();
+  ASSERT_EQ(recent.size(), 2u);  // oldest first
+  EXPECT_EQ(recent[0], cold);
   bool saw_parse = false;
-  for (const obs::TraceSpan& span : warm->trace->spans) {
+  for (const obs::TraceSpan& span : recent[1]->spans) {
     if (span.name == "parse") saw_parse = true;
     if (span.name == "plan_cache") EXPECT_EQ(span.note, "hit");
   }
   EXPECT_FALSE(saw_parse);
-
-  // Both traces landed in the ring, oldest first.
-  auto recent = service.recent_traces();
-  ASSERT_EQ(recent.size(), 2u);
-  EXPECT_EQ(recent[0], result->trace);
-  EXPECT_EQ(recent[1], warm->trace);
 }
 
 /// Sampling traces every query without the per-request flag, and the ring
@@ -636,14 +721,14 @@ TEST(QueryServiceObsTest, OffsetSkippedReachesRollup) {
   QueryRequest request;
   request.xpath = "//person/name";  // two matches
   request.options.offset = 1;
-  Result<QueryResult> result = service.Execute(request);
+  Result<BlasCollection::CollectionResult> result = service.Execute(request);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->offset_skipped, 1u);
   EXPECT_EQ(service.stats().exec.offset_skipped, 1u);
 }
 
-/// Collection queries report scatter accounting (docs_executed) and
-/// feed the collection latency histogram.
+/// Collection queries report scatter accounting (docs_executed) and feed
+/// the one latency histogram.
 TEST(QueryServiceObsTest, CollectionQueryRecordsScatterStats) {
   BlasCollection coll;
   ASSERT_TRUE(coll.AddXml("a", kDoc).ok());
@@ -653,19 +738,18 @@ TEST(QueryServiceObsTest, CollectionQueryRecordsScatterStats) {
   QueryRequest request;
   request.xpath = "//item/name";
   request.options.trace = true;
-  Result<BlasCollection::CollectionResult> result =
-      service.ExecuteCollection(request);
+  Result<BlasCollection::CollectionResult> result = service.Execute(request);
   ASSERT_TRUE(result.ok());
   ServiceStats stats = service.stats();
   EXPECT_EQ(stats.docs_executed, 2u);
   EXPECT_EQ(stats.docs_cancelled, 0u);
   const obs::Histogram* latency =
-      service.metrics().GetHistogram("blas_collection_query_latency_ns");
+      service.metrics().GetHistogram("blas_query_latency_ns");
   ASSERT_NE(latency, nullptr);
   EXPECT_EQ(latency->count(), 1u);
 
-  // The trace carries one open_doc span per scattered document plus the
-  // gather-side merge span.
+  // The trace carries one open_doc span per document (the merge's own and
+  // the scattered one) plus the gather-side merge span.
   auto recent = service.recent_traces();
   ASSERT_EQ(recent.size(), 1u);
   size_t open_docs = 0;
@@ -676,6 +760,42 @@ TEST(QueryServiceObsTest, CollectionQueryRecordsScatterStats) {
   }
   EXPECT_EQ(open_docs, 2u);
   EXPECT_TRUE(merged);
+}
+
+/// Latency is timed from submission: a query queued behind a busy worker
+/// reports its queue wait in blas_queue_wait_ns and in its latency.
+TEST(QueryServiceObsTest, LatencyIncludesQueueWait) {
+  BlasSystem sys = MustBuild(kDoc);
+  QueryService service(&sys, ServiceOptions{.worker_threads = 1});
+  bool slept = false;  // touched by the one worker only
+  auto first = service.Submit({.xpath = "//person/name"},
+                              [&slept](const Match&) {
+                                if (!slept) {
+                                  slept = true;
+                                  std::this_thread::sleep_for(
+                                      std::chrono::milliseconds(30));
+                                }
+                                return true;
+                              });
+  auto second = service.Submit({.xpath = "//person/name"},
+                               [](const Match&) { return true; });
+  ASSERT_TRUE(first.get().ok());
+  Result<StreamSummary> queued = second.get();
+  ASSERT_TRUE(queued.ok());
+  EXPECT_GE(queued->millis, 20.0);
+
+  constexpr uint64_t k20ms = 20'000'000;
+  const obs::Histogram* wait =
+      service.metrics().GetHistogram("blas_queue_wait_ns");
+  ASSERT_NE(wait, nullptr);
+  EXPECT_EQ(wait->count(), 2u);
+  EXPECT_GE(wait->max_recorded(), k20ms);  // the second query's wait
+  const obs::Histogram* latency =
+      service.metrics().GetHistogram("blas_query_latency_ns");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->count(), 2u);
+  // The smaller of the two: the first query sleeps, the second waits.
+  EXPECT_GE(latency->ValueAtQuantile(0.0), k20ms);
 }
 
 }  // namespace
