@@ -81,7 +81,7 @@ Result<BlasSystem> BlasSystem::FromEvents(
 
   sys.summary_ = std::make_unique<PathSummary>(labeler.TakeSummary());
   sys.dict_ = std::make_unique<StringDict>(std::move(labeler.dict()));
-  sys.store_ = std::make_unique<NodeStore>(labeler.records(),
+  sys.store_ = std::make_unique<NodeStore>(std::move(labeler.records()),
                                            options.cache_pages,
                                            options.cache_shards);
 
@@ -194,7 +194,8 @@ Result<BlasSystem> BlasSystem::FromIndexFile(const std::string& path,
   std::map<PLabel, uint64_t> path_counts;
   for (const NodeRecord& rec : snapshot.records) {
     if (rec.level > snapshot.max_depth || rec.level < 1 ||
-        rec.tag > sys.tags_->size()) {
+        rec.tag > sys.tags_->size() ||
+        (rec.data != kNullData && rec.data >= snapshot.values.size())) {
       return Status::Corruption("record out of range in " + path);
     }
     path_counts[rec.plabel]++;
@@ -212,7 +213,7 @@ Result<BlasSystem> BlasSystem::FromIndexFile(const std::string& path,
     node->count += count;
   }
 
-  sys.store_ = std::make_unique<NodeStore>(snapshot.records,
+  sys.store_ = std::make_unique<NodeStore>(std::move(snapshot.records),
                                            options.cache_pages,
                                            options.cache_shards);
   return sys;

@@ -190,7 +190,12 @@ Status ResultCursor::Init() {
     }
   }
 
-  StreamState state(NodeStore::TagScan(env_.store, *stream_tag));
+  // The run is read only inside the anchors' outermost intervals.
+  std::vector<StartWindow> windows =
+      need_anchor ? OutermostWindows(anchors)
+                  : std::vector<StartWindow>{StartWindow{}};
+  StreamState state(
+      NodeStore::TagScan(env_.store, *stream_tag, std::move(windows)));
   state.sweep = AnchorSweep(std::move(anchors));
   state.need_anchor = need_anchor;
   state.pred.kind = ret.join;

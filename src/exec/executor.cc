@@ -53,7 +53,8 @@ void SortByStartRunAware(std::vector<NodeRecord>* tuples) {
 
 std::vector<NodeRecord> FetchPartTuples(const PlanPart& part,
                                         const NodeStore& store,
-                                        const StringDict& dict) {
+                                        const StringDict& dict,
+                                        std::span<const StartWindow> windows) {
   std::optional<uint32_t> data;
   bool residual_filter = false;
   if (part.value.has_value()) {
@@ -73,7 +74,7 @@ std::vector<NodeRecord> FetchPartTuples(const PlanPart& part,
     case PlanPart::Scan::kPlabelAlts:
       for (const PlanAlt& alt : part.alts) {
         std::vector<NodeRecord> chunk =
-            store.ScanPlabelRange(alt.range, data, part.level_eq);
+            store.ScanPlabelRange(alt.range, data, part.level_eq, windows);
         tuples.insert(tuples.end(), chunk.begin(), chunk.end());
       }
       break;
@@ -116,11 +117,23 @@ namespace {
 /// Materializes part 0, then folds every other (non-skipped) part in with
 /// one D-join. `skip` < 0 processes the whole plan; otherwise the (leaf)
 /// part `skip` is left out and row columns follow processing order (part
-/// index minus one past the skip) — see ColOf. Once the intermediate
-/// result empties, remaining inputs are still fetched (they are part of
-/// the plan's cost) but no further join work happens.
+/// index minus one past the skip) — see ColOf. A P-label part is scanned
+/// only inside the outermost intervals of its anchor column, so once the
+/// intermediate result empties the remaining P-label parts scan nothing;
+/// D-labeling tag parts are always scanned in full (the baseline
+/// relational engine materializes each base input of the join).
 int ColOf(int part, int skip) {
   return skip >= 0 && part > skip ? part - 1 : part;
+}
+
+/// Scan windows of a part anchored at column `col` of `rows`.
+std::vector<StartWindow> AnchorWindows(const std::vector<Row>& rows,
+                                       int col) {
+  std::vector<DLabel> anchors;
+  anchors.reserve(rows.size());
+  for (const Row& row : rows) anchors.push_back(row[col]);
+  SortUniqueByStart(&anchors);
+  return OutermostWindows(anchors);
 }
 
 std::vector<Row> FoldJoins(const ExecPlan& plan, int skip,
@@ -135,15 +148,18 @@ std::vector<Row> FoldJoins(const ExecPlan& plan, int skip,
   }
 
   std::vector<PerAltDeltas> alt_tables(plan.parts.size());
-  bool dead = false;
   for (size_t i = 1; i < plan.parts.size(); ++i) {
     if (static_cast<int>(i) == skip) continue;
     const PlanPart& part = plan.parts[i];
-    // The scan happens regardless of the intermediate result (a relational
-    // engine materializes each base input of the join).
-    std::vector<NodeRecord> tuples = FetchPartTuples(part, store, dict);
+    const int anchor_col = ColOf(part.anchor, skip);
+    std::vector<StartWindow> windows;
+    if (part.scan == PlanPart::Scan::kPlabelAlts) {
+      windows = AnchorWindows(rows, anchor_col);
+    }
+    std::vector<NodeRecord> tuples =
+        FetchPartTuples(part, store, dict, windows);
     ++local->d_joins;
-    if (dead) continue;
+    if (rows.empty()) continue;
     JoinPred pred;
     pred.kind = part.join;
     pred.delta = part.delta;
@@ -151,9 +167,8 @@ std::vector<Row> FoldJoins(const ExecPlan& plan, int skip,
       alt_tables[i] = BuildPerAltDeltas(part);
       pred.per_alt = &alt_tables[i];
     }
-    rows = StructuralJoinRows(rows, ColOf(part.anchor, skip), tuples, pred);
+    rows = StructuralJoinRows(rows, anchor_col, tuples, pred);
     local->intermediate_rows += rows.size();
-    if (rows.empty()) dead = true;
   }
   return rows;
 }

@@ -2,6 +2,7 @@
 #define BLAS_EXEC_EXECUTOR_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -80,10 +81,13 @@ class RelationalExecutor {
 };
 
 /// Fetches one plan part's tuples from storage, sorted by start. Shared by
-/// both engines; counts storage accesses in the store's counters.
-std::vector<NodeRecord> FetchPartTuples(const PlanPart& part,
-                                        const NodeStore& store,
-                                        const StringDict& dict);
+/// both engines; counts storage accesses in the store's counters. A
+/// P-label part reads only records inside `windows` (sorted, disjoint; see
+/// OutermostWindows); D-labeling tag and wildcard parts ignore them and
+/// scan their whole SD run.
+std::vector<NodeRecord> FetchPartTuples(
+    const PlanPart& part, const NodeStore& store, const StringDict& dict,
+    std::span<const StartWindow> windows = kWholeDocument);
 
 }  // namespace blas
 

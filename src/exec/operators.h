@@ -8,6 +8,7 @@
 #include "exec/plan.h"
 #include "labeling/dlabel.h"
 #include "labeling/node_record.h"
+#include "storage/node_store.h"
 
 namespace blas {
 
@@ -18,6 +19,24 @@ using PerAltDeltas = std::vector<std::pair<PLabel, std::vector<int32_t>>>;
 /// the same element) — the projection step shared by both engines' result
 /// and anchor lists.
 void SortUniqueByStart(std::vector<DLabel>* labels);
+
+/// The windows a part joined against `anchors` (D-labels or records,
+/// sorted by start) is scanned in: the open interval (start, end) of every
+/// outermost anchor — nested anchors add nothing, and an anchor without
+/// room for a descendant adds no window.
+template <typename Labels>
+std::vector<StartWindow> OutermostWindows(const Labels& anchors) {
+  std::vector<StartWindow> windows;
+  uint32_t covered_to = 0;  // end of the last outermost anchor
+  for (const auto& anchor : anchors) {
+    if (anchor.start < covered_to) continue;  // nested or repeated
+    covered_to = anchor.end;
+    if (anchor.end - anchor.start >= 2) {
+      windows.push_back(StartWindow{anchor.start + 1, anchor.end - 1});
+    }
+  }
+  return windows;
+}
 
 /// Builds the per-alternative delta table of an Unfold plan part.
 PerAltDeltas BuildPerAltDeltas(const PlanPart& part);

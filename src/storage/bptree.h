@@ -241,6 +241,8 @@ class BPlusTree {
     }
 
    private:
+    friend class BPlusTree;
+
     const BufferPool* pool_ = nullptr;
     PageId page_ = kInvalidPage;
     uint32_t slot_ = 0;
@@ -278,21 +280,46 @@ class BPlusTree {
     }
     const LeafNode* leaf = ValidLeaf(ref);
     if (leaf == nullptr) return Iterator();
-    uint32_t lo = 0;
-    uint32_t hi = leaf->count;
-    while (lo < hi) {
-      uint32_t mid = (lo + hi) / 2;
-      if (KeyOf::Get(leaf->records[mid]) < key) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
+    uint32_t lo = LowerBound(leaf, 0, key);
     if (lo >= leaf->count) {
       // Key larger than everything in this leaf; step to the next one.
       return Iterator(pool_, leaf->next, 0);
     }
     return Iterator(pool_, pid, lo, std::move(ref));
+  }
+
+  /// Moves `it` forward to the first record with key >= `key`; a key at or
+  /// before the current record leaves it in place. Three tiers, cheapest
+  /// first: a binary search in the leaf `it` already pins (no page
+  /// access), then in the sibling leaf (one fetch), then a root descent
+  /// (Seek; after the sibling probe, height + 1 fetches in all). `it`
+  /// keeps its pin until the leaf it moves to is pinned, so the record
+  /// under it stays valid until it moves.
+  void SkipTo(Iterator* it, const Key& key) const {
+    if (it->at_end()) return;
+    const LeafNode* leaf = it->leaf_;
+    if (!(KeyOf::Get(leaf->records[leaf->count - 1]) < key)) {
+      it->slot_ = LowerBound(leaf, it->slot_, key);
+      return;
+    }
+    const PageId next = leaf->next;
+    if (next == kInvalidPage) {
+      *it = Iterator();
+      return;
+    }
+    PageRef ref = pool_->Fetch(next);
+    const LeafNode* sibling = ValidLeaf(ref);
+    if (sibling == nullptr) {
+      *it = Iterator();
+      return;
+    }
+    if (!(KeyOf::Get(sibling->records[sibling->count - 1]) < key)) {
+      *it = Iterator(pool_, next, LowerBound(sibling, 0, key),
+                     std::move(ref));
+      return;
+    }
+    ref = PageRef();
+    *it = Seek(key);
   }
 
   /// Iterator at the smallest record.
@@ -315,6 +342,22 @@ class BPlusTree {
   }
 
  private:
+  /// First slot in [from, count) whose key is >= `key` (count if none).
+  static uint32_t LowerBound(const LeafNode* leaf, uint32_t from,
+                             const Key& key) {
+    uint32_t lo = from;
+    uint32_t hi = leaf->count;
+    while (lo < hi) {
+      uint32_t mid = (lo + hi) / 2;
+      if (KeyOf::Get(leaf->records[mid]) < key) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  }
+
   static LeafNode* LeafAt(Page* page) {
     return reinterpret_cast<LeafNode*>(page->bytes.data());
   }

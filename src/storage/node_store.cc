@@ -1,6 +1,7 @@
 #include "storage/node_store.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <utility>
 
 namespace blas {
@@ -18,10 +19,44 @@ void CountVisited(std::atomic<uint64_t>* total, uint64_t visited) {
   }
 }
 
+/// Index of the first window at or after `from` that ends at or after
+/// `start` (windows.size() if none). The common case — `start` still
+/// inside window `from` — costs one comparison.
+size_t WindowFor(std::span<const StartWindow> windows, size_t from,
+                 uint32_t start) {
+  if (from < windows.size() && windows[from].hi >= start) return from;
+  return static_cast<size_t>(
+      std::partition_point(windows.begin() + static_cast<ptrdiff_t>(from),
+                           windows.end(),
+                           [start](const StartWindow& w) {
+                             return w.hi < start;
+                           }) -
+      windows.begin());
+}
+
+/// The value tree's order from the SP order in one stable counting pass on
+/// `data`: records of one data id keep their (plabel, start) order, and
+/// kNullData (the largest id) sorts last.
+std::vector<NodeRecord> ByDataStable(const std::vector<NodeRecord>& by_sp) {
+  uint64_t ids = 0;
+  for (const NodeRecord& rec : by_sp) {
+    if (rec.data != kNullData) ids = std::max<uint64_t>(ids, rec.data + 1ull);
+  }
+  auto bucket = [ids](const NodeRecord& rec) {
+    return rec.data == kNullData ? ids : rec.data;
+  };
+  std::vector<size_t> next(ids + 2, 0);
+  for (const NodeRecord& rec : by_sp) ++next[bucket(rec) + 1];
+  for (size_t b = 1; b < next.size(); ++b) next[b] += next[b - 1];
+  std::vector<NodeRecord> out(by_sp.size());
+  for (const NodeRecord& rec : by_sp) out[next[bucket(rec)]++] = rec;
+  return out;
+}
+
 }  // namespace
 
-NodeStore::NodeStore(const std::vector<NodeRecord>& records,
-                     size_t cache_pages, size_t cache_shards)
+NodeStore::NodeStore(std::vector<NodeRecord> records, size_t cache_pages,
+                     size_t cache_shards)
     : pool_(cache_pages, cache_shards), count_(records.size()) {
   // Bulk loading allocates each tree's pages in one contiguous run, so
   // recording the pool size around every Build captures the page range
@@ -36,34 +71,28 @@ NodeStore::NodeStore(const std::vector<NodeRecord>& records,
     meta.page_count = static_cast<uint32_t>(pool_.page_count() - first);
     return meta;
   };
-  std::vector<NodeRecord> sorted = records;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const NodeRecord& a, const NodeRecord& b) {
-              return SpKeyOf::Get(a) < SpKeyOf::Get(b);
-            });
+  auto sort_by = [&records]<typename KeyOf>(KeyOf) {
+    std::sort(records.begin(), records.end(),
+              [](const NodeRecord& a, const NodeRecord& b) {
+                return KeyOf::Get(a) < KeyOf::Get(b);
+              });
+  };
+  sort_by(SpKeyOf{});
   size_t first = pool_.page_count();
-  sp_.Build(&pool_, sorted);
+  sp_.Build(&pool_, records);
   tree_metas_[0] = capture(sp_, first);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const NodeRecord& a, const NodeRecord& b) {
-              return SdKeyOf::Get(a) < SdKeyOf::Get(b);
-            });
+  std::vector<NodeRecord> by_value = ByDataStable(records);
+  sort_by(SdKeyOf{});
   first = pool_.page_count();
-  sd_.Build(&pool_, sorted);
+  sd_.Build(&pool_, records);
   tree_metas_[1] = capture(sd_, first);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const NodeRecord& a, const NodeRecord& b) {
-              return ValKeyOf::Get(a) < ValKeyOf::Get(b);
-            });
   first = pool_.page_count();
-  vindex_.Build(&pool_, sorted);
+  vindex_.Build(&pool_, by_value);
   tree_metas_[2] = capture(vindex_, first);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const NodeRecord& a, const NodeRecord& b) {
-              return StartKeyOf::Get(a) < StartKeyOf::Get(b);
-            });
+  by_value = {};
+  sort_by(StartKeyOf{});
   first = pool_.page_count();
-  doc_.Build(&pool_, sorted);
+  doc_.Build(&pool_, records);
   tree_metas_[3] = capture(doc_, first);
   tree_pages_ = pool_.page_count();
 }
@@ -97,19 +126,56 @@ PagedStoreMeta NodeStore::paged_meta() const {
 
 std::vector<NodeRecord> NodeStore::ScanPlabelRange(
     const PLabelRange& range, std::optional<uint32_t> data,
-    std::optional<int32_t> level) const {
+    std::optional<int32_t> level,
+    std::span<const StartWindow> windows) const {
+  if (range.empty() || windows.empty()) return {};
+  if (data.has_value()) {
+    const uint32_t id = *data;
+    return ScanWindows(
+        vindex_,
+        [id](PLabel plabel, uint32_t start) {
+          return ValKey{plabel, id, start};
+        },
+        [id](const NodeRecord& rec) { return rec.data == id; }, range, level,
+        windows);
+  }
+  return ScanWindows(
+      sp_, [](PLabel plabel, uint32_t start) { return SpKey{plabel, start}; },
+      [](const NodeRecord&) { return true; }, range, level, windows);
+}
+
+template <typename Tree, typename KeyFn, typename RunFn>
+std::vector<NodeRecord> NodeStore::ScanWindows(
+    const Tree& tree, KeyFn key_of, RunFn in_run, const PLabelRange& range,
+    std::optional<int32_t> level,
+    std::span<const StartWindow> windows) const {
   std::vector<NodeRecord> out;
-  if (range.empty()) return out;
   uint64_t visited = 0;
-  auto it = sp_.Seek(SpKey{range.lo, 0});
-  ReadaheadFrom(sp_, it.page());
-  for (; !it.at_end(); ++it) {
+  auto it = tree.Seek(key_of(range.lo, windows.front().lo));
+  ReadaheadFrom(tree, it.page());
+  PLabel plabel = range.lo;
+  size_t w = 0;
+  while (!it.at_end()) {
     const NodeRecord& rec = *it;
-    if (rec.plabel > range.hi) break;
+    if (!in_run(rec) || rec.plabel > range.hi) break;
+    if (rec.plabel != plabel) {
+      plabel = rec.plabel;
+      w = 0;
+    }
+    w = WindowFor(windows, w, rec.start);
+    if (w == windows.size()) {
+      // Past this P-label's last window: on to the next P-label's first.
+      if (plabel == range.hi) break;
+      tree.SkipTo(&it, key_of(plabel + 1, windows.front().lo));
+      continue;
+    }
+    if (rec.start < windows[w].lo) {
+      tree.SkipTo(&it, key_of(plabel, windows[w].lo));
+      continue;
+    }
     ++visited;
-    if (data.has_value() && rec.data != *data) continue;
-    if (level.has_value() && rec.level != *level) continue;
-    out.push_back(rec);
+    if (!level.has_value() || rec.level == *level) out.push_back(rec);
+    ++it;
   }
   CountVisited(&elements_, visited);
   return out;
@@ -148,21 +214,6 @@ std::vector<NodeRecord> NodeStore::ScanAll(
   return out;
 }
 
-std::vector<NodeRecord> NodeStore::ScanValue(uint32_t data) const {
-  std::vector<NodeRecord> out;
-  uint64_t visited = 0;
-  auto it = vindex_.Seek(ValKey{data, 0});
-  ReadaheadFrom(vindex_, it.page());
-  for (; !it.at_end(); ++it) {
-    const NodeRecord& rec = *it;
-    if (rec.data != data) break;
-    ++visited;
-    out.push_back(rec);
-  }
-  CountVisited(&elements_, visited);
-  return out;
-}
-
 std::optional<NodeRecord> NodeStore::FindByStart(uint32_t start) const {
   auto it = doc_.Seek(start);
   if (it.at_end() || it->start != start) return std::nullopt;
@@ -170,16 +221,30 @@ std::optional<NodeRecord> NodeStore::FindByStart(uint32_t start) const {
   return *it;
 }
 
-NodeStore::TagScan::TagScan(const NodeStore* store, TagId tag)
-    : ScanBase(store, store->sd_.Seek(SdKey{tag, 0})), tag_(tag) {
+NodeStore::TagScan::TagScan(const NodeStore* store, TagId tag,
+                            std::vector<StartWindow> windows)
+    : ScanBase(store, windows.empty()
+                          ? Iterator()
+                          : store->sd_.Seek(SdKey{tag, windows.front().lo})),
+      tag_(tag),
+      windows_(std::move(windows)) {
   // Cold-start hint: one ranged readahead over the leaf run this cursor
   // is about to stream, instead of faulting page-by-page.
   store->ReadaheadFrom(store->sd_, it_.page());
 }
 
 const NodeRecord* NodeStore::TagScan::Next() {
-  if (it_.at_end() || it_->tag != tag_) return nullptr;
-  return Step();
+  while (!it_.at_end() && it_->tag == tag_) {
+    const uint32_t start = it_->start;
+    window_ = WindowFor(windows_, window_, start);
+    if (window_ == windows_.size()) return nullptr;
+    if (start < windows_[window_].lo) {
+      store()->sd_.SkipTo(&it_, SdKey{tag_, windows_[window_].lo});
+      continue;
+    }
+    return Step();
+  }
+  return nullptr;
 }
 
 NodeStore::DocScan::DocScan(const NodeStore* store, uint32_t lo, uint32_t hi)

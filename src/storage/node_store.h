@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -36,15 +37,20 @@ struct SdKey {
   }
 };
 
-/// Composite key (data, start) of the secondary value index.
+/// Composite key (data, plabel, start) of the value tree: within one data
+/// id, records keep the SP order, so an equality predicate on a P-label
+/// range seeks (data, range.lo) and reads only the matching records.
 struct ValKey {
+  PLabel plabel;
   uint32_t data;
   uint32_t start;
   friend bool operator<(const ValKey& a, const ValKey& b) {
     if (a.data != b.data) return a.data < b.data;
+    if (a.plabel != b.plabel) return a.plabel < b.plabel;
     return a.start < b.start;
   }
 };
+static_assert(sizeof(ValKey) == 32, "BLASIDX2 v3 persists 32-byte ValKeys");
 
 struct SpKeyOf {
   static SpKey Get(const NodeRecord& r) { return SpKey{r.plabel, r.start}; }
@@ -53,11 +59,25 @@ struct SdKeyOf {
   static SdKey Get(const NodeRecord& r) { return SdKey{r.tag, r.start}; }
 };
 struct ValKeyOf {
-  static ValKey Get(const NodeRecord& r) { return ValKey{r.data, r.start}; }
+  static ValKey Get(const NodeRecord& r) {
+    return ValKey{r.plabel, r.data, r.start};
+  }
 };
 struct StartKeyOf {
   static uint32_t Get(const NodeRecord& r) { return r.start; }
 };
+
+/// Inclusive range of start positions a windowed scan visits. The
+/// windows of one scan are sorted and disjoint: the outermost intervals of
+/// the anchor bindings a part joins against, outside which no record can
+/// match.
+struct StartWindow {
+  uint32_t lo = 0;
+  uint32_t hi = UINT32_MAX;
+};
+
+/// The one window of an unanchored scan.
+inline constexpr StartWindow kWholeDocument[1] = {StartWindow{}};
 
 /// Per-query storage access counters. `elements` is the paper's "visited
 /// elements"; page counters come from the buffer pool (`io_reads` are the
@@ -105,9 +125,10 @@ struct PagedStoreMeta {
 /// Holds both physical designs the paper compares over one buffer pool:
 ///   * SP — clustered by {plabel, start} (BLAS),
 ///   * SD — clustered by {tag, start}   (D-labeling baseline),
-/// plus a secondary value index clustered by {data, start} and a
-/// document-order index clustered by {start} (point lookups and subtree
-/// reconstruction for the cursor projection layer).
+/// plus a value tree clustered by {data, plabel, start} (equality
+/// predicates on P-label scans) and a document-order index clustered by
+/// {start} (point lookups and subtree reconstruction for the cursor
+/// projection layer).
 ///
 /// Two storage modes share all query paths: a build-time store keeps
 /// every page in memory behind the miss-counting LRU, while a store
@@ -115,9 +136,10 @@ struct PagedStoreMeta {
 /// on demand — construction is O(1) in document size and each miss is a
 /// real disk read bounded by the StorageOptions memory budget.
 ///
-/// All scans count every record they touch (including records later
-/// rejected by a residual data/level filter), matching how the paper counts
-/// visited elements.
+/// All scans count every record they read (including records later
+/// rejected by a residual level or data filter), matching how the paper
+/// counts visited elements. Windowed scans skip between windows with
+/// BPlusTree::SkipTo; the records skipped over are not visited.
 ///
 /// Concurrency: all scan methods and `stats` are safe for concurrent
 /// callers once construction finishes (the buffer pool shards its
@@ -125,10 +147,13 @@ struct PagedStoreMeta {
 /// visited elements and page accesses goes through ReadCounterScope.
 class NodeStore {
  public:
-  /// Builds all trees from the labeler output. `cache_pages` sizes the
-  /// LRU cache of the shared buffer pool; `cache_shards` its latch
-  /// sharding (0 = auto, 1 = exact global LRU; see BufferPool).
-  explicit NodeStore(const std::vector<NodeRecord>& records,
+  /// Builds all trees from the labeler output, consuming it (the array
+  /// is re-sorted in place for each tree). `data` ids must be dense
+  /// dictionary ids or kNullData: the value tree is laid out by a
+  /// counting pass over them. `cache_pages` sizes the LRU cache of the
+  /// shared buffer pool; `cache_shards` its latch sharding (0 = auto,
+  /// 1 = exact global LRU; see BufferPool).
+  explicit NodeStore(std::vector<NodeRecord> records,
                      size_t cache_pages = 1024, size_t cache_shards = 0);
 
   /// Reopens a persisted store against a snapshot file: the four trees
@@ -140,11 +165,16 @@ class NodeStore {
   NodeStore(const NodeStore&) = delete;
   NodeStore& operator=(const NodeStore&) = delete;
 
-  /// Records with plabel in [range.lo, range.hi], optionally filtered by
-  /// data id and/or exact level. Result is ordered by (plabel, start).
+  /// Records with plabel in [range.lo, range.hi] and start inside one of
+  /// `windows` (sorted, disjoint), optionally filtered by data id and/or
+  /// exact level. Result is ordered by (plabel, start). With a data id the
+  /// scan runs over the value tree and reads only records carrying it;
+  /// otherwise over SP. Either way it skips from each P-label's last
+  /// window to the next P-label's first, and between windows.
   std::vector<NodeRecord> ScanPlabelRange(
       const PLabelRange& range, std::optional<uint32_t> data = std::nullopt,
-      std::optional<int32_t> level = std::nullopt) const;
+      std::optional<int32_t> level = std::nullopt,
+      std::span<const StartWindow> windows = kWholeDocument) const;
 
   /// Records with the given tag (D-labeling access path), optionally
   /// filtered by data id. Result is ordered by start.
@@ -156,9 +186,6 @@ class NodeStore {
   /// filter. Ordered by (tag, start).
   std::vector<NodeRecord> ScanAll(std::optional<uint32_t> data =
                                       std::nullopt) const;
-
-  /// Records with the given data id via the secondary value index.
-  std::vector<NodeRecord> ScanValue(uint32_t data) const;
 
   /// The record at exactly `start` via the document-order index, or
   /// nullopt. Counts one visited element plus the tree descent's pages.
@@ -220,6 +247,8 @@ class NodeStore {
       return &rec_;
     }
 
+    const NodeStore* store() const { return store_; }
+
     Iterator it_;
 
    private:
@@ -235,17 +264,21 @@ class NodeStore {
   };
 
   /// Incremental start-ordered scan of one tag's SD run — the streaming
-  /// access path of limit-k cursors.
+  /// access path of limit-k cursors — restricted to `windows` (sorted,
+  /// disjoint): the scan skips from one window to the next.
   class TagScan : public ScanBase<SdKey, SdKeyOf> {
    public:
-    TagScan(const NodeStore* store, TagId tag);
+    TagScan(const NodeStore* store, TagId tag,
+            std::vector<StartWindow> windows);
 
-    /// The next record with the scanned tag in start order, or nullptr at
-    /// the end of the run.
+    /// The next record with the scanned tag inside a window, in start
+    /// order, or nullptr at the end of the run or past the last window.
     const NodeRecord* Next();
 
    private:
     TagId tag_;
+    std::vector<StartWindow> windows_;
+    size_t window_ = 0;
   };
 
   /// Incremental scan of records with start in [lo, hi], in document
@@ -294,6 +327,16 @@ class NodeStore {
   /// run's leaves in one hint, small enough not to flood the cache when a
   /// limit-k cursor abandons the scan early.
   static constexpr size_t kReadaheadPages = 32;
+
+  /// The windowed scan behind ScanPlabelRange over `tree` (SP or the
+  /// value tree; `key_of(plabel, start)` builds its key, `in_run` tells
+  /// whether a record still belongs to the scanned prefix).
+  template <typename Tree, typename KeyFn, typename RunFn>
+  std::vector<NodeRecord> ScanWindows(const Tree& tree, KeyFn key_of,
+                                      RunFn in_run, const PLabelRange& range,
+                                      std::optional<int32_t> level,
+                                      std::span<const StartWindow> windows)
+      const;
 
   /// Issues one batched readahead for the leaf run ahead of a scan that
   /// just seeked `tree` to `at`. Leaves are contiguous in

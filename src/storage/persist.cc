@@ -18,9 +18,10 @@ namespace {
 
 constexpr char kMagic[8] = {'B', 'L', 'A', 'S', 'I', 'D', 'X', '1'};
 constexpr char kMagic2[8] = {'B', 'L', 'A', 'S', 'I', 'D', 'X', '2'};
-/// 2: 32-byte NodeRecord leaves (255 per page). Version 1 files held
-/// 48-byte records and must be re-saved.
-constexpr uint32_t kVersion2 = 2;
+/// 3: the value tree is keyed (data, plabel, start) in 32-byte ValKeys.
+/// Version 2 files key it by (data, start) and version 1 files hold
+/// 48-byte records; both must be re-saved.
+constexpr uint32_t kVersion2 = 3;
 /// Written in native byte order: a snapshot produced by a different
 /// endianness reads back as a different value and is rejected (tree pages
 /// are raw native layout, so misreading them must be impossible).

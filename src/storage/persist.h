@@ -83,11 +83,13 @@ Result<IndexSnapshot> LoadSnapshot(const std::string& path);
 //                          [value page index] u32 first value id of each
 //                                             value page
 //
-// Tree leaf pages (version 2): a 16-byte header (is_leaf, count, next
+// Tree leaf pages (version 3): a 16-byte header (is_leaf, count, next
 // leaf, pad) followed by up to 255 native 32-byte NodeRecords — u128
 // plabel, u32 start, u32 end, u32 data, then tag (24 bits) and level
-// (8 bits) sharing one u32. Version 1 files (48-byte records, 170 per
-// leaf) are rejected with Corruption and must be re-saved.
+// (8 bits) sharing one u32. The value tree is ordered by the 32-byte
+// ValKey (data, plabel, start). Version 2 files (value tree keyed by
+// (data, start)) and version 1 files (48-byte records, 170 per leaf) are
+// rejected with Corruption and must be re-saved.
 //
 // The header stores (little-endian): magic "BLASIDX2", version,
 // page_size, a native-endianness probe, sizeof(NodeRecord) and the three

@@ -26,11 +26,20 @@ TwigPasses RunPasses(const ExecPlan& plan, int skip, const NodeStore& store,
   const size_t n = plan.parts.size();
   TwigPasses out;
 
-  // Load all evaluated streams (each stream is read exactly once).
+  // Load all evaluated streams (each stream is read exactly once). An
+  // anchored P-label stream reads only records inside its anchor stream's
+  // outermost intervals: nothing outside them can join. Anchors precede
+  // their children, so the anchor stream is already loaded.
   out.streams.resize(n);
   for (size_t i = 0; i < n; ++i) {
     if (static_cast<int>(i) == skip) continue;
-    out.streams[i] = FetchPartTuples(plan.parts[i], store, dict);
+    const PlanPart& part = plan.parts[i];
+    if (i == 0 || part.scan != PlanPart::Scan::kPlabelAlts) {
+      out.streams[i] = FetchPartTuples(part, store, dict);
+    } else {
+      out.streams[i] = FetchPartTuples(
+          part, store, dict, OutermostWindows(out.streams[part.anchor]));
+    }
   }
 
   std::vector<PerAltDeltas> alt_tables(n);

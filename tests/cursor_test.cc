@@ -281,6 +281,43 @@ TEST(CursorTest, LimitTenOnXMarkScaleDocumentFetchesStrictlyFewerPages) {
   }
 }
 
+TEST(CursorTest, PointLookupVisitsOnlyInsideTheMatchedAnchor) {
+  // The @id literal seeks the value tree (one visit) and the name run is
+  // read only inside the one matched person: beyond the unanchored person
+  // scan, two elements in all.
+  const BlasSystem& sys = Auction();
+  Result<QueryResult> persons =
+      sys.Execute("/site/people/person", QueryOptions{});
+  ASSERT_TRUE(persons.ok()) << persons.status();
+  const uint64_t person_count = persons->starts.size();
+  ASSERT_GT(person_count, 100u);
+  for (int id : {0, 42, 99}) {
+    const std::string xpath =
+        "/site/people/person[@id=\"person" + std::to_string(id) + "\"]/name";
+    for (Translator translator :
+         {Translator::kSplit, Translator::kPushUp, Translator::kUnfold}) {
+      for (Engine engine : kEngines) {
+        std::optional<std::vector<uint32_t>> full =
+            RunDirect(sys, xpath, translator, engine);
+        ASSERT_TRUE(full.has_value());
+        ASSERT_EQ(full->size(), 1u) << xpath;
+
+        QueryOptions options;
+        options.translator = translator;
+        options.engine = engine;
+        options.limit = 10;
+        Result<ResultCursor> cursor = sys.Open(xpath, options);
+        ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+        QueryResult got = cursor->Drain();
+        EXPECT_EQ(got.starts, *full);
+        EXPECT_LE(got.stats.elements, person_count + 2)
+            << xpath << " " << TranslatorName(translator) << "/"
+            << EngineName(engine);
+      }
+    }
+  }
+}
+
 // ---- Projection: DOM-free content vs. DOM-derived ground truth. --------
 
 constexpr char kLibraryXml[] =

@@ -440,6 +440,19 @@ TEST_F(PagedCorruptionTest, OldVersionRejected) {
   ExpectRejected(bad, "version 1");
 }
 
+TEST_F(PagedCorruptionTest, Version2HeaderRejected) {
+  // Version 2 keyed the value tree by (data, start): its pages must never
+  // be read as the (data, plabel, start) tree of version 3.
+  std::string bad = bytes_;
+  PatchU32(&bad, kOffVersion, 2);
+  ExpectRejected(bad, "version 2");
+  Result<PagedIndex> opened = OpenPagedSnapshot(TempPath("corrupt_case.idx2"));
+  ASSERT_FALSE(opened.ok());
+  EXPECT_NE(opened.status().message().find("unsupported version"),
+            std::string::npos)
+      << opened.status();
+}
+
 TEST_F(PagedCorruptionTest, OverstatedPoolPagesRejectedBeforeAllocation) {
   std::string bad = bytes_;
   PatchU64(&bad, kOffPoolPages, uint64_t{1} << 40);  // ~8 PiB of pages

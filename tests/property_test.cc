@@ -1,3 +1,6 @@
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -79,6 +82,57 @@ class RandomQueryGen {
   int num_values_;
 };
 
+/// Frames of the paged variant's pool; the cache-pressure CI job
+/// overrides the default via BLAS_PAGED_FRAMES.
+size_t PagedFrames() {
+  const char* env = std::getenv("BLAS_PAGED_FRAMES");
+  if (env == nullptr) return 2;
+  int v = std::atoi(env);
+  return v < 2 ? 2 : static_cast<size_t>(v);
+}
+
+/// Checks every translator × engine against the naive answers, unbounded
+/// and through bounded cursors over an offset × limit grid (each a slice
+/// of the naive answer).
+void ExpectMatchesNaive(const BlasSystem& sys, const std::string& where,
+                        const Query& query,
+                        const std::vector<uint32_t>& expected) {
+  for (Translator translator :
+       {Translator::kDLabel, Translator::kSplit, Translator::kPushUp,
+        Translator::kUnfold}) {
+    for (Engine engine : {Engine::kRelational, Engine::kTwig}) {
+      const std::string what = where + " query=" + query.ToString() + " [" +
+                               TranslatorName(translator) + "/" +
+                               EngineName(engine) + "]";
+      Result<QueryResult> result =
+          sys.Execute(query, {.translator = translator, .engine = engine});
+      if (!result.ok() && result.status().code() == StatusCode::kUnsupported) {
+        continue;
+      }
+      ASSERT_TRUE(result.ok()) << what << ": " << result.status().ToString();
+      EXPECT_EQ(result->starts, expected) << what;
+
+      for (uint64_t offset : {0u, 3u}) {
+        for (uint64_t limit : {1u, 10u, 100u}) {
+          Result<QueryResult> bounded =
+              sys.Execute(query, {.translator = translator,
+                                  .engine = engine,
+                                  .limit = limit,
+                                  .offset = offset});
+          ASSERT_TRUE(bounded.ok())
+              << what << ": " << bounded.status().ToString();
+          const size_t from = std::min<size_t>(offset, expected.size());
+          const size_t to = std::min<size_t>(from + limit, expected.size());
+          EXPECT_EQ(bounded->starts,
+                    std::vector<uint32_t>(expected.begin() + from,
+                                          expected.begin() + to))
+              << what << " offset=" << offset << " limit=" << limit;
+        }
+      }
+    }
+  }
+}
+
 class DifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DifferentialTest, AllTranslatorsAndEnginesMatchNaiveEval) {
@@ -96,31 +150,26 @@ TEST_P(DifferentialTest, AllTranslatorsAndEnginesMatchNaiveEval) {
       options);
   ASSERT_TRUE(sys.ok()) << sys.status();
 
+  // The same document demand-paged from its BLASIDX2 snapshot through a
+  // pool of a few frames: every scan and skip runs under eviction.
+  const std::string path = testing::TempDir() + "/property_" +
+                           std::to_string(seed) + ".idx2";
+  ASSERT_TRUE(sys->SavePagedIndex(path).ok());
+  StorageOptions storage;
+  storage.frames_per_shard = PagedFrames();
+  storage.shards = 1;
+  Result<BlasSystem> paged = BlasSystem::OpenPaged(path, storage);
+  ASSERT_TRUE(paged.ok()) << paged.status();
+
   RandomQueryGen qgen(seed * 7919 + 1, kTags, kValues);
+  const std::string where = "seed=" + std::to_string(seed);
   for (int i = 0; i < 40; ++i) {
     Query query = qgen.Generate();
     std::vector<uint32_t> expected = NaiveEvalStarts(query, *sys->dom());
-    for (Translator translator :
-         {Translator::kDLabel, Translator::kSplit, Translator::kPushUp,
-          Translator::kUnfold}) {
-      for (Engine engine : {Engine::kRelational, Engine::kTwig}) {
-        Result<QueryResult> result =
-            sys->Execute(query, {.translator = translator, .engine = engine});
-        if (!result.ok() &&
-            result.status().code() == StatusCode::kUnsupported) {
-          continue;
-        }
-        ASSERT_TRUE(result.ok())
-            << "seed=" << seed << " query=" << query.ToString() << " ["
-            << TranslatorName(translator) << "/" << EngineName(engine)
-            << "]: " << result.status().ToString();
-        EXPECT_EQ(result->starts, expected)
-            << "seed=" << seed << " query=" << query.ToString() << " ["
-            << TranslatorName(translator) << "/" << EngineName(engine)
-            << "]";
-      }
-    }
+    ExpectMatchesNaive(*sys, where, query, expected);
+    ExpectMatchesNaive(*paged, where + " paged", query, expected);
   }
+  std::remove(path.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest,

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/operators.h"
 #include "storage/bptree.h"
 #include "storage/buffer_pool.h"
 #include "storage/node_store.h"
@@ -194,8 +195,12 @@ TEST(NodeStoreTest, PlabelEqualityAndFilters) {
   auto with_data = store.ScanPlabelRange(PLabelRange{200, 200}, 7);
   ASSERT_EQ(with_data.size(), 1u);
   EXPECT_EQ(with_data[0].start, 2u);
-  // Filtered-out tuples still count as visited.
-  EXPECT_EQ(store.stats().elements, 4u);
+  // The equality literal seeks the value tree: only its match is visited.
+  EXPECT_EQ(store.stats().elements, 3u);
+  // Tuples filtered out by a residual level still count as visited.
+  auto level3 = store.ScanPlabelRange(PLabelRange{200, 200}, std::nullopt, 3);
+  EXPECT_TRUE(level3.empty());
+  EXPECT_EQ(store.stats().elements, 5u);
   auto empty = store.ScanPlabelRange(PLabelRange{}, std::nullopt);
   EXPECT_TRUE(empty.empty());
 }
@@ -212,10 +217,15 @@ TEST(NodeStoreTest, TagScan) {
 TEST(NodeStoreTest, ScanAllAndValueIndex) {
   NodeStore store(MakeRecords(), 64);
   EXPECT_EQ(store.ScanAll().size(), 5u);
-  auto v7 = store.ScanValue(7);
+  store.ResetStats();
+  // Every P-label with data 7, in (plabel, start) order.
+  auto v7 = store.ScanPlabelRange(PLabelRange{0, 1000}, 7);
   ASSERT_EQ(v7.size(), 2u);
   EXPECT_EQ(v7[0].start, 2u);
   EXPECT_EQ(v7[1].start, 3u);
+  EXPECT_EQ(store.stats().elements, 2u);
+  EXPECT_TRUE(store.ScanPlabelRange(PLabelRange{0, 1000}, 9).empty());
+  EXPECT_TRUE(store.ScanPlabelRange(PLabelRange{250, 1000}, 8).empty());
 }
 
 TEST(NodeStoreTest, StatsAccumulateAndReset) {
@@ -260,6 +270,183 @@ TEST(NodeStoreTest, LargeStoreRangeMatchesBruteForce) {
     if (r.tag == 7) ++expected_tag;
   }
   EXPECT_EQ(tag7.size(), expected_tag);
+}
+
+// ------------------------------------------------------------- skipping ---
+
+/// 70,000 records keyed by (plabel, start): 275 leaves under a height-3
+/// tree (227 SpKeys per internal node).
+class SkipToTest : public ::testing::Test {
+ protected:
+  using Tree = BPlusTree<NodeRecord, SpKey, SpKeyOf>;
+
+  void SetUp() override {
+    for (uint32_t i = 0; i < 70000; ++i) {
+      NodeRecord r;
+      r.plabel = 5;
+      r.start = 2 * i;  // even starts only
+      recs_.push_back(r);
+    }
+    tree_.Build(&pool_, recs_);
+    ASSERT_EQ(tree_.height(), 3);
+  }
+
+  /// Page fetches of one SkipTo from `it` to start `to`.
+  uint64_t FetchesOf(Tree::Iterator* it, uint32_t to) {
+    pool_.ResetStats();
+    tree_.SkipTo(it, SpKey{5, to});
+    return pool_.stats().fetches;
+  }
+
+  BufferPool pool_{4096};
+  Tree tree_;
+  std::vector<NodeRecord> recs_;
+};
+
+TEST_F(SkipToTest, FetchesZeroInLeafOneForTheSiblingHeightPlusOneFarther) {
+  constexpr uint32_t kCap = Tree::kLeafCap;
+  Tree::Iterator it = tree_.Seek(SpKey{5, 0});
+  // In the pinned leaf: a binary search, no page access.
+  EXPECT_EQ(FetchesOf(&it, 2 * 100 + 1), 0u);
+  EXPECT_EQ(it->start, 2u * 101);  // odd target: the next even start
+  // Backwards or onto the current record: stays put.
+  EXPECT_EQ(FetchesOf(&it, 10), 0u);
+  EXPECT_EQ(it->start, 2u * 101);
+  // In the sibling leaf: one fetch.
+  EXPECT_EQ(FetchesOf(&it, 2 * (kCap + 7)), 1u);
+  EXPECT_EQ(it->start, 2u * (kCap + 7));
+  // Beyond the sibling: the sibling probe, then a root descent.
+  EXPECT_EQ(FetchesOf(&it, 2 * (60 * kCap + 3)),
+            1u + static_cast<uint64_t>(tree_.height()));
+  EXPECT_EQ(it->start, 2u * (60 * kCap + 3));
+  // Past the last record: the iterator ends.
+  tree_.SkipTo(&it, SpKey{6, 0});
+  EXPECT_TRUE(it.at_end());
+  tree_.SkipTo(&it, SpKey{7, 0});  // no-op at the end
+  EXPECT_TRUE(it.at_end());
+}
+
+TEST_F(SkipToTest, IteratesOnFromTheLandingSlot) {
+  Tree::Iterator it = tree_.Seek(SpKey{5, 0});
+  tree_.SkipTo(&it, SpKey{5, 2 * 1000});
+  std::vector<uint32_t> seen;
+  for (int i = 0; i < 400 && !it.at_end(); ++i, ++it) {
+    seen.push_back(it->start);
+  }
+  ASSERT_EQ(seen.size(), 400u);
+  for (size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i], 2 * (1000 + i));
+  }
+}
+
+/// 3,000 records over P-labels 10..12 (start = i + 1), levels 1-2 and data
+/// ids 0-4, scanned against a brute-force filter.
+class WindowedScanTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (uint32_t i = 0; i < 3000; ++i) {
+      NodeRecord r;
+      r.plabel = 10 + i % 3;
+      r.start = i + 1;
+      r.end = i + 1;
+      r.tag = 1;
+      r.level = 1 + static_cast<int32_t>(i % 2);
+      r.data = i % 5;
+      recs_.push_back(r);
+    }
+  }
+
+  /// Records the scan must return, in (plabel, start) order, and how many
+  /// it visits (all of them, before the level filter).
+  std::vector<NodeRecord> Expected(const PLabelRange& range,
+                                   std::optional<uint32_t> data,
+                                   std::optional<int32_t> level,
+                                   const std::vector<StartWindow>& windows,
+                                   size_t* visited) const {
+    std::vector<NodeRecord> out;
+    *visited = 0;
+    for (const NodeRecord& r : recs_) {
+      if (!range.Contains(r.plabel)) continue;
+      if (data.has_value() && r.data != *data) continue;
+      bool inside = false;
+      for (const StartWindow& w : windows) {
+        inside = inside || (w.lo <= r.start && r.start <= w.hi);
+      }
+      if (!inside) continue;
+      ++*visited;
+      if (level.has_value() && r.level != *level) continue;
+      out.push_back(r);
+    }
+    std::sort(out.begin(), out.end(),
+              [](const NodeRecord& a, const NodeRecord& b) {
+                return SpKeyOf::Get(a) < SpKeyOf::Get(b);
+              });
+    return out;
+  }
+
+  void ExpectScan(const PLabelRange& range, std::optional<uint32_t> data,
+                  std::optional<int32_t> level,
+                  const std::vector<StartWindow>& windows) {
+    NodeStore store(recs_, 64);
+    size_t visited = 0;
+    std::vector<NodeRecord> want =
+        Expected(range, data, level, windows, &visited);
+    std::vector<NodeRecord> got =
+        store.ScanPlabelRange(range, data, level, windows);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].plabel, want[i].plabel);
+      EXPECT_EQ(got[i].start, want[i].start);
+    }
+    EXPECT_EQ(store.stats().elements, visited);
+  }
+
+  std::vector<NodeRecord> recs_;
+};
+
+TEST_F(WindowedScanTest, NestedAnchorsCollapseToOutermostWindows) {
+  std::vector<DLabel> anchors{{100, 400, 1}, {120, 130, 2}, {150, 390, 2},
+                              {500, 501, 1}, {600, 700, 1}, {650, 660, 2}};
+  std::vector<StartWindow> windows = OutermostWindows(anchors);
+  ASSERT_EQ(windows.size(), 2u);  // (500, 501) has no room for a child
+  EXPECT_EQ(windows[0].lo, 101u);
+  EXPECT_EQ(windows[0].hi, 399u);
+  EXPECT_EQ(windows[1].lo, 601u);
+  EXPECT_EQ(windows[1].hi, 699u);
+  ExpectScan(PLabelRange{11, 11}, std::nullopt, std::nullopt, windows);
+}
+
+TEST_F(WindowedScanTest, AdjacentEmptyAndPastTheEndWindows) {
+  ExpectScan(PLabelRange{10, 12}, std::nullopt, std::nullopt,
+             {{5, 9}, {10, 20}, {21, 21}, {2990, 5000}});
+  ExpectScan(PLabelRange{10, 12}, std::nullopt, std::nullopt,
+             {{4000, 5000}});
+  NodeStore store(recs_, 64);
+  EXPECT_TRUE(store
+                  .ScanPlabelRange(PLabelRange{10, 12}, std::nullopt,
+                                   std::nullopt, {})
+                  .empty());
+  EXPECT_EQ(store.stats().elements, 0u);
+  EXPECT_EQ(store.stats().page_fetches, 0u);
+}
+
+TEST_F(WindowedScanTest, RangeAlternativesSpanningSeveralPlabels) {
+  const std::vector<StartWindow> windows{{1, 1}, {300, 310}, {1500, 2600}};
+  ExpectScan(PLabelRange{10, 12}, std::nullopt, std::nullopt, windows);
+  ExpectScan(PLabelRange{11, 12}, std::nullopt, std::nullopt, windows);
+  ExpectScan(PLabelRange{0, 100}, std::nullopt, std::nullopt, windows);
+  // Without windows the scan visits exactly the range.
+  ExpectScan(PLabelRange{10, 11}, std::nullopt, std::nullopt,
+             {StartWindow{}});
+}
+
+TEST_F(WindowedScanTest, DataLevelAndWindowsTogether) {
+  const std::vector<StartWindow> windows{{2, 40}, {700, 720}, {2900, 2999}};
+  for (uint32_t data = 0; data < 5; ++data) {
+    ExpectScan(PLabelRange{10, 12}, data, 2, windows);
+    ExpectScan(PLabelRange{11, 11}, data, std::nullopt, windows);
+    ExpectScan(PLabelRange{10, 12}, data, 1, {StartWindow{}});
+  }
 }
 
 }  // namespace
