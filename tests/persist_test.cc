@@ -186,9 +186,10 @@ TEST(PersistTest, RecordCountJustOverActualPayloadRejected) {
   EXPECT_TRUE(LoadSnapshot(path).ok());
 }
 
-/// One BLAS1 file holding a single record whose 32-bit tag and level
-/// fields are written verbatim.
-std::string OneRecordBlas1(uint32_t tag, uint32_t level) {
+/// One BLAS1 file holding a single record whose P-label and 32-bit tag,
+/// level and data fields are written verbatim.
+std::string OneRecordBlas1(uint32_t tag, uint32_t level,
+                           uint32_t data = kNullData, PLabel plabel = 1) {
   std::string bytes = "BLASIDX1";
   AppendU32(&bytes, 2);  // two tags
   for (const char* name : {"a", "b"}) {
@@ -197,13 +198,13 @@ std::string OneRecordBlas1(uint32_t tag, uint32_t level) {
   }
   AppendU32(&bytes, 3);     // depth
   AppendU64(&bytes, 1);     // one record
-  AppendU64(&bytes, 0);     // plabel hi
-  AppendU64(&bytes, 1);     // plabel lo
+  AppendU64(&bytes, static_cast<uint64_t>(plabel >> 64));
+  AppendU64(&bytes, static_cast<uint64_t>(plabel));
   AppendU32(&bytes, 1);     // start
   AppendU32(&bytes, 2);     // end
   AppendU32(&bytes, tag);
   AppendU32(&bytes, level);
-  AppendU32(&bytes, kNullData);
+  AppendU32(&bytes, data);
   AppendU64(&bytes, 0);     // no values
   return bytes;
 }
@@ -228,6 +229,28 @@ TEST(PersistTest, RecordFieldsTooWideForTheRecordRejected) {
     EXPECT_EQ(BlasSystem::FromIndexFile(path).status().code(),
               StatusCode::kCorruption)
         << c.tag << "/" << c.level;
+  }
+}
+
+TEST(PersistTest, RecordDataPastTheDictionaryRejected) {
+  // The value tree's counting pass sizes its buckets by the largest data
+  // id, so an id past the stored dictionary must fail the load instead of
+  // allocating a bucket per id up to it. The record is a root "b", so
+  // its P-label must decode for the load to reach the data check.
+  Result<PLabelCodec> codec = PLabelCodec::Create(2, 3);
+  ASSERT_TRUE(codec.ok());
+  const PLabel root_b = codec->RootLabel(2);
+  std::string ok_path = TempPath("data_ok.idx");
+  WriteBytes(ok_path, OneRecordBlas1(2, 1, kNullData, root_b));
+  Result<BlasSystem> ok = BlasSystem::FromIndexFile(ok_path);
+  ASSERT_TRUE(ok.ok()) << ok.status();
+
+  for (uint32_t data : {1u, 0xFFFFFFFEu}) {
+    std::string path = TempPath("data_bad.idx");
+    WriteBytes(path, OneRecordBlas1(2, 1, data, root_b));
+    EXPECT_EQ(BlasSystem::FromIndexFile(path).status().code(),
+              StatusCode::kCorruption)
+        << data;
   }
 }
 

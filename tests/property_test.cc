@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -82,15 +81,6 @@ class RandomQueryGen {
   int num_values_;
 };
 
-/// Frames of the paged variant's pool; the cache-pressure CI job
-/// overrides the default via BLAS_PAGED_FRAMES.
-size_t PagedFrames() {
-  const char* env = std::getenv("BLAS_PAGED_FRAMES");
-  if (env == nullptr) return 2;
-  int v = std::atoi(env);
-  return v < 2 ? 2 : static_cast<size_t>(v);
-}
-
 /// Checks every translator × engine against the naive answers, unbounded
 /// and through bounded cursors over an offset × limit grid (each a slice
 /// of the naive answer).
@@ -151,12 +141,12 @@ TEST_P(DifferentialTest, AllTranslatorsAndEnginesMatchNaiveEval) {
   ASSERT_TRUE(sys.ok()) << sys.status();
 
   // The same document demand-paged from its BLASIDX2 snapshot through a
-  // pool of a few frames: every scan and skip runs under eviction.
+  // two-frame pool: every scan and skip runs under eviction.
   const std::string path = testing::TempDir() + "/property_" +
                            std::to_string(seed) + ".idx2";
   ASSERT_TRUE(sys->SavePagedIndex(path).ok());
   StorageOptions storage;
-  storage.frames_per_shard = PagedFrames();
+  storage.frames_per_shard = 2;
   storage.shards = 1;
   Result<BlasSystem> paged = BlasSystem::OpenPaged(path, storage);
   ASSERT_TRUE(paged.ok()) << paged.status();
