@@ -53,7 +53,7 @@ StreamPlanInfo ResultCursor::AnalyzePlan(const ExecPlan& plan,
                                          const Env& env) {
   StreamPlanInfo info;
   info.tag = StreamableReturnTag(plan, *env.codec);
-  if (info.tag.has_value() && env.summary != nullptr) {
+  if (info.tag.has_value()) {
     CostModel model(env.summary, env.dict);
     info.cardinality =
         model.EstimateCardinality(plan.parts[plan.return_part]);
@@ -120,7 +120,7 @@ Status ResultCursor::Init() {
     // is smaller — otherwise a selective absolute path (e.g.
     // /PLAYS/PLAY/TITLE, whose SP range touches only matches) would be
     // pessimized by filtering the much larger tag run.
-    if (stream_tag.has_value() && env_.summary != nullptr) {
+    if (stream_tag.has_value()) {
       const uint64_t wanted =
           options_.limit > UINT64_MAX - options_.offset
               ? UINT64_MAX
@@ -140,9 +140,8 @@ Status ResultCursor::Init() {
     // a full engine run's results and measurements exactly.
     Result<std::vector<DLabel>> bindings =
         engine_ == Engine::kRelational
-            ? RelationalExecutor(env_.store, env_.dict)
-                  .ExecuteBindings(p, &stats_)
-            : TwigEngine(env_.store, env_.dict).ExecuteBindings(p, &stats_);
+            ? RelationalExecutor(env_).ExecuteBindings(p, &stats_)
+            : TwigEngine(env_).ExecuteBindings(p, &stats_);
     if (!bindings.ok()) return std::move(bindings).status();
     bindings_ = std::move(bindings).value();
     if (options_.limit > 0 || options_.offset > 0) {
@@ -161,10 +160,9 @@ Status ResultCursor::Init() {
   if (need_anchor) {
     Result<std::vector<DLabel>> matched =
         engine_ == Engine::kRelational
-            ? RelationalExecutor(env_.store, env_.dict)
-                  .MatchedAnchors(p, p.return_part, &stats_)
-            : TwigEngine(env_.store, env_.dict)
-                  .MatchedAnchors(p, p.return_part, &stats_);
+            ? RelationalExecutor(env_).MatchedAnchors(p, p.return_part,
+                                                      &stats_)
+            : TwigEngine(env_).MatchedAnchors(p, p.return_part, &stats_);
     if (!matched.ok()) return std::move(matched).status();
     anchors = std::move(matched).value();
     // The pipelined final D-join counts as executed once streaming begins.

@@ -73,16 +73,11 @@ struct StreamPlanInfo {
 /// it.
 class ResultCursor {
  public:
-  /// Everything a cursor borrows from the owning system. All pointers must
-  /// outlive the cursor.
-  struct Env {
-    const NodeStore* store = nullptr;
-    const StringDict* dict = nullptr;
+  /// Everything a cursor borrows from the owning system: what the engines
+  /// read plus the tag names projection renders. All pointers must outlive
+  /// the cursor.
+  struct Env : ExecEnv {
     const TagRegistry* tags = nullptr;
-    const PLabelCodec* codec = nullptr;
-    /// Optional: enables the cost gate that rejects streaming when the
-    /// tag's SD run is expected to cost more than full materialization.
-    const PathSummary* summary = nullptr;
   };
 
   /// Opens a cursor over an already-translated plan. `engine` must be

@@ -4,6 +4,7 @@
 #include <queue>
 
 #include "exec/operators.h"
+#include "exec/optimizer.h"
 
 namespace blas {
 
@@ -49,8 +50,18 @@ void SortByStartRunAware(std::vector<NodeRecord>* tuples) {
   *tuples = std::move(merged);
 }
 
-}  // namespace
+/// The part's value predicate on one record's data. Comparison operators
+/// decode the data column (a node without character data compares as the
+/// empty string — which fails every ordered comparison under the numeric
+/// XPath 1.0 semantics of ValuePred::Matches).
+bool ValueMatches(const PlanPart& part, const StringDict& dict,
+                  const NodeRecord& rec) {
+  std::string_view text =
+      rec.data == kNullData ? std::string_view() : dict.Get(rec.data);
+  return part.value->Matches(text);
+}
 
+/// One plan part's tuples read top-down; see PartFetcher.
 std::vector<NodeRecord> FetchPartTuples(const PlanPart& part,
                                         const NodeStore& store,
                                         const StringDict& dict,
@@ -98,30 +109,100 @@ std::vector<NodeRecord> FetchPartTuples(const PlanPart& part,
     }
   }
   if (residual_filter) {
-    // Comparison operators decode the data column (a node without
-    // character data compares as the empty string — which fails every
-    // ordered comparison under the numeric XPath 1.0 semantics of
-    // ValuePred::Matches).
     std::erase_if(tuples, [&](const NodeRecord& rec) {
-      std::string_view text =
-          rec.data == kNullData ? std::string_view() : dict.Get(rec.data);
-      return !part.value->Matches(text);
+      return !ValueMatches(part, dict, rec);
     });
   }
   SortByStartRunAware(&tuples);
   return tuples;
 }
 
+}  // namespace
+
+PartFetcher::PartFetcher(const ExecPlan& plan, int skip, const ExecEnv& env)
+    : plan_(plan), env_(env), seeded_(plan.parts.size()) {
+  for (size_t s = 1; s < plan.parts.size(); ++s) {
+    const PlanPart& part = plan.parts[s];
+    bool qualifies = static_cast<int>(s) != skip &&
+                     part.scan == PlanPart::Scan::kPlabelAlts &&
+                     part.value.has_value() &&
+                     part.value->op == ValueOp::kEq &&
+                     !part.value->literal.empty();
+    for (int c = part.anchor; qualifies && c >= 0;
+         c = plan.parts[c].anchor) {
+      qualifies = plan.parts[c].scan == PlanPart::Scan::kPlabelAlts;
+    }
+    if (qualifies) {
+      SeedFrom(s);
+      return;
+    }
+  }
+}
+
+void PartFetcher::SeedFrom(size_t s) {
+  const PlanPart& seed_part = plan_.parts[s];
+  std::vector<NodeRecord> seeds;
+  if (std::optional<uint32_t> id = env_.dict->Find(seed_part.value->literal)) {
+    const uint64_t cap =
+        CostModel(env_.summary, env_.dict).PathCount(plan_.parts[0]);
+    for (const PlanAlt& alt : seed_part.alts) {
+      std::optional<std::vector<NodeRecord>> chunk =
+          env_.store->ScanValueCapped(alt.range, *id, cap - seeds.size());
+      if (!chunk.has_value()) return;  // past the cap: top-down
+      seeds.insert(seeds.end(), chunk->begin(), chunk->end());
+    }
+  }
+  if (seed_part.level_eq.has_value()) {
+    std::erase_if(seeds, [&](const NodeRecord& rec) {
+      return rec.level != *seed_part.level_eq;
+    });
+  }
+
+  // Every prefix of a seed's path that lies in a chain part's
+  // alternatives names the seed's ancestor in that part.
+  std::vector<int> chain;
+  for (int c = seed_part.anchor; c >= 0; c = plan_.parts[c].anchor) {
+    chain.push_back(c);
+  }
+  std::vector<std::vector<SpKey>> targets(chain.size());
+  for (const NodeRecord& rec : seeds) {
+    PLabel prefix = rec.plabel;
+    for (int level = rec.level - 1; level >= 1; --level) {
+      prefix = env_.codec->ParentLabel(prefix);
+      for (size_t c = 0; c < chain.size(); ++c) {
+        for (const PlanAlt& alt : plan_.parts[chain[c]].alts) {
+          if (alt.range.Contains(prefix)) {
+            targets[c].push_back(SpKey{prefix, rec.start});
+            break;
+          }
+        }
+      }
+    }
+  }
+  for (size_t c = 0; c < chain.size(); ++c) {
+    std::sort(targets[c].begin(), targets[c].end());
+    std::vector<NodeRecord> found = env_.store->SeekAncestors(targets[c]);
+    const PlanPart& part = plan_.parts[chain[c]];
+    std::erase_if(found, [&](const NodeRecord& rec) {
+      return (part.level_eq.has_value() && rec.level != *part.level_eq) ||
+             (part.value.has_value() && !ValueMatches(part, *env_.dict, rec));
+    });
+    SortByStartRunAware(&found);
+    seeded_[chain[c]] = std::move(found);
+  }
+  SortByStartRunAware(&seeds);
+  seeded_[s] = std::move(seeds);
+}
+
+std::vector<NodeRecord> PartFetcher::Fetch(
+    size_t i, std::span<const StartWindow> windows) {
+  if (seeded_[i].has_value()) return std::move(*seeded_[i]);
+  return FetchPartTuples(plan_.parts[i], *env_.store, *env_.dict, windows);
+}
+
 namespace {
 
-/// Materializes part 0, then folds every other (non-skipped) part in with
-/// one D-join. `skip` < 0 processes the whole plan; otherwise the (leaf)
-/// part `skip` is left out and row columns follow processing order (part
-/// index minus one past the skip) — see ColOf. A P-label part is scanned
-/// only inside the outermost intervals of its anchor column, so once the
-/// intermediate result empties the remaining P-label parts scan nothing;
-/// D-labeling tag parts are always scanned in full (the baseline
-/// relational engine materializes each base input of the join).
+/// Row column of `part` when part `skip` (< 0: none) is left out.
 int ColOf(int part, int skip) {
   return skip >= 0 && part > skip ? part - 1 : part;
 }
@@ -136,13 +217,22 @@ std::vector<StartWindow> AnchorWindows(const std::vector<Row>& rows,
   return OutermostWindows(anchors);
 }
 
-std::vector<Row> FoldJoins(const ExecPlan& plan, int skip,
-                           const NodeStore& store, const StringDict& dict,
+/// Materializes part 0, then folds every other (non-skipped) part in with
+/// one D-join. `skip` < 0 processes the whole plan; otherwise the (leaf)
+/// part `skip` is left out and row columns follow processing order (part
+/// index minus one past the skip) — see ColOf. Parts come from the shared
+/// PartFetcher: on a seeded plan part 0 and the seed chain arrive reduced
+/// to the literal's ancestors. Any other P-label part is scanned only
+/// inside the outermost intervals of its anchor column, so once the
+/// intermediate result empties the remaining P-label parts scan nothing;
+/// D-labeling tag parts are always scanned in full (the baseline
+/// relational engine materializes each base input of the join).
+std::vector<Row> FoldJoins(const ExecPlan& plan, int skip, const ExecEnv& env,
                            ExecStats* local) {
+  PartFetcher fetcher(plan, skip, env);
   std::vector<Row> rows;
   {
-    std::vector<NodeRecord> tuples = FetchPartTuples(plan.parts[0], store,
-                                                     dict);
+    std::vector<NodeRecord> tuples = fetcher.Fetch(0, kWholeDocument);
     rows.reserve(tuples.size());
     for (const NodeRecord& rec : tuples) rows.push_back(Row{rec.dlabel()});
   }
@@ -156,8 +246,7 @@ std::vector<Row> FoldJoins(const ExecPlan& plan, int skip,
     if (part.scan == PlanPart::Scan::kPlabelAlts) {
       windows = AnchorWindows(rows, anchor_col);
     }
-    std::vector<NodeRecord> tuples =
-        FetchPartTuples(part, store, dict, windows);
+    std::vector<NodeRecord> tuples = fetcher.Fetch(i, windows);
     ++local->d_joins;
     if (rows.empty()) continue;
     JoinPred pred;
@@ -197,8 +286,7 @@ Result<std::vector<DLabel>> RelationalExecutor::ExecuteBindings(
   ReadCounterScope scope(&counters);
   ExecStats local;
 
-  std::vector<Row> rows = FoldJoins(plan, /*skip=*/-1, *store_, *dict_,
-                                    &local);
+  std::vector<Row> rows = FoldJoins(plan, /*skip=*/-1, env_, &local);
 
   std::vector<DLabel> result;
   result.reserve(rows.size());
@@ -225,8 +313,8 @@ Result<std::vector<DLabel>> RelationalExecutor::MatchedAnchors(
   ReadCounterScope scope(&counters);
   ExecStats local;
 
-  std::vector<Row> rows = FoldJoins(plan, static_cast<int>(skip), *store_,
-                                    *dict_, &local);
+  std::vector<Row> rows =
+      FoldJoins(plan, static_cast<int>(skip), env_, &local);
 
   const int anchor_col = ColOf(plan.parts[skip].anchor,
                                static_cast<int>(skip));

@@ -2,15 +2,29 @@
 #define BLAS_EXEC_EXECUTOR_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "common/result.h"
 #include "exec/plan.h"
+#include "labeling/plabel.h"
+#include "schema/path_summary.h"
 #include "storage/node_store.h"
 #include "storage/string_dict.h"
 
 namespace blas {
+
+/// What the engines read: the store and its value dictionary, the codec
+/// that derives an ancestor's P-label from a node's, and the path summary
+/// whose exact path counts cap a seed read (see PartFetcher). All must
+/// outlive the engine.
+struct ExecEnv {
+  const NodeStore* store = nullptr;
+  const StringDict* dict = nullptr;
+  const PLabelCodec* codec = nullptr;
+  const PathSummary* summary = nullptr;
+};
 
 /// Per-query execution counters (the paper's evaluation metrics).
 struct ExecStats {
@@ -49,8 +63,7 @@ struct ExecStats {
 /// tuples like a relational engine would.
 class RelationalExecutor {
  public:
-  RelationalExecutor(const NodeStore* store, const StringDict* dict)
-      : store_(store), dict_(dict) {}
+  explicit RelationalExecutor(const ExecEnv& env) : env_(env) {}
 
   /// Returns the distinct, sorted start positions of the return part.
   Result<std::vector<uint32_t>> Execute(const ExecPlan& plan,
@@ -76,18 +89,49 @@ class RelationalExecutor {
                                              ExecStats* stats) const;
 
  private:
-  const NodeStore* store_;
-  const StringDict* dict_;
+  ExecEnv env_;
 };
 
-/// Fetches one plan part's tuples from storage, sorted by start. Shared by
-/// both engines; counts storage accesses in the store's counters. A
-/// P-label part reads only records inside `windows` (sorted, disjoint; see
-/// OutermostWindows); D-labeling tag and wildcard parts ignore them and
-/// scan their whole SD run.
-std::vector<NodeRecord> FetchPartTuples(
-    const PlanPart& part, const NodeStore& store, const StringDict& dict,
-    std::span<const StartWindow> windows = kWholeDocument);
+/// \brief The fetch step both engines share: each plan part's tuples,
+/// sorted by start, with storage accesses counted in the store's counters.
+///
+/// Top-down, part 0 is read whole and every other P-label part only
+/// inside its anchors' windows (sorted, disjoint; see OutermostWindows);
+/// D-labeling tag and wildcard parts ignore windows and scan their whole
+/// SD run. A plan with an equality-literal part is read from the literal
+/// upward instead:
+///   * seed — the literal's matches, from the value tree without windows;
+///   * chain — every part from the seed's anchor up to part 0, by
+///     ancestor seeks: a node's depth-k ancestor carries the depth-k
+///     prefix of its P-label path (PLabelCodec::ParentLabel), so each
+///     prefix inside a chain part's alternatives names one ancestor,
+///     found by NodeStore::SeekAncestors.
+/// The engines then join top-down as before over these reduced lists, and
+/// every other part is windowed by them. The seed read stops once it
+/// would visit more than part 0's exact path-summary count, and the plan
+/// then runs top-down: that capped read is the only work the rule can add.
+/// The first equality part qualifies unless it is `skip` (the part a
+/// cursor streams) or a D-labeling tag or wildcard scan lies on its chain.
+class PartFetcher {
+ public:
+  /// Runs the seed read and the chain's ancestor seeks when a part
+  /// qualifies. `skip` < 0 fetches the whole plan.
+  PartFetcher(const ExecPlan& plan, int skip, const ExecEnv& env);
+
+  /// Part i's tuples: its seeded list when it lies on the seed chain
+  /// (fetch each part once), else a scan inside `windows`.
+  std::vector<NodeRecord> Fetch(size_t i,
+                                std::span<const StartWindow> windows);
+
+ private:
+  /// Seeds from part `s` and fills seeded_ along its chain; leaves
+  /// seeded_ empty when the literal's matches pass the cap.
+  void SeedFrom(size_t s);
+
+  const ExecPlan& plan_;
+  ExecEnv env_;
+  std::vector<std::optional<std::vector<NodeRecord>>> seeded_;
+};
 
 }  // namespace blas
 

@@ -24,24 +24,24 @@ void SumCounts(const SummaryNode* node, const PlanPart& part,
 
 }  // namespace
 
-uint64_t CostModel::EstimateCardinality(const PlanPart& part) const {
+uint64_t CostModel::PathCount(const PlanPart& part) const {
   uint64_t plabel_hits = 0;
   uint64_t tag_hits = 0;
   uint64_t total = 0;
   SumCounts(summary_->root(), part, &plabel_hits, &tag_hits, &total);
-
-  uint64_t base = 0;
   switch (part.scan) {
     case PlanPart::Scan::kPlabelAlts:
-      base = plabel_hits;
-      break;
+      return plabel_hits;
     case PlanPart::Scan::kTag:
-      base = tag_hits;
-      break;
+      return tag_hits;
     case PlanPart::Scan::kAllTags:
-      base = total;
-      break;
+      return total;
   }
+  return total;
+}
+
+uint64_t CostModel::EstimateCardinality(const PlanPart& part) const {
+  uint64_t base = PathCount(part);
   if (part.value.has_value()) {
     if (part.value->op == ValueOp::kEq &&
         !dict_->Find(part.value->literal).has_value()) {

@@ -24,6 +24,10 @@ class CostModel {
   /// Estimated number of tuples the part's scan produces.
   uint64_t EstimateCardinality(const PlanPart& part) const;
 
+  /// Exact number of records the part's access path covers before its
+  /// value and level predicates.
+  uint64_t PathCount(const PlanPart& part) const;
+
   static constexpr double kValueSelectivity = 0.05;
 
  private:

@@ -77,6 +77,13 @@ class PLabelCodec {
     return static_cast<u128>(tag) * pow_[height_ - 1] + parent / base_;
   }
 
+  /// P-label of the parent of a node labeled `label` (ChildLabel's
+  /// inverse): drops the node's own tag digit. A root's parent is 0, the
+  /// "/" slot.
+  PLabel ParentLabel(PLabel label) const {
+    return label % pow_[height_ - 1] * base_;
+  }
+
   /// \brief P-label interval of the suffix path `alpha t1/.../tk`
   /// (algorithm 1).
   ///

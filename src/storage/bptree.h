@@ -161,6 +161,38 @@ class BPlusTree {
     return leaf;
   }
 
+ private:
+  /// Upper bound of a node's key range, copied out of its parent on a
+  /// descent: every key in the node lies below `key`. kOpen bounds the
+  /// rightmost node of a level; kUnknown proves nothing.
+  struct Fence {
+    enum class Kind : uint8_t { kUnknown, kKey, kOpen };
+    Kind kind = Kind::kUnknown;
+    Key key{};
+
+    static Fence At(const Key& k) { return Fence{Kind::kKey, k}; }
+    static Fence Open() { return Fence{Kind::kOpen, Key{}}; }
+    /// True when `k` provably lies below the fence.
+    bool Covers(const Key& k) const {
+      return kind == Kind::kOpen || (kind == Kind::kKey && k < key);
+    }
+    /// True when `k` provably lies at or past the fence.
+    bool Excludes(const Key& k) const {
+      return kind == Kind::kKey && !(k < key);
+    }
+  };
+
+  /// Fences of the leaf an iterator stands on, from the descent that
+  /// reached it: its own upper fence, its next leaf's, and its parent page
+  /// with that parent's. Copies only — no page stays pinned for them.
+  struct Fences {
+    Fence leaf_hi;
+    Fence next_hi;
+    Fence parent_hi;
+    PageId parent = kInvalidPage;
+  };
+
+ public:
   /// Forward iterator over leaf records; dereference is only valid while
   /// the underlying pool exists. The iterator pins the leaf it stands on
   /// (the record it points at cannot be evicted under it); advancing
@@ -192,7 +224,8 @@ class BPlusTree {
           page_(other.page_),
           slot_(other.slot_),
           ref_(std::move(other.ref_)),
-          leaf_(other.leaf_) {
+          leaf_(other.leaf_),
+          fences_(other.fences_) {
       other.page_ = kInvalidPage;
       other.leaf_ = nullptr;
     }
@@ -203,6 +236,7 @@ class BPlusTree {
         slot_ = other.slot_;
         ref_ = std::move(other.ref_);
         leaf_ = other.leaf_;
+        fences_ = other.fences_;
         other.page_ = kInvalidPage;
         other.leaf_ = nullptr;
       }
@@ -224,77 +258,76 @@ class BPlusTree {
     const Record* operator->() const { return &operator*(); }
 
     Iterator& operator++() {
-      ++slot_;
-      if (slot_ >= leaf_->count) {
-        page_ = leaf_->next;
-        slot_ = 0;
-        if (page_ == kInvalidPage) {
-          ref_ = PageRef();
-          leaf_ = nullptr;
-        } else {
-          ref_ = pool_->Fetch(page_);
-          leaf_ = ValidLeaf(ref_);
-          if (leaf_ == nullptr) page_ = kInvalidPage;
-        }
-      }
+      if (++slot_ >= leaf_->count) StepLeaf();
       return *this;
     }
 
    private:
     friend class BPlusTree;
 
+    /// Moves to slot 0 of the next leaf — `next` when the caller already
+    /// fetched it, else one fetch — or to the end of the chain. The old
+    /// sibling fence becomes the leaf's own; the new sibling's is unknown
+    /// until the next descent.
+    void StepLeaf(PageRef next = PageRef()) {
+      page_ = leaf_->next;
+      slot_ = 0;
+      fences_.leaf_hi = fences_.next_hi;
+      fences_.next_hi = Fence();
+      if (page_ != kInvalidPage && !next) next = pool_->Fetch(page_);
+      ref_ = std::move(next);
+      leaf_ = page_ == kInvalidPage ? nullptr : ValidLeaf(ref_);
+      if (leaf_ == nullptr) {
+        page_ = kInvalidPage;
+        ref_ = PageRef();
+      }
+    }
+
     const BufferPool* pool_ = nullptr;
     PageId page_ = kInvalidPage;
     uint32_t slot_ = 0;
     PageRef ref_;
     const LeafNode* leaf_ = nullptr;
+    Fences fences_;
   };
 
-  /// Iterator positioned at the first record with key >= `key`.
-  /// Touches exactly one page per tree level; the descent holds at most
-  /// two pins at a time (hand-over-hand parent/child). Page payloads are
-  /// untrusted (the snapshot preflight validates directories only): a
-  /// node tag other than internal/leaf, an overrun key count, or a
-  /// descent deeper than the recorded height — a corrupt child id could
-  /// otherwise cycle among internal pages forever — all end the seek.
+  /// Iterator positioned at the first record with key >= `key`. Touches
+  /// one page per tree level, plus the next leaf when `key` falls after
+  /// the last record of the leaf the descent reaches; the descent holds
+  /// at most two pins at a time (hand-over-hand parent/child).
   Iterator Seek(const Key& key) const {
-    if (root_ == kInvalidPage) return Iterator();
-    PageId pid = root_;
-    PageRef ref = pool_->Fetch(pid);
-    if (!ref) return Iterator();
-    int depth = 0;
-    while (ref->template As<uint32_t>()[0] == 0) {  // internal
-      const auto* node = InternalAt(ref.get());
-      if (node->count > kInternalCap || ++depth >= height_) {
-        assert(false && "corrupt internal page");
-        return Iterator();
-      }
-      const Key* begin = node->keys;
-      const Key* end = node->keys + node->count;
-      size_t idx = static_cast<size_t>(
-          std::upper_bound(begin, end, key) - begin);
-      pid = ChildrenArray(ref.get())[idx];
-      PageRef child = pool_->Fetch(pid);
-      if (!child) return Iterator();
-      ref = std::move(child);
+    Iterator it;
+    if (Descend(root_, Fence::Open(), height_ - 1, key, &it)) {
+      LandLowerBound(&it, key);
     }
-    const LeafNode* leaf = ValidLeaf(ref);
-    if (leaf == nullptr) return Iterator();
-    uint32_t lo = LowerBound(leaf, 0, key);
-    if (lo >= leaf->count) {
-      // Key larger than everything in this leaf; step to the next one.
-      return Iterator(pool_, leaf->next, 0);
+    return it;
+  }
+
+  /// Iterator positioned at the last record with key <= `key` (end when
+  /// every key is larger). Touches one page per tree level: separators
+  /// are their children's first keys, so the leaf the descent reaches
+  /// holds the floor whenever one exists.
+  Iterator SeekFloor(const Key& key) const {
+    Iterator it;
+    if (Descend(root_, Fence::Open(), height_ - 1, key, &it)) {
+      LandFloor(&it, key);
     }
-    return Iterator(pool_, pid, lo, std::move(ref));
+    return it;
   }
 
   /// Moves `it` forward to the first record with key >= `key`; a key at or
-  /// before the current record leaves it in place. Three tiers, cheapest
-  /// first: a binary search in the leaf `it` already pins (no page
-  /// access), then in the sibling leaf (one fetch), then a root descent
-  /// (Seek; after the sibling probe, height + 1 fetches in all). `it`
-  /// keeps its pin until the leaf it moves to is pinned, so the record
-  /// under it stays valid until it moves.
+  /// before the current record leaves it in place. Tiers, cheapest first,
+  /// chosen by the fences the last descent copied out:
+  ///   * inside the pinned leaf: a binary search, no page access;
+  ///   * in the next leaf, unless its fence rules it out: one fetch (two
+  ///     when the key falls after that leaf's last record);
+  ///   * inside the pinned leaf's parent: the parent and one child, two
+  ///     fetches;
+  ///   * beyond: a root descent (Seek's cost).
+  /// With the next leaf's fence unknown (after stepping past the leaves
+  /// the descent saw), the next leaf is probed first, as without fences.
+  /// `it` keeps its pin until the leaf it moves to is pinned, so the
+  /// record under it stays valid until it moves.
   void SkipTo(Iterator* it, const Key& key) const {
     if (it->at_end()) return;
     const LeafNode* leaf = it->leaf_;
@@ -302,24 +335,48 @@ class BPlusTree {
       it->slot_ = LowerBound(leaf, it->slot_, key);
       return;
     }
-    const PageId next = leaf->next;
-    if (next == kInvalidPage) {
-      *it = Iterator();
-      return;
+    if (!it->fences_.next_hi.Excludes(key)) {
+      it->StepLeaf();
+      if (it->at_end()) return;
+      leaf = it->leaf_;
+      if (!(KeyOf::Get(leaf->records[leaf->count - 1]) < key)) {
+        it->slot_ = LowerBound(leaf, 0, key);
+        return;
+      }
+      if (it->fences_.leaf_hi.Covers(key)) {
+        it->StepLeaf();  // after the last record: the next leaf's first
+        return;
+      }
     }
-    PageRef ref = pool_->Fetch(next);
-    const LeafNode* sibling = ValidLeaf(ref);
-    if (sibling == nullptr) {
-      *it = Iterator();
-      return;
+    if (!Redescend(it, key)) return;
+    LandLowerBound(it, key);
+  }
+
+  /// Moves `it` forward to the last record with key <= `key`; a floor
+  /// before the current record leaves it in place. The same tiers as
+  /// SkipTo: the pinned leaf holds the floor when its fence covers `key`
+  /// or `key` does not pass its last record; the next leaf when the
+  /// fences place `key` in it (one fetch); else the parent (two) or the
+  /// root. No step goes backward.
+  void SkipToFloor(Iterator* it, const Key& key) const {
+    if (it->at_end() || FloorInLeaf(it, key)) return;
+    if (!it->fences_.next_hi.Excludes(key)) {
+      PageRef ref = pool_->Fetch(it->leaf_->next);
+      const LeafNode* next = ValidLeaf(ref);
+      if (next == nullptr) {
+        *it = Iterator();
+        return;
+      }
+      if (key < KeyOf::Get(next->records[0])) {
+        // The next leaf starts past `key`: the floor is this leaf's last.
+        it->slot_ = it->leaf_->count - 1;
+        return;
+      }
+      it->StepLeaf(std::move(ref));
+      if (FloorInLeaf(it, key)) return;
     }
-    if (!(KeyOf::Get(sibling->records[sibling->count - 1]) < key)) {
-      *it = Iterator(pool_, next, LowerBound(sibling, 0, key),
-                     std::move(ref));
-      return;
-    }
-    ref = PageRef();
-    *it = Seek(key);
+    if (!Redescend(it, key)) return;
+    LandFloor(it, key);
   }
 
   /// Iterator at the smallest record.
@@ -342,20 +399,122 @@ class BPlusTree {
   }
 
  private:
+  /// Walks from page `pid` (keys below `hi`, at most `depth` internal
+  /// levels) down to the leaf whose range holds `key` — the last leaf
+  /// whose first key is <= `key`, or the first leaf — and leaves `it` on
+  /// it at slot 0 with the fences copied out on the way. Holds at most two
+  /// pins at a time besides `it`'s own. Page payloads are untrusted (the
+  /// snapshot preflight validates directories only): a node tag other
+  /// than internal/leaf, an overrun key count, or a descent deeper than
+  /// `depth` — a corrupt child id could otherwise cycle among internal
+  /// pages forever — all end the walk with `it` at the end.
+  bool Descend(PageId pid, Fence hi, int depth, const Key& key,
+               Iterator* it) const {
+    if (pid == kInvalidPage) {
+      *it = Iterator();
+      return false;
+    }
+    PageRef ref = pool_->Fetch(pid);
+    Fences fences;
+    fences.leaf_hi = hi;
+    while (ref && ref->template As<uint32_t>()[0] == 0) {  // internal
+      const auto* node = InternalAt(ref.get());
+      if (node->count > kInternalCap || depth-- <= 0) {
+        assert(false && "corrupt internal page");
+        ref = PageRef();
+        break;
+      }
+      const Key* keys = node->keys;
+      const size_t count = node->count;
+      const size_t idx = static_cast<size_t>(
+          std::upper_bound(keys, keys + count, key) - keys);
+      fences.parent = pid;
+      fences.parent_hi = hi;
+      fences.next_hi = idx + 1 < count    ? Fence::At(keys[idx + 1])
+                       : idx + 1 == count ? hi
+                                          : Fence();
+      hi = idx < count ? Fence::At(keys[idx]) : hi;
+      fences.leaf_hi = hi;
+      pid = ChildrenArray(ref.get())[idx];
+      ref = pool_->Fetch(pid);  // pins the child before the parent goes
+    }
+    if (!ref) {
+      *it = Iterator();
+      return false;
+    }
+    *it = Iterator(pool_, pid, 0, std::move(ref));
+    it->fences_ = fences;
+    return !it->at_end();
+  }
+
+  /// SkipTo's and SkipToFloor's last tiers: the pinned leaf's parent when
+  /// its fence covers `key` (two fetches), else a root descent.
+  bool Redescend(Iterator* it, const Key& key) const {
+    const Fences& f = it->fences_;
+    if (f.parent != kInvalidPage && f.parent_hi.Covers(key)) {
+      return Descend(f.parent, f.parent_hi, 1, key, it);
+    }
+    return Descend(root_, Fence::Open(), height_ - 1, key, it);
+  }
+
+  /// Positions `it`, on the leaf holding `key`'s range, at the first
+  /// record >= `key`: the next leaf's first when `key` falls after the
+  /// leaf's last record.
+  static void LandLowerBound(Iterator* it, const Key& key) {
+    it->slot_ = LowerBound(it->leaf_, 0, key);
+    if (it->slot_ >= it->leaf_->count) it->StepLeaf();
+  }
+
+  /// Moves `it` to the floor of `key` inside its leaf when the leaf
+  /// provably holds it: the last leaf, a fence above `key`, or a last
+  /// record at or past it. A floor before the current slot leaves `it`.
+  static bool FloorInLeaf(Iterator* it, const Key& key) {
+    const LeafNode* leaf = it->leaf_;
+    if (leaf->next != kInvalidPage && !it->fences_.leaf_hi.Covers(key) &&
+        KeyOf::Get(leaf->records[leaf->count - 1]) < key) {
+      return false;
+    }
+    const uint32_t above = UpperBound(leaf, it->slot_, key);
+    if (above > it->slot_) it->slot_ = above - 1;
+    return true;
+  }
+
+  /// Positions `it`, on the leaf holding `key`'s range, at the last
+  /// record <= `key`; at the end when `key` precedes the first record.
+  static void LandFloor(Iterator* it, const Key& key) {
+    const uint32_t above = UpperBound(it->leaf_, 0, key);
+    if (above == 0) {
+      *it = Iterator();
+      return;
+    }
+    it->slot_ = above - 1;
+  }
+
   /// First slot in [from, count) whose key is >= `key` (count if none).
   static uint32_t LowerBound(const LeafNode* leaf, uint32_t from,
                              const Key& key) {
-    uint32_t lo = from;
-    uint32_t hi = leaf->count;
-    while (lo < hi) {
-      uint32_t mid = (lo + hi) / 2;
-      if (KeyOf::Get(leaf->records[mid]) < key) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
+    return FirstSlot(leaf, from, [&key](const Record& r) {
+      return KeyOf::Get(r) < key;
+    });
+  }
+
+  /// First slot in [from, count) whose key is > `key` (count if none).
+  static uint32_t UpperBound(const LeafNode* leaf, uint32_t from,
+                             const Key& key) {
+    return FirstSlot(leaf, from, [&key](const Record& r) {
+      return !(key < KeyOf::Get(r));
+    });
+  }
+
+  /// First slot in [from, count) whose record fails `before`, which must
+  /// hold for a prefix of the records.
+  template <typename Pred>
+  static uint32_t FirstSlot(const LeafNode* leaf, uint32_t from,
+                            Pred before) {
+    const Record* records = leaf->records;
+    return static_cast<uint32_t>(
+        std::partition_point(records + from, records + leaf->count, before) -
+        records);
   }
 
   static LeafNode* LeafAt(Page* page) {

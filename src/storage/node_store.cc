@@ -181,6 +181,47 @@ std::vector<NodeRecord> NodeStore::ScanWindows(
   return out;
 }
 
+std::optional<std::vector<NodeRecord>> NodeStore::ScanValueCapped(
+    const PLabelRange& range, uint32_t data, uint64_t cap) const {
+  std::vector<NodeRecord> out;
+  if (range.empty()) return out;
+  bool over = false;
+  for (auto it = vindex_.Seek(ValKey{range.lo, data, 0}); !it.at_end(); ++it) {
+    const NodeRecord& rec = *it;
+    if (rec.data != data || rec.plabel > range.hi) break;
+    if (out.size() == cap) {
+      over = true;
+      break;
+    }
+    out.push_back(rec);
+  }
+  CountVisited(&elements_, out.size());
+  if (over) return std::nullopt;
+  return out;
+}
+
+std::vector<NodeRecord> NodeStore::SeekAncestors(
+    std::span<const SpKey> targets) const {
+  std::vector<NodeRecord> out;
+  if (targets.empty()) return out;
+  auto it = sp_.SeekFloor(targets.front());
+  for (const SpKey& target : targets) {
+    if (!out.empty() && out.back().plabel == target.plabel &&
+        out.back().start < target.start && target.start < out.back().end) {
+      continue;  // inside the ancestor found last
+    }
+    sp_.SkipToFloor(&it, target);
+    if (it.at_end()) break;
+    // A floor that does not contain the target names no ancestor (a
+    // target off every stored path, e.g. from a corrupt snapshot).
+    const NodeRecord& rec = *it;
+    if (rec.plabel != target.plabel || rec.end < target.start) continue;
+    out.push_back(rec);
+  }
+  CountVisited(&elements_, out.size());
+  return out;
+}
+
 std::vector<NodeRecord> NodeStore::ScanTag(TagId tag,
                                            std::optional<uint32_t> data) const {
   std::vector<NodeRecord> out;

@@ -176,6 +176,24 @@ class NodeStore {
       std::optional<int32_t> level = std::nullopt,
       std::span<const StartWindow> windows = kWholeDocument) const;
 
+  /// The seed read of an equality literal: the records carrying data id
+  /// `data` with plabel in `range`, in (plabel, start) order, from the
+  /// value tree without windows. Visits at most `cap` records: when a
+  /// further match exists the read stops before it and returns nullopt
+  /// (the records read stay counted as visited).
+  std::optional<std::vector<NodeRecord>> ScanValueCapped(
+      const PLabelRange& range, uint32_t data, uint64_t cap) const;
+
+  /// Ancestors by floor seeks in SP. Each target (plabel, start) names a
+  /// P-label on the root-to-node path of the node at `start`; records of
+  /// one P-label sit at one depth and never nest, so the ancestor carrying
+  /// it is the last SP record at or before the target. `targets` must be
+  /// sorted; one iterator moves forward through them, and a target inside
+  /// the previously found ancestor costs nothing. Each found ancestor
+  /// counts as one visited element. Result in (plabel, start) order,
+  /// distinct.
+  std::vector<NodeRecord> SeekAncestors(std::span<const SpKey> targets) const;
+
   /// Records with the given tag (D-labeling access path), optionally
   /// filtered by data id. Result is ordered by start.
   std::vector<NodeRecord> ScanTag(TagId tag,

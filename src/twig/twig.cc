@@ -21,24 +21,27 @@ struct TwigPasses {
 /// Loads the streams and runs the bottom-up and top-down passes over the
 /// plan's part tree. `skip` < 0 evaluates the whole pattern; otherwise the
 /// (leaf) part `skip` is left out — the cursor's streaming prefix.
-TwigPasses RunPasses(const ExecPlan& plan, int skip, const NodeStore& store,
-                     const StringDict& dict, ExecStats* local) {
+TwigPasses RunPasses(const ExecPlan& plan, int skip, const ExecEnv& env,
+                     ExecStats* local) {
   const size_t n = plan.parts.size();
   TwigPasses out;
 
-  // Load all evaluated streams (each stream is read exactly once). An
-  // anchored P-label stream reads only records inside its anchor stream's
-  // outermost intervals: nothing outside them can join. Anchors precede
-  // their children, so the anchor stream is already loaded.
+  // Load all evaluated streams (each stream is read exactly once) through
+  // the shared PartFetcher: on a seeded plan, part 0 and the seed chain
+  // arrive reduced to the literal's ancestors. Any other P-label stream
+  // reads only records inside its anchor stream's outermost intervals:
+  // nothing outside them can join. Anchors precede their children, so the
+  // anchor stream is already loaded.
+  PartFetcher fetcher(plan, skip, env);
   out.streams.resize(n);
   for (size_t i = 0; i < n; ++i) {
     if (static_cast<int>(i) == skip) continue;
     const PlanPart& part = plan.parts[i];
     if (i == 0 || part.scan != PlanPart::Scan::kPlabelAlts) {
-      out.streams[i] = FetchPartTuples(part, store, dict);
+      out.streams[i] = fetcher.Fetch(i, kWholeDocument);
     } else {
-      out.streams[i] = FetchPartTuples(
-          part, store, dict, OutermostWindows(out.streams[part.anchor]));
+      out.streams[i] =
+          fetcher.Fetch(i, OutermostWindows(out.streams[part.anchor]));
     }
   }
 
@@ -112,7 +115,7 @@ Result<std::vector<DLabel>> TwigEngine::ExecuteBindings(
   ReadCounterScope scope(&counters);
   ExecStats local;
 
-  TwigPasses passes = RunPasses(plan, /*skip=*/-1, *store_, *dict_, &local);
+  TwigPasses passes = RunPasses(plan, /*skip=*/-1, env_, &local);
 
   std::vector<DLabel> result;
   const auto& ret_stream = passes.streams[plan.return_part];
@@ -144,7 +147,7 @@ Result<std::vector<DLabel>> TwigEngine::MatchedAnchors(const ExecPlan& plan,
   ExecStats local;
 
   TwigPasses passes =
-      RunPasses(plan, static_cast<int>(skip), *store_, *dict_, &local);
+      RunPasses(plan, static_cast<int>(skip), env_, &local);
 
   const int a = plan.parts[skip].anchor;
   std::vector<DLabel> anchors;

@@ -26,8 +26,7 @@ namespace blas {
 /// path solution). Memory is O(streams * depth) beyond the streams.
 class TwigEngine {
  public:
-  TwigEngine(const NodeStore* store, const StringDict* dict)
-      : store_(store), dict_(dict) {}
+  explicit TwigEngine(const ExecEnv& env) : env_(env) {}
 
   /// Returns the distinct, sorted start positions of return-part elements
   /// that participate in at least one full twig match.
@@ -54,8 +53,7 @@ class TwigEngine {
                                              ExecStats* stats) const;
 
  private:
-  const NodeStore* store_;
-  const StringDict* dict_;
+  ExecEnv env_;
 };
 
 }  // namespace blas

@@ -6,6 +6,7 @@
 // under N concurrent QueryService clients (run under TSan in CI).
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -72,9 +73,8 @@ std::optional<std::vector<uint32_t>> RunDirect(const BlasSystem& sys,
   ExecStats local;
   Result<std::vector<uint32_t>> starts =
       engine == Engine::kRelational
-          ? RelationalExecutor(&sys.store(), &sys.dict())
-                .Execute(*plan, &local)
-          : TwigEngine(&sys.store(), &sys.dict()).Execute(*plan, &local);
+          ? RelationalExecutor(EnvOf(sys)).Execute(*plan, &local)
+          : TwigEngine(EnvOf(sys)).Execute(*plan, &local);
   EXPECT_TRUE(starts.ok()) << starts.status().ToString();
   if (stats != nullptr) *stats = local;
   return std::move(starts).value();
@@ -281,41 +281,107 @@ TEST(CursorTest, LimitTenOnXMarkScaleDocumentFetchesStrictlyFewerPages) {
   }
 }
 
-TEST(CursorTest, PointLookupVisitsOnlyInsideTheMatchedAnchor) {
-  // The @id literal seeks the value tree (one visit) and the name run is
-  // read only inside the one matched person: beyond the unanchored person
-  // scan, two elements in all.
-  const BlasSystem& sys = Auction();
-  Result<QueryResult> persons =
-      sys.Execute("/site/people/person", QueryOptions{});
-  ASSERT_TRUE(persons.ok()) << persons.status();
-  const uint64_t person_count = persons->starts.size();
-  ASSERT_GT(person_count, 100u);
-  for (int id : {0, 42, 99}) {
-    const std::string xpath =
-        "/site/people/person[@id=\"person" + std::to_string(id) + "\"]/name";
-    for (Translator translator :
-         {Translator::kSplit, Translator::kPushUp, Translator::kUnfold}) {
-      for (Engine engine : kEngines) {
-        std::optional<std::vector<uint32_t>> full =
-            RunDirect(sys, xpath, translator, engine);
-        ASSERT_TRUE(full.has_value());
-        ASSERT_EQ(full->size(), 1u) << xpath;
-
+/// Runs `xpath` unbounded and at limit 10 under every BLAS translator and
+/// both engines, checking the answers against the D-labeling baseline (no
+/// equality part of its plans seeds) and the elements each run visits
+/// against `want(translator, answers)`; `exact` asks for equality rather
+/// than an upper bound.
+void ExpectSeededElements(
+    const BlasSystem& sys, const std::string& xpath, bool exact,
+    const std::function<uint64_t(Translator, size_t)>& want) {
+  std::optional<std::vector<uint32_t>> baseline =
+      RunDirect(sys, xpath, Translator::kDLabel, Engine::kRelational);
+  ASSERT_TRUE(baseline.has_value());
+  ASSERT_FALSE(baseline->empty()) << xpath;
+  for (Translator translator :
+       {Translator::kSplit, Translator::kPushUp, Translator::kUnfold}) {
+    for (Engine engine : kEngines) {
+      for (uint64_t limit : {0u, 10u}) {
         QueryOptions options;
         options.translator = translator;
         options.engine = engine;
-        options.limit = 10;
-        Result<ResultCursor> cursor = sys.Open(xpath, options);
-        ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
-        QueryResult got = cursor->Drain();
-        EXPECT_EQ(got.starts, *full);
-        EXPECT_LE(got.stats.elements, person_count + 2)
-            << xpath << " " << TranslatorName(translator) << "/"
-            << EngineName(engine);
+        options.limit = limit;
+        Result<QueryResult> got = sys.Execute(xpath, options);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        const size_t n = limit == 0
+                             ? baseline->size()
+                             : std::min<size_t>(limit, baseline->size());
+        EXPECT_EQ(got->starts, std::vector<uint32_t>(baseline->begin(),
+                                                     baseline->begin() + n));
+        const std::string what = xpath + " " + TranslatorName(translator) +
+                                 "/" + EngineName(engine) +
+                                 " limit=" + std::to_string(limit);
+        const uint64_t bound = want(translator, baseline->size());
+        if (exact) {
+          EXPECT_EQ(got->stats.elements, bound) << what;
+        } else {
+          EXPECT_LE(got->stats.elements, bound) << what;
+        }
       }
     }
   }
+}
+
+TEST(CursorTest, PointLookupVisitsOnlyInsideTheMatchedAnchor) {
+  // Seeded from the @id literal: the value tree yields the one match, one
+  // ancestor seek finds its person, and the name part is read only inside
+  // it — three elements in all, with no person scan.
+  const BlasSystem& sys = Auction();
+  for (int id : {0, 42, 99}) {
+    ExpectSeededElements(
+        sys,
+        "/site/people/person[@id=\"person" + std::to_string(id) + "\"]/name",
+        /*exact=*/true, [](Translator, size_t matches) {
+          EXPECT_EQ(matches, 1u);
+          return 3 * matches;
+        });
+  }
+}
+
+TEST(CursorTest, SellerLookupVisitsThreeElementsPerMatch) {
+  // Literal, open_auction ancestor and current per match. Split's literal
+  // part is //seller/@person, which also reads the closed auctions'
+  // sellers carrying the literal (their paths name no open_auction, so
+  // they cost no seek).
+  const BlasSystem& sys = Auction();
+  for (int id : {0, 6, 13}) {
+    const std::string person = "\"person" + std::to_string(id) + "\"";
+    Result<QueryResult> closed = sys.Execute(
+        "/site/closed_auctions/closed_auction/seller/@person=" + person,
+        QueryOptions{});
+    ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+    const uint64_t closed_sellers = closed->starts.size();
+    ExpectSeededElements(
+        sys, "//open_auction[seller/@person=" + person + "]/current",
+        /*exact=*/true, [&](Translator translator, size_t matches) {
+          return 3 * matches +
+                 (translator == Translator::kSplit ? closed_sellers : 0);
+        });
+  }
+}
+
+TEST(CursorTest, LiteralMoreFrequentThanItsRootPathRunsTopDown) {
+  // Under Split the literal part is //item/payment: every item in every
+  // region pays by credit card, far more than the africa items of the
+  // root part. The seed read stops at the root part's count (the cap) and
+  // the plan runs top-down: the africa items, then one payment and one
+  // name inside each. Push-up and Unfold name africa's payments exactly,
+  // which stay under the cap and seed.
+  const BlasSystem& sys = Auction();
+  Result<QueryResult> items =
+      sys.Execute("/site/regions/africa/item", QueryOptions{});
+  ASSERT_TRUE(items.ok()) << items.status().ToString();
+  const uint64_t cap = items->starts.size();
+  Result<QueryResult> payments =
+      sys.Execute("//item/payment=\"Creditcard\"",
+                  {.translator = Translator::kSplit});
+  ASSERT_TRUE(payments.ok()) << payments.status().ToString();
+  ASSERT_GT(payments->starts.size(), cap) << "the literal must pass the cap";
+  const uint64_t top_down = 3 * cap;
+  ExpectSeededElements(
+      sys, "/site/regions/africa/item[payment=\"Creditcard\"]/name",
+      /*exact=*/false,
+      [&](Translator, size_t) { return cap + top_down; });
 }
 
 // ---- Projection: DOM-free content vs. DOM-derived ground truth. --------

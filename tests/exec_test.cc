@@ -163,7 +163,7 @@ TEST(ExecutorTest, TwigEngineCountsStreams) {
   ExecStats stats;
   Result<ExecPlan> plan = sys.Plan("//b/c", Translator::kDLabel);
   ASSERT_TRUE(plan.ok());
-  TwigEngine twig(&sys.store(), &sys.dict());
+  TwigEngine twig(EnvOf(sys));
   Result<std::vector<uint32_t>> r = twig.Execute(*plan, &stats);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->size(), 2u);
@@ -173,10 +173,10 @@ TEST(ExecutorTest, TwigEngineCountsStreams) {
 TEST(ExecutorTest, EmptyPlanRejected) {
   BlasSystem sys = MustBuild("<a/>");
   ExecPlan plan;
-  RelationalExecutor exec(&sys.store(), &sys.dict());
+  RelationalExecutor exec(EnvOf(sys));
   ExecStats stats;
   EXPECT_FALSE(exec.Execute(plan, &stats).ok());
-  TwigEngine twig(&sys.store(), &sys.dict());
+  TwigEngine twig(EnvOf(sys));
   EXPECT_FALSE(twig.Execute(plan, &stats).ok());
 }
 
@@ -189,6 +189,45 @@ TEST(ExecutorTest, ValuePredicateNotInDictionary) {
   EXPECT_TRUE(r->starts.empty());
   // The scan short-circuits: no elements visited at all.
   EXPECT_EQ(r->stats.elements, 0u);
+}
+
+// Seeds whose ancestors sit at the root, at two depths of the recursive
+// tag b, and under one shared b.
+constexpr char kSeedXml[] =
+    "<r><b><b><c>x</c><e/></b><c>x</c><e/></b>"
+    "<b><c>y</c><e/></b><b><c>x</c><c>x</c></b></r>";
+
+TEST(ExecutorTest, SeededChainsAgreeWithNaiveEval) {
+  BlasSystem sys = MustBuild(kSeedXml);
+  for (const char* xpath :
+       {"/r[b/c=\"y\"]/b", "//b[c=\"x\"]/e", "//b[c=\"x\"]//e",
+        "/r/b[c=\"x\"]/e", "//r//b[c=\"x\"]", "//b[c=\"x\"][e]",
+        "/r[b/c=\"z\"]/b", "//b[c=\"y\"]/e", "//r[b/c=\"x\"]//e"}) {
+    ExpectAllAgree(sys, xpath);
+  }
+}
+
+TEST(ExecutorTest, SeededChainVisitsSeedsAncestorsAndWindowedParts) {
+  BlasSystem sys = MustBuild(kSeedXml);
+  for (Engine engine : {Engine::kRelational, Engine::kTwig}) {
+    // One y literal (the cap is the one r): the seed, r by an ancestor
+    // seek at the root level, then the three b children of r.
+    Result<QueryResult> root = sys.Execute(
+        "/r[b/c=\"y\"]/b",
+        {.translator = Translator::kPushUp, .engine = engine});
+    ASSERT_TRUE(root.ok());
+    EXPECT_EQ(root->starts.size(), 3u);
+    EXPECT_EQ(root->stats.elements, 1u + 1u + 3u);
+    // Four x literals under the four b's (the cap): three ancestors —
+    // both b's above the nested seed, the shared b once — then the two e's
+    // inside the outer b.
+    Result<QueryResult> nested = sys.Execute(
+        "//b[c=\"x\"]/e",
+        {.translator = Translator::kSplit, .engine = engine});
+    ASSERT_TRUE(nested.ok());
+    EXPECT_EQ(nested->starts.size(), 2u);
+    EXPECT_EQ(nested->stats.elements, 4u + 3u + 2u);
+  }
 }
 
 TEST(ExecutorTest, IntermediateRowsTracked) {

@@ -165,5 +165,102 @@ TEST_P(DifferentialTest, AllTranslatorsAndEnginesMatchNaiveEval) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest,
                          ::testing::Range<uint64_t>(1, 21));
 
+/// True when some node below the query root carries an equality literal —
+/// a part a plan can seed from.
+bool HasInnerEquality(const QueryNode& node, bool root) {
+  if (!root && node.value.has_value() && node.value->op == ValueOp::kEq) {
+    return true;
+  }
+  for (const auto& child : node.children) {
+    if (HasInnerEquality(*child, false)) return true;
+  }
+  return false;
+}
+
+/// A query with at least one answer, built around a random node of `dom`
+/// at depth 4 or more that carries text: its grandparent, its parent
+/// filtered by the node's value, and the parent or another of its
+/// children returned, with random axes and an absolute or descendant
+/// lead.
+std::string MatchingQuery(const DomTree& dom, Rng* rng) {
+  std::vector<const DomNode*> candidates;
+  dom.ForEach([&](const DomNode* node) {
+    if (node->level >= 4 && !node->text.empty()) candidates.push_back(node);
+  });
+  const DomNode* node = candidates[rng->Below(candidates.size())];
+  const DomNode* parent = node->parent;
+  const DomNode* grand = parent->parent;
+  std::string lead;
+  if (rng->Percent(30)) {
+    lead = DomTree::SourcePath(grand);
+  } else {
+    lead = "//" + grand->tag;
+  }
+  std::string xpath = lead + (rng->Percent(50) ? "/" : "//") + parent->tag +
+                      "[" + node->tag + "=\"" + node->text + "\"]";
+  std::vector<const DomNode*> others;
+  for (const auto& child : parent->children) {
+    if (child.get() != node && !child->is_attribute()) {
+      others.push_back(child.get());
+    }
+  }
+  if (!others.empty() && rng->Percent(60)) {
+    xpath += "/" + others[rng->Below(others.size())]->tag;
+  }
+  return xpath;
+}
+
+TEST(DifferentialLargeTest, SeededChainsOnHeightThreeTreesMatchNaiveEval) {
+  // Large enough that SP and the value tree have an internal level below
+  // the root (so SkipTo's parent tier runs), with rare literals (about 2k
+  // values) so seeded plans stay under the root part's cap and run their
+  // ancestor seeks. Five queries are built around document nodes (so they
+  // have answers); five are random ones with an inner equality literal.
+  constexpr uint64_t kSeed = 101;
+  constexpr int kTags = 6;
+  constexpr int kValues = 2000;
+  BlasOptions options;
+  options.keep_dom = true;
+  Result<BlasSystem> sys = BlasSystem::FromEvents(
+      [&](SaxHandler* h) {
+        GenerateRandomDoc(kSeed, /*approx_nodes=*/64000, kTags,
+                          /*max_depth=*/5, kValues, h);
+      },
+      options);
+  ASSERT_TRUE(sys.ok()) << sys.status();
+  ASSERT_GE(sys->store().paged_meta().sp.height, 3);
+  ASSERT_GE(sys->store().paged_meta().value.height, 3);
+
+  const std::string path = testing::TempDir() + "/property_large.idx2";
+  ASSERT_TRUE(sys->SavePagedIndex(path).ok());
+  StorageOptions storage;
+  storage.frames_per_shard = 2;
+  storage.shards = 1;
+  Result<BlasSystem> paged = BlasSystem::OpenPaged(path, storage);
+  ASSERT_TRUE(paged.ok()) << paged.status();
+
+  std::vector<Query> queries;
+  Rng rng(kSeed);
+  while (queries.size() < 5) {
+    Result<Query> query = ParseXPath(MatchingQuery(*sys->dom(), &rng));
+    ASSERT_TRUE(query.ok()) << query.status();
+    queries.push_back(std::move(query).value());
+  }
+  RandomQueryGen qgen(kSeed * 7919 + 1, kTags, kValues);
+  while (queries.size() < 10) {
+    Query query = qgen.Generate();
+    if (HasInnerEquality(*query.root, true)) {
+      queries.push_back(std::move(query));
+    }
+  }
+  for (size_t i = 0; i < queries.size(); ++i) {
+    std::vector<uint32_t> expected = NaiveEvalStarts(queries[i], *sys->dom());
+    if (i < 5) EXPECT_FALSE(expected.empty()) << queries[i].ToString();
+    ExpectMatchesNaive(*sys, "large", queries[i], expected);
+    ExpectMatchesNaive(*paged, "large paged", queries[i], expected);
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace blas

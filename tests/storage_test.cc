@@ -1,8 +1,12 @@
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "exec/operators.h"
 #include "storage/bptree.h"
 #include "storage/buffer_pool.h"
@@ -277,9 +281,10 @@ TEST(NodeStoreTest, LargeStoreRangeMatchesBruteForce) {
 /// 70,000 records keyed by (plabel, start): 275 leaves under a height-3
 /// tree (227 SpKeys per internal node).
 class SkipToTest : public ::testing::Test {
- protected:
+ public:
   using Tree = BPlusTree<NodeRecord, SpKey, SpKeyOf>;
 
+ protected:
   void SetUp() override {
     for (uint32_t i = 0; i < 70000; ++i) {
       NodeRecord r;
@@ -303,8 +308,11 @@ class SkipToTest : public ::testing::Test {
   std::vector<NodeRecord> recs_;
 };
 
-TEST_F(SkipToTest, FetchesZeroInLeafOneForTheSiblingHeightPlusOneFarther) {
+TEST_F(SkipToTest, FetchesZeroInLeafOneForTheSiblingTwoInTheParent) {
+  // 275 leaves: the root's first child parents leaves 0-227, its second
+  // leaves 228-274.
   constexpr uint32_t kCap = Tree::kLeafCap;
+  const uint64_t height = static_cast<uint64_t>(tree_.height());
   Tree::Iterator it = tree_.Seek(SpKey{5, 0});
   // In the pinned leaf: a binary search, no page access.
   EXPECT_EQ(FetchesOf(&it, 2 * 100 + 1), 0u);
@@ -312,13 +320,21 @@ TEST_F(SkipToTest, FetchesZeroInLeafOneForTheSiblingHeightPlusOneFarther) {
   // Backwards or onto the current record: stays put.
   EXPECT_EQ(FetchesOf(&it, 10), 0u);
   EXPECT_EQ(it->start, 2u * 101);
-  // In the sibling leaf: one fetch.
-  EXPECT_EQ(FetchesOf(&it, 2 * (kCap + 7)), 1u);
-  EXPECT_EQ(it->start, 2u * (kCap + 7));
-  // Beyond the sibling: the sibling probe, then a root descent.
-  EXPECT_EQ(FetchesOf(&it, 2 * (60 * kCap + 3)),
-            1u + static_cast<uint64_t>(tree_.height()));
+  // Inside the parent, the fences rule the sibling out: parent + child.
+  EXPECT_EQ(FetchesOf(&it, 2 * (60 * kCap + 3)), 2u);
   EXPECT_EQ(it->start, 2u * (60 * kCap + 3));
+  // Beyond the parent: a root descent.
+  EXPECT_EQ(FetchesOf(&it, 2 * (250 * kCap + 3)), height);
+  EXPECT_EQ(it->start, 2u * (250 * kCap + 3));
+  // In the sibling leaf the fences place it in: one fetch.
+  EXPECT_EQ(FetchesOf(&it, 2 * (251 * kCap + 7)), 1u);
+  EXPECT_EQ(it->start, 2u * (251 * kCap + 7));
+  // Past the leaves the last descent saw, the sibling's fence is unknown:
+  // the sibling is probed first (one fetch when it holds the key, then
+  // the parent tier).
+  EXPECT_EQ(FetchesOf(&it, 2 * (252 * kCap + 7)), 1u);
+  EXPECT_EQ(FetchesOf(&it, 2 * (270 * kCap + 7)), 1u + 2u);
+  EXPECT_EQ(it->start, 2u * (270 * kCap + 7));
   // Past the last record: the iterator ends.
   tree_.SkipTo(&it, SpKey{6, 0});
   EXPECT_TRUE(it.at_end());
@@ -337,6 +353,143 @@ TEST_F(SkipToTest, IteratesOnFromTheLandingSlot) {
   for (size_t i = 0; i < seen.size(); ++i) {
     EXPECT_EQ(seen[i], 2 * (1000 + i));
   }
+}
+
+/// Page fetches SkipTo cost before the iterator learned fence keys: 0 in
+/// the pinned leaf, 1 for the sibling, else the sibling probe plus a root
+/// descent (plus one more when the key falls after the last record of the
+/// leaf the descent reaches).
+uint64_t UnfencedSkipFetches(const std::vector<uint32_t>& firsts,
+                             const std::vector<uint32_t>& lasts, size_t leaf,
+                             uint32_t to, uint64_t height) {
+  if (to <= lasts[leaf] || leaf + 1 == lasts.size()) return 0;
+  if (to <= lasts[leaf + 1]) return 1;
+  const size_t reached = static_cast<size_t>(
+      std::upper_bound(firsts.begin(), firsts.end(), to) - firsts.begin() -
+      1);
+  const bool gap = to > lasts[reached] && reached + 1 < lasts.size();
+  return 1 + height + (gap ? 1 : 0);
+}
+
+/// Random forward SkipTo and floor seeks, interleaved with single steps,
+/// against lower_bound/upper_bound on the sorted starts. Every call costs
+/// at most what SkipTo cost without fences; floor seeks stay within the
+/// same tiers (0 in the leaf, 1 in the sibling, else height + 1).
+void ExpectSkipOracle(const SkipToTest::Tree& tree, BufferPool& pool,
+                      const std::vector<NodeRecord>& recs, uint64_t seed) {
+  using Tree = SkipToTest::Tree;
+  const size_t cap = Tree::kLeafCap;
+  const uint64_t height = static_cast<uint64_t>(tree.height());
+  std::vector<uint32_t> starts, firsts, lasts;
+  for (const NodeRecord& r : recs) starts.push_back(r.start);
+  for (size_t i = 0; i < starts.size(); i += cap) {
+    firsts.push_back(starts[i]);
+    lasts.push_back(starts[std::min(i + cap, starts.size()) - 1]);
+  }
+  Rng rng(seed);
+  uint64_t fenced = 0, unfenced = 0;
+  size_t at = 0;  // index of the record the iterator stands on
+  Tree::Iterator it = tree.Seek(SpKey{5, 0});
+  for (int op = 0; op < 6000; ++op) {
+    if (it.at_end()) {
+      at = rng.Below(starts.size() / 2);
+      it = tree.SeekFloor(SpKey{5, starts[at] + 1});
+      ASSERT_FALSE(it.at_end());
+      ASSERT_EQ(it->start, starts[at]);
+    }
+    const size_t leaf = at / cap;
+    uint64_t span = 0;  // records ahead, from in-leaf hops to far jumps
+    switch (rng.Below(6)) {
+      case 0: span = rng.Below(cap); break;
+      case 1: span = cap / 2 + rng.Below(2 * cap); break;
+      case 2: span = rng.Below(40 * cap); break;
+      case 3: span = rng.Below(starts.size()); break;
+      default: break;
+    }
+    uint32_t to = starts[at] + static_cast<uint32_t>(2 * span + rng.Below(2));
+    if (span == 0 && rng.Percent(50)) {
+      // A leaf edge at or ahead of the current leaf: the gaps around a
+      // leaf's first and last record are where floor and lower bound
+      // land in different leaves.
+      const size_t j = std::min(leaf + rng.Below(3), firsts.size() - 1);
+      const uint32_t edges[] = {std::max(firsts[j], 1u) - 1, firsts[j],
+                                lasts[j], lasts[j] + 1};
+      to = std::max(starts[at], edges[rng.Below(4)]);
+    }
+    pool.ResetStats();
+    if (rng.Below(10) == 0) {
+      ++it;
+      ++at;
+      ASSERT_EQ(it.at_end(), at == starts.size());
+      if (!it.at_end()) {
+        ASSERT_EQ(it->start, starts[at]);
+      }
+      continue;
+    }
+    const bool floor = rng.Below(2) == 0;
+    if (floor) {
+      tree.SkipToFloor(&it, SpKey{5, to});
+      at = static_cast<size_t>(
+          std::upper_bound(starts.begin(), starts.end(), to) -
+          starts.begin() - 1);
+    } else {
+      tree.SkipTo(&it, SpKey{5, to});
+      at = static_cast<size_t>(
+          std::lower_bound(starts.begin(), starts.end(), to) -
+          starts.begin());
+    }
+    ASSERT_EQ(it.at_end(), at == starts.size()) << "op " << op;
+    if (!it.at_end()) {
+      ASSERT_EQ(it->start, starts[at]) << "op " << op;
+    }
+
+    const uint64_t fetches = pool.stats().fetches;
+    const uint64_t before =
+        UnfencedSkipFetches(firsts, lasts, leaf, to, height);
+    if (to <= lasts[leaf]) {
+      EXPECT_EQ(fetches, 0u) << "op " << op;
+    } else if (leaf + 1 < lasts.size() && to <= lasts[leaf + 1]) {
+      EXPECT_LE(fetches, 1u) << "op " << op;
+    } else if (floor) {
+      EXPECT_LE(fetches, height + 1) << "op " << op;
+    }
+    if (!floor) {
+      EXPECT_LE(fetches, before) << "op " << op << " to " << to;
+      fenced += fetches;
+      unfenced += before;
+    }
+  }
+  EXPECT_LT(fenced, unfenced);
+}
+
+TEST_F(SkipToTest, RandomForwardSeeksMatchTheSortedOrder) {
+  ExpectSkipOracle(tree_, pool_, recs_, 1);
+  ExpectSkipOracle(tree_, pool_, recs_, 2);
+}
+
+TEST_F(SkipToTest, RandomForwardSeeksMatchUnderATwoFramePagedPool) {
+  // The same pages written to a file and demand-paged through two frames:
+  // every fence-guided hop runs under eviction.
+  const std::string path = testing::TempDir() + "/skip_oracle.pages";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    for (PageId pid = 0; pid < pool_.page_count(); ++pid) {
+      PageRef ref = pool_.Peek(pid);
+      out.write(reinterpret_cast<const char*>(ref->bytes.data()), kPageSize);
+    }
+    ASSERT_TRUE(out.good());
+  }
+  Result<PagedFile> file = PagedFile::Open(path, 0, pool_.page_count());
+  ASSERT_TRUE(file.ok()) << file.status();
+  StorageOptions options;
+  options.frames_per_shard = 2;
+  options.shards = 1;
+  BufferPool paged(std::move(file).value(), options);
+  Tree tree;
+  tree.Attach(&paged, tree_.root(), tree_.first_leaf(), tree_.size(),
+              tree_.height());
+  ExpectSkipOracle(tree, paged, recs_, 3);
+  std::remove(path.c_str());
 }
 
 /// 3,000 records over P-labels 10..12 (start = i + 1), levels 1-2 and data

@@ -23,6 +23,11 @@ inline BlasSystem MustBuild(const std::string& xml) {
   return std::move(sys).value();
 }
 
+/// What the engines read from `sys`, for running them directly.
+inline ExecEnv EnvOf(const BlasSystem& sys) {
+  return ExecEnv{&sys.store(), &sys.dict(), &sys.codec(), &sys.summary()};
+}
+
 /// Runs `xpath` through every translator and engine and checks each result
 /// against the naive DOM evaluator. Translators that legitimately refuse a
 /// query (e.g. wildcards under Split) are skipped.

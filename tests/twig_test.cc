@@ -11,7 +11,7 @@ std::vector<uint32_t> Twig(const BlasSystem& sys, const std::string& xpath,
                            Translator t, ExecStats* stats = nullptr) {
   Result<ExecPlan> plan = sys.Plan(xpath, t);
   EXPECT_TRUE(plan.ok()) << plan.status();
-  TwigEngine twig(&sys.store(), &sys.dict());
+  TwigEngine twig(EnvOf(sys));
   ExecStats local;
   Result<std::vector<uint32_t>> r =
       twig.Execute(*plan, stats != nullptr ? stats : &local);
