@@ -27,20 +27,16 @@ namespace {
 
 struct Corpus {
   std::shared_ptr<BlasSystem> memory;
-  std::string blas1_path;
-  std::string blas2_path;
+  std::string path;
 };
 
-/// Builds the auction corpus once and persists it in both formats.
+/// Builds the auction corpus once and persists it as a BLASIDX2 snapshot.
 const Corpus& GetCorpus() {
   static const Corpus* corpus = [] {
     auto* c = new Corpus();
     c->memory = GetSystem('A', EnvInt("BLAS_BENCH_REPLICATE", 4));
-    c->blas1_path = "/tmp/blas_bench_paged.idx";
-    c->blas2_path = "/tmp/blas_bench_paged.idx2";
-    Status s1 = c->memory->SaveIndex(c->blas1_path);
-    Status s2 = c->memory->SavePagedIndex(c->blas2_path);
-    if (!s1.ok() || !s2.ok()) {
+    c->path = "/tmp/blas_bench_paged.idx2";
+    if (!c->memory->SavePagedIndex(c->path).ok()) {
       std::fprintf(stderr, "snapshot save failed\n");
       std::abort();
     }
@@ -87,7 +83,7 @@ void BM_ColdOpenPaged(benchmark::State& state, StorageBackend backend) {
   const Corpus& corpus = GetCorpus();
   for (auto _ : state) {
     Result<BlasSystem> sys =
-        BlasSystem::OpenPaged(corpus.blas2_path, BenchStorage(backend));
+        BlasSystem::OpenPaged(corpus.path, BenchStorage(backend));
     if (!sys.ok()) {
       state.SkipWithError(sys.status().ToString().c_str());
       return;
@@ -99,12 +95,13 @@ void BM_ColdOpenPaged(benchmark::State& state, StorageBackend backend) {
       static_cast<double>(GetCorpus().memory->doc_stats().pages);
 }
 
-/// Cold open of the materializing path: every record is parsed and all
-/// four trees rebuilt before the first query can run.
+/// Cold open of the materializing path: the SP leaf chain and every value
+/// page are read and all four trees rebuilt before the first query can
+/// run.
 void BM_ColdOpenMaterialized(benchmark::State& state) {
   const Corpus& corpus = GetCorpus();
   for (auto _ : state) {
-    Result<BlasSystem> sys = BlasSystem::FromIndexFile(corpus.blas1_path);
+    Result<BlasSystem> sys = BlasSystem::FromIndexFile(corpus.path);
     if (!sys.ok()) {
       state.SkipWithError(sys.status().ToString().c_str());
       return;
@@ -141,7 +138,7 @@ void BM_ColdOpenFirstScan(benchmark::State& state, StorageBackend backend) {
     if (backend == StorageBackend::kInMemory) {
       // The in-memory "backend" has no paged open: its cold start is the
       // materializing load.
-      Result<BlasSystem> sys = BlasSystem::FromIndexFile(corpus.blas1_path);
+      Result<BlasSystem> sys = BlasSystem::FromIndexFile(corpus.path);
       if (!sys.ok()) {
         state.SkipWithError(sys.status().ToString().c_str());
         return;
@@ -150,7 +147,7 @@ void BM_ColdOpenFirstScan(benchmark::State& state, StorageBackend backend) {
       pages = sys->store().pool().page_count();
     } else {
       Result<BlasSystem> sys =
-          BlasSystem::OpenPaged(corpus.blas2_path, ScanStorage(backend));
+          BlasSystem::OpenPaged(corpus.path, ScanStorage(backend));
       if (!sys.ok()) {
         state.SkipWithError(sys.status().ToString().c_str());
         return;
@@ -192,7 +189,7 @@ void BM_ColdQueryPaged(benchmark::State& state, const std::string& xpath,
                        StorageBackend backend) {
   const Corpus& corpus = GetCorpus();
   Result<BlasSystem> sys =
-      BlasSystem::OpenPaged(corpus.blas2_path, BenchStorage(backend));
+      BlasSystem::OpenPaged(corpus.path, BenchStorage(backend));
   if (!sys.ok()) {
     state.SkipWithError(sys.status().ToString().c_str());
     return;

@@ -1,15 +1,18 @@
 // Fuzz target: BLASIDX2 snapshot preflight (header + segment directory),
-// then the paged open itself under the mmap backend.
+// the full materialization of the page payloads, then the paged open
+// itself under the mmap backend.
 //
 // OpenPagedSnapshot validates the fixed header, tree metadata, and segment
 // directory before anything sized by untrusted bytes is allocated — this
 // target hammers exactly that boundary. When the directory does validate,
-// the target goes one step further and opens the pool through the mmap
-// backend: PagedFile::Open's size preflight must reject a file too short
-// for its claimed pool pages (a truncated file behind a valid header)
-// BEFORE any mapping is established — failing with a Status, never a
-// SIGBUS on an unbacked mapped page. The contract: any byte string either
-// opens or returns a non-OK Status; never a crash or unbounded allocation.
+// LoadSnapshot walks every page payload (the SP leaf chain, packed value
+// pages and value runs), so those bytes are fuzzed too. Then the target
+// opens the pool through the mmap backend: PagedFile::Open's size
+// preflight must reject a file too short for its claimed pool pages (a
+// truncated file behind a valid header) BEFORE any mapping is established
+// — failing with a Status, never a SIGBUS on an unbacked mapped page. The
+// contract: any byte string either opens or returns a non-OK Status;
+// never a crash or unbounded allocation.
 
 #include <cstddef>
 #include <cstdint>
@@ -22,6 +25,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const std::string& path = blas_fuzz::WriteInput(data, size, "blasidx2");
   blas::Result<blas::PagedIndex> opened = blas::OpenPagedSnapshot(path);
   if (!opened.ok()) return 0;
+  (void)blas::LoadSnapshot(path);
 
   // Valid directory: open the pool mmap'ed and touch the first page, so a
   // header that overstates pool_pages against the file's real size must

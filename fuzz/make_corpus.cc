@@ -128,6 +128,17 @@ void MakeBlasidx2Corpus(const std::string& dir) {
   std::string bad_directory = valid;
   bad_directory[80] ^= 0x55;
   WriteFile(dir + "/bad_directory.bin", bad_directory);
+
+  // One 10,000-byte value: a run of two value pages.
+  blas::Result<blas::BlasSystem> overflow = blas::BlasSystem::FromXml(
+      "<site><item><note>" + std::string(10000, 'x') +
+          "</note></item></site>",
+      {});
+  if (!overflow.ok() ||
+      !overflow.value().SavePagedIndex(dir + "/overflow_value.bin").ok()) {
+    std::fprintf(stderr, "overflow_value.bin: save failed\n");
+    std::exit(1);
+  }
 }
 
 }  // namespace

@@ -149,27 +149,9 @@ Result<BlasSystem> BlasSystem::OpenPaged(const std::string& path,
   return sys;
 }
 
-Status BlasSystem::SaveIndex(const std::string& path) const {
-  IndexSnapshot snapshot;
-  snapshot.tags.reserve(tags_->size());
-  for (TagId id = 1; id <= tags_->size(); ++id) {
-    snapshot.tags.push_back(tags_->Name(id));
-  }
-  snapshot.max_depth = max_depth_;
-  snapshot.records = store_->ExportRecords();
-  snapshot.values.reserve(dict_->size());
-  for (uint32_t id = 0; id < dict_->size(); ++id) {
-    snapshot.values.push_back(dict_->Get(id));
-  }
-  return SaveSnapshot(snapshot, path);
-}
-
 Result<BlasSystem> BlasSystem::FromIndexFile(const std::string& path,
                                              const BlasOptions& options) {
   BLAS_ASSIGN_OR_RETURN(IndexSnapshot snapshot, LoadSnapshot(path));
-  if (snapshot.records.empty()) {
-    return Status::Corruption("index file has no records: " + path);
-  }
 
   BlasSystem sys;
   sys.tags_ = std::make_unique<TagRegistry>();
@@ -195,7 +177,7 @@ Result<BlasSystem> BlasSystem::FromIndexFile(const std::string& path,
   for (const NodeRecord& rec : snapshot.records) {
     if (rec.level > snapshot.max_depth || rec.level < 1 ||
         rec.tag > sys.tags_->size() ||
-        (rec.data != kNullData && rec.data >= snapshot.values.size())) {
+        (rec.data != kNullData && rec.data >= sys.dict_->size())) {
       return Status::Corruption("record out of range in " + path);
     }
     path_counts[rec.plabel]++;

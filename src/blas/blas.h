@@ -75,10 +75,11 @@ class BlasSystem {
       const std::function<void(SaxHandler*)>& emit,
       const BlasOptions& options = {});
 
-  /// Reopens a system from an index file written by SaveIndex (or, via
-  /// full materialization, one written by SavePagedIndex). No XML
-  /// re-parse happens: the store, codec, dictionary and path summary are
-  /// rebuilt from the persisted records. The DOM is not available.
+  /// Reopens a system fully in memory from a BLASIDX2 snapshot written by
+  /// SavePagedIndex (every page materialized, no paging). No XML re-parse
+  /// happens: the store, codec, dictionary and path summary are rebuilt
+  /// from the persisted records, each range-checked (level, tag, data
+  /// id) against the file's own header. The DOM is not available.
   static Result<BlasSystem> FromIndexFile(const std::string& path,
                                           const BlasOptions& options = {});
 
@@ -91,11 +92,9 @@ class BlasSystem {
   static Result<BlasSystem> OpenPaged(const std::string& path,
                                       const StorageOptions& storage = {});
 
-  /// Persists the index (records, tags, dictionary) to `path`.
-  Status SaveIndex(const std::string& path) const;
-
-  /// Persists the index in the page-aligned BLASIDX2 format that
-  /// OpenPaged can serve without materializing it.
+  /// Persists the index (records, tags, dictionary, path summary) in the
+  /// page-aligned BLASIDX2 format, which OpenPaged serves without
+  /// materializing it and FromIndexFile loads whole.
   Status SavePagedIndex(const std::string& path) const;
 
   BlasSystem(BlasSystem&&) = default;

@@ -16,7 +16,6 @@ namespace blas {
 
 namespace {
 
-constexpr char kMagic[8] = {'B', 'L', 'A', 'S', 'I', 'D', 'X', '1'};
 constexpr char kMagic2[8] = {'B', 'L', 'A', 'S', 'I', 'D', 'X', '2'};
 /// 3: the value tree is keyed (data, plabel, start) in 32-byte ValKeys.
 /// Version 2 files key it by (data, start) and version 1 files hold
@@ -27,14 +26,8 @@ constexpr uint32_t kVersion2 = 3;
 /// are raw native layout, so misreading them must be impossible).
 constexpr uint32_t kEndianProbe = 0x01020304u;
 constexpr uint32_t kNoParent = 0xFFFFFFFFu;
-/// Largest value a paged dictionary page can hold alone:
-/// header (8) + two offsets (8) + the bytes.
-constexpr size_t kMaxPagedValue = kPageSize - 16;
-
-/// On-disk bytes of one fixed-width BLAS1 node record: two 64-bit P-label
-/// halves plus five 32-bit fields (start, end, tag, level, data). This is
-/// independent of the in-memory NodeRecord layout.
-constexpr uint64_t kRecordBytes = 8 + 8 + 5 * 4;
+/// Bytes before a run's value: the head page's header and two offsets.
+constexpr size_t kOneValueHead = kPageSize - kMaxPagedValue;
 
 /// Bytes of one flattened summary entry (parent u32, tag u32, count u64).
 constexpr uint64_t kSummaryEntryBytes = 16;
@@ -128,47 +121,6 @@ void WriteU64(AtomicFile& os, uint64_t v) {
 void WriteString(AtomicFile& os, const std::string& s) {
   WriteU32(os, static_cast<uint32_t>(s.size()));
   os.Write(s.data(), s.size());
-}
-
-// ------------------------------------------------------- BLAS1 reading ---
-
-bool ReadU32(std::istream& is, uint32_t* v) {
-  char buf[4];
-  if (!is.read(buf, 4)) return false;
-  *v = 0;
-  for (int i = 3; i >= 0; --i) {
-    *v = (*v << 8) | static_cast<uint8_t>(buf[i]);
-  }
-  return true;
-}
-
-bool ReadU64(std::istream& is, uint64_t* v) {
-  char buf[8];
-  if (!is.read(buf, 8)) return false;
-  *v = 0;
-  for (int i = 7; i >= 0; --i) {
-    *v = (*v << 8) | static_cast<uint8_t>(buf[i]);
-  }
-  return true;
-}
-
-/// Bytes between the stream position and the end of the file (the size is
-/// measured once at open). Every count and length in the header is
-/// preflighted against this before anything is allocated.
-uint64_t BytesLeft(std::istream& is, uint64_t file_size) {
-  const std::streamoff pos = is.tellg();
-  if (pos < 0 || static_cast<uint64_t>(pos) > file_size) return 0;
-  return file_size - static_cast<uint64_t>(pos);
-}
-
-bool ReadString(std::istream& is, uint64_t file_size, std::string* s) {
-  uint32_t len;
-  if (!ReadU32(is, &len)) return false;
-  // A length that overruns the file is corruption, caught before the
-  // resize allocates.
-  if (len > BytesLeft(is, file_size)) return false;
-  s->resize(len);
-  return static_cast<bool>(is.read(s->data(), len));
 }
 
 /// Little-endian readers over an in-memory buffer (the BLASIDX2 header).
@@ -271,8 +223,10 @@ bool ReadTailSegment(BufReader& r, TailSegment* s) {
 
 uint64_t PagesFor(uint64_t bytes) { return (bytes + kPageSize - 1) / kPageSize; }
 
-/// Packs dictionary values (in id order) into value pages. Returns false
-/// when a single value cannot fit one page.
+/// Packs dictionary values (in id order) into value pages. A value longer
+/// than kMaxPagedValue flushes the current page and gets a run of pages
+/// to itself (see PagedDictLayout); every page of the run carries its id
+/// in `first_ids`. Returns false when a run's end offset overflows u32.
 bool BuildValuePages(const StringDict& dict, std::vector<Page>* pages,
                      std::vector<uint32_t>* first_ids) {
   std::vector<uint32_t> lens;  // current page's value sizes
@@ -303,8 +257,35 @@ bool BuildValuePages(const StringDict& dict, std::vector<Page>* pages,
   };
 
   for (uint32_t id = 0; id < dict.size(); ++id) {
-    const size_t len = dict.Get(id).size();
-    if (len > kMaxPagedValue) return false;
+    const std::string& value = dict.Get(id);
+    const size_t len = value.size();
+    if (len > kMaxPagedValue) {
+      if (!lens.empty()) flush(id);
+      const uint64_t end = kOneValueHead + uint64_t{len};
+      if (end > UINT32_MAX) return false;
+      // Byte j of run page k is byte k * kPageSize + j of the span
+      // [0, end): the head's header and offsets, then the value.
+      for (uint64_t at = 0; at < end; at += kPageSize) {
+        Page page{};
+        if (at == 0) {
+          auto* header = page.As<ValuePageHeader>();
+          header->count = 1;
+          header->first_id = id;
+          auto* offsets = reinterpret_cast<uint32_t*>(
+              page.bytes.data() + sizeof(ValuePageHeader));
+          offsets[0] = kOneValueHead;
+          offsets[1] = static_cast<uint32_t>(end);
+        }
+        const uint64_t from = std::max<uint64_t>(at, kOneValueHead);
+        std::memcpy(page.bytes.data() + (from - at),
+                    value.data() + (from - kOneValueHead),
+                    std::min<uint64_t>(at + kPageSize, end) - from);
+        first_ids->push_back(id);
+        pages->push_back(page);
+      }
+      page_first = id + 1;
+      continue;
+    }
     // Fits if header + (count+2) offsets + bytes stay within the page.
     if (!lens.empty() &&
         sizeof(ValuePageHeader) + (lens.size() + 2) * 4 + byte_total + len >
@@ -324,37 +305,6 @@ Status CorruptPaged(const std::string& path, const std::string& what) {
 
 }  // namespace
 
-// --------------------------------------------------------- BLAS1 write ---
-
-Status SaveSnapshot(const IndexSnapshot& snapshot, const std::string& path) {
-  AtomicFile os(path);
-  if (!os.open()) {
-    return Status::InvalidArgument("cannot open for write: " + path +
-                                   ".tmp");
-  }
-
-  os.Write(kMagic, sizeof(kMagic));
-  WriteU32(os, static_cast<uint32_t>(snapshot.tags.size()));
-  for (const std::string& tag : snapshot.tags) WriteString(os, tag);
-  WriteU32(os, static_cast<uint32_t>(snapshot.max_depth));
-
-  WriteU64(os, snapshot.records.size());
-  for (const NodeRecord& rec : snapshot.records) {
-    WriteU64(os, static_cast<uint64_t>(rec.plabel >> 64));
-    WriteU64(os, static_cast<uint64_t>(rec.plabel));
-    WriteU32(os, rec.start);
-    WriteU32(os, rec.end);
-    WriteU32(os, rec.tag);
-    WriteU32(os, static_cast<uint32_t>(rec.level));
-    WriteU32(os, rec.data);
-  }
-
-  WriteU64(os, snapshot.values.size());
-  for (const std::string& value : snapshot.values) WriteString(os, value);
-
-  return os.Commit();
-}
-
 // ------------------------------------------------------ BLASIDX2 write ---
 
 Status SavePagedSnapshot(const PagedSnapshotParts& parts,
@@ -368,8 +318,7 @@ Status SavePagedSnapshot(const PagedSnapshotParts& parts,
   std::vector<Page> value_pages;
   std::vector<uint32_t> first_ids;
   if (!BuildValuePages(dict, &value_pages, &first_ids)) {
-    return Status::Unsupported(
-        "a dictionary value exceeds one page; use the BLAS1 format");
+    return Status::CapacityExceeded("a dictionary value exceeds 4 GiB");
   }
   std::vector<uint32_t> perm(dict.size());
   std::iota(perm.begin(), perm.end(), 0);
@@ -710,9 +659,9 @@ Result<PagedIndex> OpenPagedSnapshot(const std::string& path) {
     for (uint64_t i = 0; i < h.value_page_count; ++i) {
       uint32_t first;
       if (!vr.U32(&first)) return CorruptPaged(path, "short value index");
-      if ((i == 0 && first != 0) || (i > 0 && first <= prev) ||
-          first >= h.value_count) {
-        return CorruptPaged(path, "value page index not ascending");
+      // Non-decreasing: the pages of a value run repeat its id.
+      if ((i == 0 && first != 0) || first < prev || first >= h.value_count) {
+        return CorruptPaged(path, "value page index out of order");
       }
       prev = first;
       index.dict_layout.page_first_ids.push_back(first);
@@ -722,13 +671,9 @@ Result<PagedIndex> OpenPagedSnapshot(const std::string& path) {
   return index;
 }
 
-// ------------------------------------------------------- BLAS1 loading ---
+// ------------------------------------------------- BLASIDX2 materialize ---
 
-namespace {
-
-/// Full materialization of a BLASIDX2 snapshot into an IndexSnapshot —
-/// the FromIndexFile compatibility path (everything in memory, no paging).
-Result<IndexSnapshot> MaterializePagedSnapshot(const std::string& path) {
+Result<IndexSnapshot> LoadSnapshot(const std::string& path) {
   BLAS_ASSIGN_OR_RETURN(PagedIndex index, OpenPagedSnapshot(path));
   BLAS_ASSIGN_OR_RETURN(PagedFile pool, index.OpenPool());
 
@@ -764,104 +709,28 @@ Result<IndexSnapshot> MaterializePagedSnapshot(const std::string& path) {
     return CorruptPaged(path, "leaf chain shorter than record count");
   }
 
-  // Decode every value page.
-  snapshot.values.reserve(index.dict_layout.count);
-  for (uint32_t i = 0; i < index.dict_layout.value_page_count; ++i) {
-    BLAS_RETURN_NOT_OK(
-        pool.Read(index.dict_layout.first_value_page + i, &page));
-    if (!DecodeValuePage(page, index.dict_layout.page_first_ids[i],
-                         index.dict_layout.count, &snapshot.values)) {
+  // Decode every value-page group (a packed page or one value's run),
+  // each starting at the next unread value id.
+  const PagedDictLayout& dict = index.dict_layout;
+  const std::vector<uint32_t>& firsts = dict.page_first_ids;
+  snapshot.values.reserve(dict.count);
+  for (size_t i = 0; i < firsts.size();) {
+    const size_t group_end =
+        std::upper_bound(firsts.begin() + i, firsts.end(), firsts[i]) -
+        firsts.begin();
+    const PageId head = dict.first_value_page + static_cast<PageId>(i);
+    auto read = [&pool, head](uint32_t k, Page* out) {
+      return pool.Read(head + k, out).ok();
+    };
+    if (firsts[i] != snapshot.values.size() ||
+        !DecodeValuePages(firsts[i], static_cast<uint32_t>(group_end - i),
+                          dict.count, read, &snapshot.values)) {
       return CorruptPaged(path, "corrupt value page");
     }
+    i = group_end;
   }
-  if (snapshot.values.size() != index.dict_layout.count) {
+  if (snapshot.values.size() != dict.count) {
     return CorruptPaged(path, "value pages shorter than value count");
-  }
-  return snapshot;
-}
-
-}  // namespace
-
-Result<IndexSnapshot> LoadSnapshot(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return Status::NotFound("cannot open: " + path);
-
-  // Measure the file once; every untrusted count below is checked against
-  // the bytes actually present before any allocation sized by it.
-  is.seekg(0, std::ios::end);
-  const std::streamoff end_pos = is.tellg();
-  if (end_pos < 0) return Status::Corruption("unsizable file: " + path);
-  const uint64_t file_size = static_cast<uint64_t>(end_pos);
-  is.seekg(0, std::ios::beg);
-
-  char magic[8];
-  if (!is.read(magic, 8)) {
-    return Status::Corruption("bad magic in " + path);
-  }
-  if (std::memcmp(magic, kMagic2, 8) == 0) {
-    is.close();
-    return MaterializePagedSnapshot(path);
-  }
-  if (std::memcmp(magic, kMagic, 8) != 0) {
-    return Status::Corruption("bad magic in " + path);
-  }
-
-  IndexSnapshot snapshot;
-  uint32_t num_tags;
-  // Each tag costs at least its 4-byte length prefix.
-  if (!ReadU32(is, &num_tags) ||
-      uint64_t{num_tags} * 4 > BytesLeft(is, file_size)) {
-    return Status::Corruption("bad tag count in " + path);
-  }
-  snapshot.tags.resize(num_tags);
-  for (std::string& tag : snapshot.tags) {
-    if (!ReadString(is, file_size, &tag)) {
-      return Status::Corruption("truncated tags");
-    }
-  }
-  uint32_t depth;
-  if (!ReadU32(is, &depth) || depth > 100000) {
-    return Status::Corruption("bad depth");
-  }
-  snapshot.max_depth = static_cast<int>(depth);
-
-  uint64_t num_records;
-  // An overstated count would otherwise resize() to a multi-TB buffer; a
-  // record is fixed-width, so the exact remaining-byte bound is known.
-  if (!ReadU64(is, &num_records) ||
-      num_records > BytesLeft(is, file_size) / kRecordBytes) {
-    return Status::Corruption("bad record count");
-  }
-  snapshot.records.resize(num_records);
-  for (NodeRecord& rec : snapshot.records) {
-    uint64_t hi, lo;
-    uint32_t tag, level;
-    if (!ReadU64(is, &hi) || !ReadU64(is, &lo) || !ReadU32(is, &rec.start) ||
-        !ReadU32(is, &rec.end) || !ReadU32(is, &tag) ||
-        !ReadU32(is, &level) || !ReadU32(is, &rec.data)) {
-      return Status::Corruption("truncated records");
-    }
-    // The file stores 32-bit fields; the record's are narrower. Reject,
-    // never truncate, a value that does not fit.
-    if (tag > kMaxTagId || level < 1 || level > 127) {
-      return Status::Corruption("record tag/level out of range in " + path);
-    }
-    rec.plabel = (static_cast<u128>(hi) << 64) | lo;
-    rec.tag = tag;
-    rec.level = static_cast<int32_t>(level);
-  }
-
-  uint64_t num_values;
-  // Same preflight: each value costs at least its 4-byte length prefix.
-  if (!ReadU64(is, &num_values) ||
-      num_values > BytesLeft(is, file_size) / 4) {
-    return Status::Corruption("bad value count");
-  }
-  snapshot.values.resize(num_values);
-  for (std::string& value : snapshot.values) {
-    if (!ReadString(is, file_size, &value)) {
-      return Status::Corruption("truncated values");
-    }
   }
   return snapshot;
 }

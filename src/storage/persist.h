@@ -28,35 +28,6 @@ struct IndexSnapshot {
   std::vector<std::string> values;
 };
 
-/// Writes a snapshot to `path` in the BLAS1 binary format (little-endian,
-/// fixed-width lengths; P-labels stored as two 64-bit halves).
-///
-/// Crash safety (both this writer and SavePagedSnapshot): the bytes go to
-/// `path + ".tmp"`, are flushed and fsync'ed, and only then atomically
-/// renamed over `path` — a crash mid-write leaves the previous good
-/// snapshot untouched; the stale .tmp is simply overwritten next time.
-Status SaveSnapshot(const IndexSnapshot& snapshot, const std::string& path);
-
-/// Reads a snapshot written by SaveSnapshot — or, compatibly, fully
-/// materializes a BLASIDX2 paged snapshot (walking its page segments into
-/// an IndexSnapshot). Fails with Corruption on magic/version mismatch or
-/// truncated input.
-///
-/// BLAS1 validation rules: every count and length in the file is
-/// untrusted until proven affordable. The loader measures the file size
-/// once (a single seek to the end), then before any allocation it checks
-/// that
-///   * the tag count and value count each fit in the remaining bytes at
-///     4 bytes minimum per entry (the length prefix),
-///   * the record count fits at the fixed 36 bytes per record,
-///   * each string's length prefix does not overrun the bytes left.
-/// Each record's 32-bit tag and level are range-checked (tag <= kMaxTagId,
-/// 1 <= level <= 127) before they are narrowed into the NodeRecord.
-/// A corrupt or overstated header therefore fails with Status::Corruption
-/// immediately instead of attempting a multi-terabyte resize(); truncated
-/// payloads are caught by the subsequent bounded reads.
-Result<IndexSnapshot> LoadSnapshot(const std::string& path);
-
 // ------------------------------------------------------------------------
 // BLASIDX2 — the page-aligned, demand-pageable snapshot format.
 //
@@ -81,7 +52,14 @@ Result<IndexSnapshot> LoadSnapshot(const std::string& path);
 //                                             (0xFFFFFFFF = root child),
 //                                             u32 tag, u64 count
 //                          [value page index] u32 first value id of each
-//                                             value page
+//                                             value page (non-decreasing:
+//                                             every page of a value run
+//                                             repeats the run's id)
+//
+// A value longer than kMaxPagedValue gets a run of value pages to itself
+// (PagedDictLayout). Files without one lay out as before runs existed, so
+// runs needed no version bump; an older reader rejects a file holding one
+// (its value page index is not strictly ascending), never misreads it.
 //
 // Tree leaf pages (version 3): a 16-byte header (is_leaf, count, next
 // leaf, pad) followed by up to 255 native 32-byte NodeRecords — u128
@@ -113,7 +91,7 @@ Result<IndexSnapshot> LoadSnapshot(const std::string& path);
 //     sum (with it) to pool_pages;
 //   * tag table, summary and value-page-index entries must parse within
 //     their declared byte lengths; summary parents must precede their
-//     children; the value page index must start at 0 and ascend;
+//     children; the value page index must start at 0 and never descend;
 //   * every count is bounded by its segment's bytes before any resize().
 // Violations fail with Status::Corruption. At run time, a page id that
 // still escapes range (and any short read) yields an empty PageRef,
@@ -180,15 +158,26 @@ struct PagedSnapshotParts {
   int max_depth = 0;
 };
 
-/// Writes a BLASIDX2 paged snapshot (atomically, like SaveSnapshot).
-/// Fails with Unsupported if a single dictionary value exceeds one page's
-/// payload (such corpora must use the BLAS1 format).
+/// Writes a BLASIDX2 paged snapshot. Crash safety: the bytes go to
+/// `path + ".tmp"`, are flushed and fsync'ed, and only then atomically
+/// renamed over `path` — a crash mid-write leaves the previous good
+/// snapshot untouched; the stale .tmp is simply overwritten next time.
+/// Values of any length up to 4 GiB are stored (CapacityExceeded beyond).
 Status SavePagedSnapshot(const PagedSnapshotParts& parts,
                          const std::string& path);
 
 /// Reads and validates a BLASIDX2 header and its eager segments (see the
 /// validation rules above). O(1) in document size.
 Result<PagedIndex> OpenPagedSnapshot(const std::string& path);
+
+/// Fully materializes a BLASIDX2 snapshot into an IndexSnapshot (the
+/// FromIndexFile path): OpenPagedSnapshot's preflight, then the SP leaf
+/// chain and every value page, whose untrusted payloads are checked as
+/// they are read (leaf counts, the chain staying in its segment, value
+/// groups decoded by the same DecodeValuePages as the paged dictionary).
+/// Fails with NotFound for a missing file and Corruption for anything
+/// else that is not a valid current-version BLASIDX2 file.
+Result<IndexSnapshot> LoadSnapshot(const std::string& path);
 
 }  // namespace blas
 

@@ -13,25 +13,46 @@ const std::string kEmptyValue;
 
 }  // namespace
 
-bool DecodeValuePage(const Page& page, uint32_t expected_first,
-                     uint64_t value_count, std::vector<std::string>* out) {
+bool DecodeValuePages(uint32_t expected_first, uint32_t group_pages,
+                      uint64_t value_count, const ValuePageReader& read,
+                      std::vector<std::string>* out) {
+  Page page;
+  if (group_pages == 0 || !read(0, &page)) return false;
   const auto* header = page.As<ValuePageHeader>();
   if (header->first_id != expected_first) return false;
   const uint64_t max_count = (kPageSize - sizeof(ValuePageHeader)) / 4 - 1;
   if (header->count == 0 || header->count > max_count) return false;
+  if (group_pages > 1 && header->count != 1) return false;
   if (uint64_t{header->first_id} + header->count > value_count) return false;
   const auto* offsets = reinterpret_cast<const uint32_t*>(
       page.bytes.data() + sizeof(ValuePageHeader));
   uint32_t prev = static_cast<uint32_t>(sizeof(ValuePageHeader) +
                                         (header->count + 1) * 4);
-  for (uint32_t i = 0; i <= header->count; ++i) {
+  for (uint32_t i = 0; i < header->count; ++i) {
     if (offsets[i] < prev || offsets[i] > kPageSize) return false;
     prev = offsets[i];
   }
-  const char* base = reinterpret_cast<const char*>(page.bytes.data());
-  for (uint32_t i = 0; i < header->count; ++i) {
-    out->emplace_back(base + offsets[i], offsets[i + 1] - offsets[i]);
+  // The end offset ends in the group's last page: a packed page's within
+  // the page, a run's exactly `group_pages` pages into the run.
+  const uint32_t end = offsets[header->count];
+  if (end < prev || (end + kPageSize - 1) / kPageSize != group_pages) {
+    return false;
   }
+  const char* base = reinterpret_cast<const char*>(page.bytes.data());
+  if (group_pages == 1) {
+    for (uint32_t i = 0; i < header->count; ++i) {
+      out->emplace_back(base + offsets[i], offsets[i + 1] - offsets[i]);
+    }
+    return true;
+  }
+  // A run: byte j of page k is byte k * kPageSize + j of the value's span.
+  std::string value(base + offsets[0], kPageSize - offsets[0]);
+  value.reserve(end - offsets[0]);
+  for (uint32_t k = 1; k < group_pages; ++k) {
+    if (!read(k, &page)) return false;
+    value.append(base, std::min<size_t>(kPageSize, end - k * kPageSize));
+  }
+  out->push_back(std::move(value));
   return true;
 }
 
@@ -60,36 +81,41 @@ const std::string& StringDict::PagedGet(uint32_t id) const {
     assert(false && "dictionary id out of range");
     return kEmptyValue;
   }
-  // Locate the page: page_first_ids is ascending, one entry per page.
-  auto it = std::upper_bound(layout_.page_first_ids.begin(),
-                             layout_.page_first_ids.end(), id);
-  assert(it != layout_.page_first_ids.begin());
-  uint32_t page_index =
-      static_cast<uint32_t>(it - layout_.page_first_ids.begin() - 1);
+  // Locate the page group: page_first_ids is non-decreasing, and every
+  // page of a run carries the run's id, so the group holding `id` is the
+  // equal range of the last first id <= `id`.
+  const std::vector<uint32_t>& firsts = layout_.page_first_ids;
+  auto group_end = std::upper_bound(firsts.begin(), firsts.end(), id);
+  assert(group_end != firsts.begin());
+  auto group = std::lower_bound(firsts.begin(), group_end, *(group_end - 1));
+  const uint32_t page_index = static_cast<uint32_t>(group - firsts.begin());
 
   MutexLock lock(decode_mu_);
   auto cached = decoded_.find(page_index);
   if (cached == decoded_.end()) {
-    PageRef ref = pool_->Fetch(layout_.first_value_page + page_index);
-    if (!ref) {
-      assert(false && "value page unreadable");
-      return kEmptyValue;
-    }
-    std::vector<std::string> page_values;
-    if (!DecodeValuePage(*ref.get(), layout_.page_first_ids[page_index],
-                         layout_.count, &page_values)) {
+    // Copy each page out and drop its pin before fetching the next.
+    const PageId head = layout_.first_value_page + page_index;
+    auto read = [this, head](uint32_t k, Page* page) {
+      PageRef ref = pool_->Fetch(head + k);
+      if (!ref) return false;
+      *page = *ref;
+      return true;
+    };
+    std::vector<std::string> group_values;
+    if (!DecodeValuePages(*group, static_cast<uint32_t>(group_end - group),
+                          layout_.count, read, &group_values)) {
       assert(false && "corrupt value page");
       return kEmptyValue;
     }
-    cached = decoded_.emplace(page_index, std::move(page_values)).first;
+    cached = decoded_.emplace(page_index, std::move(group_values)).first;
   }
-  const std::vector<std::string>& page_values = cached->second;
-  uint32_t slot = id - layout_.page_first_ids[page_index];
-  if (slot >= page_values.size()) {
+  const std::vector<std::string>& group_values = cached->second;
+  uint32_t slot = id - *group;
+  if (slot >= group_values.size()) {
     assert(false && "value slot out of range");
     return kEmptyValue;
   }
-  return page_values[slot];
+  return group_values[slot];
 }
 
 uint32_t StringDict::PermEntry(uint64_t k) const {

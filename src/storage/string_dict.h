@@ -2,6 +2,7 @@
 #define BLAS_STORAGE_STRING_DICT_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -20,7 +21,12 @@ namespace blas {
 ///   * value pages — `{u32 count; u32 first_id; u32 offsets[count+1];
 ///     char bytes[]}`: string i of the page spans
 ///     [offsets[i], offsets[i+1]) from the page start. Values are packed
-///     in id order, one value never split across pages.
+///     in id order. A value longer than one page's payload gets a *run*
+///     of consecutive pages to itself: the head page has count 1 and an
+///     end offset `offsets[1]` past the page, and the following pages
+///     hold the rest of its bytes raw — the run reads as one span of
+///     `ceil(offsets[1] / kPageSize)` pages. The next value starts a
+///     fresh page.
 ///   * permutation pages — a flat u32 array (kPermPerPage per page) of
 ///     value ids ordered by byte-wise string comparison; `Find` binary
 ///     searches it with one page read per probe.
@@ -32,6 +38,7 @@ struct PagedDictLayout {
   uint32_t perm_page_count = 0;
   /// First value id of each value page, in page order (loaded eagerly
   /// from the snapshot's value-page-index segment; 4 bytes per page).
+  /// Non-decreasing: every page of a run carries the run's value id.
   std::vector<uint32_t> page_first_ids;
 };
 
@@ -42,18 +49,32 @@ struct ValuePageHeader {
   // uint32_t offsets[count + 1] follow, then the packed bytes.
 };
 
+/// Longest value a packed page holds: the page less its header and two
+/// offsets. A longer value spills onto a run.
+inline constexpr size_t kMaxPagedValue =
+    kPageSize - sizeof(ValuePageHeader) - 2 * sizeof(uint32_t);
+
 inline constexpr size_t kPermPerPage = kPageSize / sizeof(uint32_t);
 
-/// Validates and decodes one value page, appending its strings to `out`.
+/// Reads page `k` (0 = the head) of a value-page group into `page`;
+/// false when the page is unreadable.
+using ValuePageReader = std::function<bool(uint32_t k, Page* page)>;
+
+/// Validates and decodes one value-page group — a packed page
+/// (`group_pages` == 1) or the run of one long value — appending its
+/// strings to `out`, reading the pages one at a time through `read`.
 /// Page payloads are untrusted (the snapshot preflight validates the
-/// directory only): the count is capped by the page's capacity, first_id
-/// must match `expected_first`, the id range must fit `value_count`, and
-/// the offsets must ascend within the page. One shared implementation
-/// serves both read paths — the query-time paged dictionary and the
-/// materializing snapshot loader — so they accept exactly the same
-/// pages. Returns false (appending nothing) on any violation.
-bool DecodeValuePage(const Page& page, uint32_t expected_first,
-                     uint64_t value_count, std::vector<std::string>* out);
+/// directory only): the count is capped by the page's capacity (and is 1
+/// in a run), first_id must match `expected_first`, the id range must fit
+/// `value_count`, the offsets must ascend within the head page, and the
+/// end offset must end in the group's last page, so a run's length equals
+/// `ceil(offsets[1] / kPageSize)`. Both read paths — the query-time paged
+/// dictionary and the materializing snapshot loader — share it, so they
+/// accept exactly the same pages. Returns false (appending nothing) on
+/// any violation.
+bool DecodeValuePages(uint32_t expected_first, uint32_t group_pages,
+                      uint64_t value_count, const ValuePageReader& read,
+                      std::vector<std::string>* out);
 
 /// \brief Dictionary encoding for PCDATA values.
 ///
@@ -61,8 +82,8 @@ bool DecodeValuePage(const Page& page, uint32_t expected_first,
 /// value predicates become integer comparisons after one lookup.
 ///
 /// Two modes:
-///   * **In-memory** (build time and BLAS1 snapshots): all values resident,
-///     lock-free lookups.
+///   * **In-memory** (build time and `FromIndexFile`): all values
+///     resident, lock-free lookups.
 ///   * **Paged** (`AttachPaged`, BLASIDX2 snapshots): values live in
 ///     page-granular segments of the snapshot file and are read through
 ///     the store's BufferPool on demand (counted as page fetches /
@@ -76,10 +97,11 @@ bool DecodeValuePage(const Page& page, uint32_t expected_first,
 ///     one latch per dictionary; value-projection-heavy concurrent
 ///     workloads pay that contention, index scans never do.
 ///     The pool's storage backend is transparent here: each raw page is
-///     held only inside one decode call (a short-lived PageRef, valid
+///     pinned only while it is copied out (a short-lived PageRef, valid
 ///     across DropCache under every backend — pread pins the frame, mmap
-///     pins the mapping epoch), and everything returned to callers is
-///     copied into the memo.
+///     pins the mapping epoch), one page at a time even across a run, so
+///     a 2-frame pool that already pins a scan leaf still makes
+///     progress; everything returned to callers is copied into the memo.
 ///
 /// Concurrency: both modes are safe for concurrent readers once
 /// construction/attachment finishes (`Intern` is build-time only).
@@ -145,7 +167,8 @@ class StringDict {
   const BufferPool* pool_ = nullptr;
   // blas-analyze: allow(guarded-coverage) -- set once by AttachPaged
   PagedDictLayout layout_;
-  /// Decoded value pages, keyed by page index within the value segment.
+  /// Decoded value-page groups, keyed by the index of the group's first
+  /// page within the value segment.
   /// References returned by Get point into these vectors; entries are
   /// never removed, so they stay valid. (A rehash moves the vectors, not
   /// their heap buffers.)

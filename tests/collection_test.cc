@@ -174,8 +174,8 @@ TEST(CollectionTest, ExecuteEqualsPoolLessCursorDrain) {
 
 TEST(CollectionTest, AddFromIndexFile) {
   BlasSystem sys = MustBuild("<a><b>x</b></a>");
-  std::string path = testing::TempDir() + "/coll.idx";
-  ASSERT_TRUE(sys.SaveIndex(path).ok());
+  std::string path = testing::TempDir() + "/coll.idx2";
+  ASSERT_TRUE(sys.SavePagedIndex(path).ok());
   BlasCollection coll;
   ASSERT_TRUE(coll.AddIndexFile("persisted", path).ok());
   Result<BlasCollection::CollectionResult> r =

@@ -183,6 +183,43 @@ TEST(LiveCollectionTest, AddReplaceRemoveAndReopen) {
   EXPECT_EQ(Drained(**reopened, "//item/name"), final_answer);
 }
 
+TEST(LiveCollectionTest, ValueLongerThanAPageIngestsAndSurvivesReopen) {
+  // A shard is a BLASIDX2 snapshot; a value past one page's payload
+  // spills onto a run of value pages instead of refusing the document.
+  TempDirs dirs;
+  std::string dir = dirs.Make("long_value");
+  const std::string note(10000, 'x');
+  const std::string lookup = "//note=\"" + note + "\"";
+  std::string answer;
+  {
+    Result<std::unique_ptr<LiveCollection>> open = LiveCollection::Open(dir);
+    ASSERT_TRUE(open.ok()) << open.status();
+    LiveCollection& live = **open;
+    ASSERT_TRUE(live.AddDocument(
+                        "probe", "<site><item><note>" + note +
+                                     "</note></item></site>")
+                    .ok());
+    Result<BlasCollection::CollectionResult> r =
+        live.Execute("//item/note", ValueQuery());
+    ASSERT_TRUE(r.ok()) << r.status();
+    ASSERT_EQ(r->total_matches, 1u);
+    EXPECT_TRUE(r->docs[0].matches[0].content == note);
+    Result<BlasCollection::CollectionResult> hit =
+        live.Execute(lookup, QueryOptions{});
+    ASSERT_TRUE(hit.ok()) << hit.status();
+    EXPECT_EQ(hit->total_matches, 1u);
+    answer = Drained(live, "//item/note");
+  }
+  Result<std::unique_ptr<LiveCollection>> reopened =
+      LiveCollection::Open(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_TRUE(Drained(**reopened, "//item/note") == answer);
+  Result<BlasCollection::CollectionResult> hit =
+      (*reopened)->Execute(lookup, QueryOptions{});
+  ASSERT_TRUE(hit.ok()) << hit.status();
+  EXPECT_EQ(hit->total_matches, 1u);
+}
+
 TEST(LiveCollectionTest, BatchPublishesAsOneEpoch) {
   TempDirs dirs;
   Result<std::unique_ptr<LiveCollection>> open =

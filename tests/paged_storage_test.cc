@@ -1,13 +1,16 @@
 // Demand-paged storage: BLASIDX2 round trips (byte-identical answers under
 // a 4-frame budget vs unlimited memory, across translators and engines),
-// real-I/O accounting, eviction bounds, BLAS1 <-> BLASIDX2 equivalence,
-// corrupt-directory preflight rejection, atomic snapshot replacement, and
+// real-I/O accounting, eviction bounds, materialized vs paged equivalence,
+// values longer than a page (page runs), corrupt-directory and corrupt-
+// payload rejection, atomic snapshot replacement, and
 // DropCache/ResetStats vs concurrent readers (runs under the TSan CI job).
 //
 // The cache-pressure CI job re-runs this binary with BLAS_PAGED_FRAMES=2
 // to shrink every paged pool to the minimum that still makes progress.
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -222,48 +225,47 @@ TEST(PagedStorageTest, EvictionKeepsResidentFramesWithinBudget) {
 
 // ------------------------------------------- format interoperability ---
 
-TEST(PagedStorageTest, Blas1AndBlas2SnapshotsAreEquivalent) {
+TEST(PagedStorageTest, MaterializedAndPagedSnapshotsAreEquivalent) {
   BlasSystem original = BuildRandom(11);
-  std::string blas1 = TempPath("equiv.idx");
-  std::string blas2 = TempPath("equiv.idx2");
-  ASSERT_TRUE(original.SaveIndex(blas1).ok());
-  ASSERT_TRUE(original.SavePagedIndex(blas2).ok());
+  std::string path = TempPath("equiv.idx2");
+  ASSERT_TRUE(original.SavePagedIndex(path).ok());
 
-  // LoadSnapshot materializes both formats into identical snapshots
-  // (SaveIndex exports in (plabel, start) order; the BLASIDX2 walk reads
-  // the SP leaf chain, which is the same order).
-  Result<IndexSnapshot> s1 = LoadSnapshot(blas1);
-  Result<IndexSnapshot> s2 = LoadSnapshot(blas2);
-  ASSERT_TRUE(s1.ok()) << s1.status();
-  ASSERT_TRUE(s2.ok()) << s2.status();
-  EXPECT_EQ(s1->tags, s2->tags);
-  EXPECT_EQ(s1->max_depth, s2->max_depth);
-  EXPECT_EQ(s1->values, s2->values);
-  ASSERT_EQ(s1->records.size(), s2->records.size());
-  for (size_t i = 0; i < s1->records.size(); ++i) {
-    EXPECT_EQ(s1->records[i].plabel, s2->records[i].plabel) << i;
-    EXPECT_EQ(s1->records[i].start, s2->records[i].start) << i;
-    EXPECT_EQ(s1->records[i].end, s2->records[i].end) << i;
-    EXPECT_EQ(s1->records[i].tag, s2->records[i].tag) << i;
-    EXPECT_EQ(s1->records[i].level, s2->records[i].level) << i;
-    EXPECT_EQ(s1->records[i].data, s2->records[i].data) << i;
+  // LoadSnapshot materializes exactly what was saved: the SP leaf chain
+  // is in (plabel, start) order, like ExportRecords.
+  Result<IndexSnapshot> snap = LoadSnapshot(path);
+  ASSERT_TRUE(snap.ok()) << snap.status();
+  EXPECT_EQ(snap->max_depth, original.doc_stats().depth);
+  ASSERT_EQ(snap->tags.size(), original.tags().size());
+  for (TagId id = 1; id <= original.tags().size(); ++id) {
+    EXPECT_EQ(snap->tags[id - 1], original.tags().Name(id));
+  }
+  ASSERT_EQ(snap->values.size(), original.dict().size());
+  for (uint32_t id = 0; id < original.dict().size(); ++id) {
+    EXPECT_EQ(snap->values[id], original.dict().Get(id)) << id;
+  }
+  std::vector<NodeRecord> records = original.store().ExportRecords();
+  ASSERT_EQ(snap->records.size(), records.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(snap->records[i].plabel, records[i].plabel) << i;
+    EXPECT_EQ(snap->records[i].start, records[i].start) << i;
+    EXPECT_EQ(snap->records[i].end, records[i].end) << i;
+    EXPECT_EQ(snap->records[i].tag, records[i].tag) << i;
+    EXPECT_EQ(snap->records[i].level, records[i].level) << i;
+    EXPECT_EQ(snap->records[i].data, records[i].data) << i;
   }
 
-  // The BLAS1 -> BLASIDX2 round trip: materialize the old format, save
-  // paged, reopen paged — answers agree with the original system.
-  Result<BlasSystem> from1 = BlasSystem::FromIndexFile(blas1);
-  ASSERT_TRUE(from1.ok()) << from1.status();
-  std::string blas2b = TempPath("equiv_rt.idx2");
-  ASSERT_TRUE(from1->SavePagedIndex(blas2b).ok());
-  Result<BlasSystem> paged = BlasSystem::OpenPaged(blas2b, TinyBudget(4));
+  // The materialize -> save -> page round trip: answers agree with the
+  // original system on every leg.
+  Result<BlasSystem> materialized = BlasSystem::FromIndexFile(path);
+  ASSERT_TRUE(materialized.ok()) << materialized.status();
+  std::string resaved = TempPath("equiv_rt.idx2");
+  ASSERT_TRUE(materialized->SavePagedIndex(resaved).ok());
+  Result<BlasSystem> paged = BlasSystem::OpenPaged(resaved, TinyBudget(4));
   ASSERT_TRUE(paged.ok()) << paged.status();
-  // FromIndexFile accepts the paged format too (full materialization).
-  Result<BlasSystem> from2 = BlasSystem::FromIndexFile(blas2);
-  ASSERT_TRUE(from2.ok()) << from2.status();
   for (const char* q : {"//t3", "/root/t1", "//t1//t4", "//t0[t1=\"v7\"]"}) {
     Result<QueryResult> a = original.Execute(q, QueryOptions{});
     Result<QueryResult> b = paged->Execute(q, QueryOptions{});
-    Result<QueryResult> c = from2->Execute(q, QueryOptions{});
+    Result<QueryResult> c = materialized->Execute(q, QueryOptions{});
     ASSERT_TRUE(a.ok() && b.ok() && c.ok()) << q;
     EXPECT_EQ(a->starts, b->starts) << q;
     EXPECT_EQ(a->starts, c->starts) << q;
@@ -301,18 +303,16 @@ TEST(PagedStorageTest, DeepestCodecLevelRoundTripsThroughEveryFormat) {
   const NodeRecord deepest = DeepestRecord(*original);
   EXPECT_EQ(deepest.level, kDepth);
 
-  std::string blas1 = TempPath("deep.idx");
-  std::string blas2 = TempPath("deep.idx2");
-  ASSERT_TRUE(original->SaveIndex(blas1).ok());
-  ASSERT_TRUE(original->SavePagedIndex(blas2).ok());
-  Result<BlasSystem> from1 = BlasSystem::FromIndexFile(blas1);
-  ASSERT_TRUE(from1.ok()) << from1.status();
-  Result<BlasSystem> paged = BlasSystem::OpenPaged(blas2, TinyBudget(2));
+  std::string path = TempPath("deep.idx2");
+  ASSERT_TRUE(original->SavePagedIndex(path).ok());
+  Result<BlasSystem> materialized = BlasSystem::FromIndexFile(path);
+  ASSERT_TRUE(materialized.ok()) << materialized.status();
+  Result<BlasSystem> paged = BlasSystem::OpenPaged(path, TinyBudget(2));
   ASSERT_TRUE(paged.ok()) << paged.status();
 
   std::string full_path;
   for (int i = 0; i < kDepth; ++i) full_path += "/a";
-  for (const BlasSystem* sys : {&*original, &*from1, &*paged}) {
+  for (const BlasSystem* sys : {&*original, &*materialized, &*paged}) {
     const NodeRecord rec = DeepestRecord(*sys);
     EXPECT_EQ(rec.level, kDepth);
     EXPECT_EQ(rec.plabel, deepest.plabel);
@@ -354,6 +354,7 @@ constexpr size_t kOffPoolPages = 64;
 constexpr size_t kOffSpRoot = 80;
 constexpr size_t kOffFirstValuePage = 208;
 constexpr size_t kOffTagBytes = 240;
+constexpr size_t kOffValueIndexPage = 272;
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -510,23 +511,180 @@ TEST_F(PagedCorruptionTest, CorruptValuePagePayloadIsContained) {
 #endif
 }
 
+// ------------------------------------------- values longer than a page ---
+
+/// Text of the <t> elements of the long-value document, in document (and
+/// dictionary id) order: a short value, one that exactly fills a packed
+/// page, the shortest run, then adjacent runs (10,000 bytes and four
+/// pages), a run between short values, and a run at the end of the value
+/// segment. Each text cycles through the alphabet from its own offset,
+/// so a byte copied from the wrong page or offset shows.
+std::vector<std::string> LongValueTexts() {
+  const size_t lengths[] = {5,     kMaxPagedValue, kMaxPagedValue + 1,
+                            10000, 3 * kPageSize,  7,
+                            20000, 9,              9000};
+  std::vector<std::string> texts;
+  for (size_t length : lengths) {
+    std::string text(length, '\0');
+    for (size_t j = 0; j < length; ++j) {
+      text[j] = static_cast<char>('a' + (texts.size() + 7 * j) % 26);
+    }
+    texts.push_back(std::move(text));
+  }
+  return texts;
+}
+
+/// The long-value document: `<r><t>text</t>...</r>`.
+std::string LongValueXml(const std::vector<std::string>& texts) {
+  std::string xml = "<r>";
+  for (const std::string& text : texts) xml += "<t>" + text + "</t>";
+  return xml + "</r>";
+}
+
+/// Checks `sys` answers the long-value document: value projection of
+/// every <t>, and an equality lookup of every literal. Pass `broken` to
+/// expect that one value to project empty instead.
+void ExpectLongValues(const BlasSystem& sys,
+                      const std::vector<std::string>& texts,
+                      size_t broken = SIZE_MAX) {
+  QueryOptions project;
+  project.projection = Projection::kValue;
+  Result<QueryResult> all = sys.Execute("//t", project);
+  ASSERT_TRUE(all.ok()) << all.status();
+  ASSERT_EQ(all->matches.size(), texts.size());
+  for (size_t i = 0; i < texts.size(); ++i) {
+    // EXPECT_TRUE, not EXPECT_EQ: a failure must not print 20 KB.
+    EXPECT_TRUE(all->matches[i].content ==
+                (i == broken ? std::string() : texts[i]))
+        << "value " << i << " projects " << all->matches[i].content.size()
+        << " bytes";
+  }
+  if (broken != SIZE_MAX) return;
+  EXPECT_EQ(sys.doc_stats().distinct_values, texts.size());
+  for (size_t i = 0; i < texts.size(); ++i) {
+    Result<QueryResult> hit =
+        sys.Execute("//t=\"" + texts[i] + "\"", QueryOptions{});
+    ASSERT_TRUE(hit.ok()) << hit.status();
+    EXPECT_EQ(hit->starts, std::vector<uint32_t>{all->matches[i].start})
+        << "value " << i;
+  }
+}
+
+TEST(PagedStorageTest, ValuesLongerThanAPageSpillOntoPageRuns) {
+  const std::vector<std::string> texts = LongValueTexts();
+  Result<BlasSystem> original = BlasSystem::FromXml(LongValueXml(texts));
+  ASSERT_TRUE(original.ok()) << original.status();
+  std::string path = TempPath("long_values.idx2");
+  ASSERT_TRUE(original->SavePagedIndex(path).ok());
+
+  // The layout: a run per long value, its id repeated on every page of
+  // it, and the value after a run on a fresh page.
+  Result<PagedIndex> index = OpenPagedSnapshot(path);
+  ASSERT_TRUE(index.ok()) << index.status();
+  EXPECT_EQ(index->dict_layout.page_first_ids,
+            (std::vector<uint32_t>{0, 1, 2, 2, 3, 3, 4, 4, 4, 4, 5, 6, 6, 6,
+                                   7, 8, 8}));
+
+  // Two frames: a query pins a scan leaf in one, and a run's pages pass
+  // through the other one at a time.
+  Result<BlasSystem> paged = BlasSystem::OpenPaged(path, TinyBudget(2));
+  ASSERT_TRUE(paged.ok()) << paged.status();
+  Result<BlasSystem> materialized = BlasSystem::FromIndexFile(path);
+  ASSERT_TRUE(materialized.ok()) << materialized.status();
+  for (const BlasSystem* sys : {&*original, &*materialized, &*paged}) {
+    ExpectLongValues(*sys, texts);
+  }
+}
+
+TEST(PagedStorageTest, CorruptValueRunsAreRejected) {
+  const std::vector<std::string> texts = LongValueTexts();
+  Result<BlasSystem> original = BlasSystem::FromXml(LongValueXml(texts));
+  ASSERT_TRUE(original.ok()) << original.status();
+  std::string path = TempPath("long_values_base.idx2");
+  ASSERT_TRUE(original->SavePagedIndex(path).ok());
+  Result<PagedIndex> index = OpenPagedSnapshot(path);
+  ASSERT_TRUE(index.ok()) << index.status();
+  const std::string bytes = ReadFile(path);
+
+  struct Case {
+    const char* what;
+    uint32_t value;       // the run's value id
+    int32_t extra_pages;  // added to the head's end offset, in pages
+  };
+  for (Case c : {Case{"end offset one page short of the run", 4, -1},
+                 Case{"end offset one page past the run", 3, 1},
+                 Case{"run cut short by the end of the value segment", 8,
+                      1}}) {
+    const std::vector<uint32_t>& firsts = index->dict_layout.page_first_ids;
+    const size_t head =
+        std::lower_bound(firsts.begin(), firsts.end(), c.value) -
+        firsts.begin();
+    const size_t end_offset =
+        (1 + index->dict_layout.first_value_page + head) * kPageSize + 12;
+    std::string bad = bytes;
+    uint32_t end = 0;
+    std::memcpy(&end, bad.data() + end_offset, 4);
+    PatchU32(&bad, end_offset, end + c.extra_pages * int32_t{kPageSize});
+    std::string bad_path = TempPath("corrupt_run.idx2");
+    WriteFile(bad_path, bad);
+
+    Result<IndexSnapshot> snap = LoadSnapshot(bad_path);
+    EXPECT_EQ(snap.status().code(), StatusCode::kCorruption) << c.what;
+    EXPECT_EQ(BlasSystem::FromIndexFile(bad_path).status().code(),
+              StatusCode::kCorruption)
+        << c.what;
+#ifdef NDEBUG
+    // The paged dictionary refuses the run at decode time: its value
+    // projects empty, every other value still reads back.
+    Result<BlasSystem> paged = BlasSystem::OpenPaged(bad_path, TinyBudget(2));
+    ASSERT_TRUE(paged.ok()) << paged.status();
+    ExpectLongValues(*paged, texts, c.value);
+#endif
+  }
+}
+
+TEST(PagedStorageTest, ValuePageIndexGapRejected) {
+  // Value page 1 and its index entry both skip one id, so every page
+  // decodes on its own and the total count still adds up; only the
+  // loader's "each group starts at the next unread id" check sees the
+  // gap, which would otherwise shift every later value onto the wrong id.
+  std::string xml = "<r>";
+  for (int i = 0; i < 3000; ++i) xml += "<t>value" + std::to_string(i) + "</t>";
+  Result<BlasSystem> sys = BlasSystem::FromXml(xml + "</r>");
+  ASSERT_TRUE(sys.ok()) << sys.status();
+  std::string path = TempPath("vpi_gap_base.idx2");
+  ASSERT_TRUE(sys->SavePagedIndex(path).ok());
+  Result<PagedIndex> index = OpenPagedSnapshot(path);
+  ASSERT_TRUE(index.ok()) << index.status();
+  ASSERT_GE(index->dict_layout.value_page_count, 3u);
+  const uint32_t skipped = index->dict_layout.page_first_ids[1] + 1;
+
+  std::string bad = ReadFile(path);
+  uint64_t vpi_page = 0;
+  std::memcpy(&vpi_page, bad.data() + kOffValueIndexPage, 8);
+  PatchU32(&bad, vpi_page * kPageSize + 4, skipped);
+  PatchU32(&bad,
+           (2 + size_t{index->dict_layout.first_value_page}) * kPageSize + 4,
+           skipped);  // value page 1's header first_id
+  std::string bad_path = TempPath("vpi_gap.idx2");
+  WriteFile(bad_path, bad);
+  ASSERT_TRUE(OpenPagedSnapshot(bad_path).ok());
+  EXPECT_EQ(LoadSnapshot(bad_path).status().code(), StatusCode::kCorruption);
+}
+
 // ------------------------------------------------------- atomic saves ---
 
 TEST(PagedStorageTest, SavesAreAtomicReplacements) {
   BlasSystem sys = BuildRandom(31);
-  std::string p1 = TempPath("atomic.idx");
   std::string p2 = TempPath("atomic.idx2");
-  ASSERT_TRUE(sys.SaveIndex(p1).ok());
   ASSERT_TRUE(sys.SavePagedIndex(p2).ok());
   // No temp litter once the save committed.
-  EXPECT_FALSE(std::ifstream(p1 + ".tmp").good());
   EXPECT_FALSE(std::ifstream(p2 + ".tmp").good());
 
   // Overwriting an existing snapshot goes through the same tmp + rename;
   // the result is the fresh file, not a torn mix.
-  ASSERT_TRUE(sys.SaveIndex(p1).ok());
   ASSERT_TRUE(sys.SavePagedIndex(p2).ok());
-  EXPECT_TRUE(BlasSystem::FromIndexFile(p1).ok());
+  EXPECT_TRUE(BlasSystem::FromIndexFile(p2).ok());
   EXPECT_TRUE(BlasSystem::OpenPaged(p2).ok());
 
   // An unwritable target fails up front and leaves the old file intact.

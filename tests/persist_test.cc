@@ -1,4 +1,5 @@
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 
@@ -13,36 +14,6 @@ namespace {
 
 std::string TempPath(const std::string& name) {
   return testing::TempDir() + "/" + name;
-}
-
-TEST(PersistTest, SnapshotRoundTrip) {
-  IndexSnapshot snap;
-  snap.tags = {"alpha", "beta", "@id"};
-  snap.max_depth = 9;
-  NodeRecord rec;
-  rec.plabel = (static_cast<u128>(0x1234) << 64) | 0x5678;  // >64-bit label
-  rec.start = 3;
-  rec.end = 9;
-  rec.tag = 2;
-  rec.level = 4;
-  rec.data = 1;
-  snap.records = {rec};
-  snap.values = {"hello", "world"};
-
-  std::string path = TempPath("roundtrip.idx");
-  ASSERT_TRUE(SaveSnapshot(snap, path).ok());
-  Result<IndexSnapshot> loaded = LoadSnapshot(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->tags, snap.tags);
-  EXPECT_EQ(loaded->max_depth, 9);
-  ASSERT_EQ(loaded->records.size(), 1u);
-  EXPECT_EQ(loaded->records[0].plabel, rec.plabel);
-  EXPECT_EQ(loaded->records[0].start, rec.start);
-  EXPECT_EQ(loaded->records[0].end, rec.end);
-  EXPECT_EQ(loaded->records[0].tag, rec.tag);
-  EXPECT_EQ(loaded->records[0].level, rec.level);
-  EXPECT_EQ(loaded->records[0].data, rec.data);
-  EXPECT_EQ(loaded->values, snap.values);
 }
 
 TEST(PersistTest, MissingFile) {
@@ -65,7 +36,7 @@ TEST(PersistTest, TruncatedFileRejected) {
   // Write a valid index, then truncate it progressively.
   BlasSystem sys = MustBuild("<a><b>x</b><c k=\"v\"/></a>");
   std::string path = TempPath("trunc.idx");
-  ASSERT_TRUE(sys.SaveIndex(path).ok());
+  ASSERT_TRUE(sys.SavePagedIndex(path).ok());
 
   std::ifstream in(path, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
@@ -96,98 +67,147 @@ void WriteBytes(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-std::string ValidHeaderNoTags() {
-  std::string bytes = "BLASIDX1";
-  AppendU32(&bytes, 0);  // no tags
-  AppendU32(&bytes, 3);  // depth
-  return bytes;
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Little-endian `width`-byte integer at `off`.
+uint64_t GetLe(const std::string& bytes, size_t off, int width) {
+  uint64_t v = 0;
+  for (int i = width - 1; i >= 0; --i) {
+    v = (v << 8) | static_cast<uint8_t>(bytes[off + i]);
+  }
+  return v;
+}
+
+void PutLe(std::string* bytes, size_t off, int width, uint64_t v) {
+  for (int i = 0; i < width; ++i) {
+    (*bytes)[off + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  }
+}
+
+/// BLASIDX2 header offsets (see persist.h): the counts, then the SP tree
+/// meta, whose second u32 is the first leaf's pool page.
+constexpr size_t kOffNodeCount = 40;
+constexpr size_t kOffTagCount = 48;
+constexpr size_t kOffValueCount = 56;
+constexpr size_t kOffSpFirstLeaf = 84;
+constexpr size_t kOffTagSegmentPage = 224;
+
+/// A saved BLASIDX2 snapshot of a small document with values and
+/// attributes, as raw bytes.
+std::string SavedSnapshot(const std::string& name) {
+  BlasSystem sys = MustBuild(
+      "<a><b>x</b><b>y</b><c k=\"v\"><b>z</b></c></a>");
+  std::string path = TempPath(name);
+  EXPECT_TRUE(sys.SavePagedIndex(path).ok());
+  return ReadBytes(path);
+}
+
+/// Writes `bytes` and expects both loaders to fail with Corruption.
+void ExpectCorrupt(const std::string& bytes, const std::string& what) {
+  std::string path = TempPath("corrupt_case.idx");
+  WriteBytes(path, bytes);
+  Result<IndexSnapshot> r = LoadSnapshot(path);
+  EXPECT_EQ(r.status().code(), StatusCode::kCorruption) << what << ": "
+                                                        << r.status();
+  EXPECT_EQ(BlasSystem::FromIndexFile(path).status().code(),
+            StatusCode::kCorruption)
+      << what;
 }
 
 TEST(PersistTest, OverstatedRecordCountRejectedBeforeAllocation) {
-  // A tiny file whose header claims ~2^39 records: the preflight against
-  // the actual file size must fail with Corruption instead of attempting
-  // a multi-TB resize().
-  std::string bytes = ValidHeaderNoTags();
-  AppendU64(&bytes, uint64_t{1} << 39);
-  std::string path = TempPath("huge_records.idx");
-  WriteBytes(path, bytes);
-  Result<IndexSnapshot> r = LoadSnapshot(path);
-  EXPECT_EQ(r.status().code(), StatusCode::kCorruption) << r.status();
+  // A header claiming ~2^39 records must fail the preflight against the
+  // actual file size instead of attempting a multi-TB reserve().
+  std::string bytes = SavedSnapshot("huge_records.idx");
+  PutLe(&bytes, kOffNodeCount, 8, uint64_t{1} << 39);
+  ExpectCorrupt(bytes, "node count");
 }
 
 TEST(PersistTest, OverstatedValueCountRejectedBeforeAllocation) {
-  std::string bytes = ValidHeaderNoTags();
-  AppendU64(&bytes, 0);                    // no records
-  AppendU64(&bytes, uint64_t{1} << 40);    // absurd value count
-  std::string path = TempPath("huge_values.idx");
-  WriteBytes(path, bytes);
-  Result<IndexSnapshot> r = LoadSnapshot(path);
-  EXPECT_EQ(r.status().code(), StatusCode::kCorruption) << r.status();
+  std::string bytes = SavedSnapshot("huge_values.idx");
+  PutLe(&bytes, kOffValueCount, 8, uint64_t{1} << 40);
+  ExpectCorrupt(bytes, "value count");
 }
 
 TEST(PersistTest, OverstatedTagCountRejected) {
-  std::string bytes = "BLASIDX1";
-  AppendU32(&bytes, 0xFFFFFF00u);  // tag count far beyond the file size
-  std::string path = TempPath("huge_tags.idx");
-  WriteBytes(path, bytes);
-  Result<IndexSnapshot> r = LoadSnapshot(path);
-  EXPECT_EQ(r.status().code(), StatusCode::kCorruption) << r.status();
+  std::string bytes = SavedSnapshot("huge_tags.idx");
+  PutLe(&bytes, kOffTagCount, 8, 0xFFFFFF00u);  // far beyond the tag table
+  ExpectCorrupt(bytes, "tag count");
 }
 
 TEST(PersistTest, OverstatedStringLengthRejected) {
-  // One tag whose length prefix points far past the end of the file.
-  std::string bytes = "BLASIDX1";
-  AppendU32(&bytes, 1);            // one tag
-  AppendU32(&bytes, 0x40000000u);  // claimed 1 GiB name, nothing follows
-  bytes += "ab";
-  std::string path = TempPath("huge_string.idx");
-  WriteBytes(path, bytes);
-  Result<IndexSnapshot> r = LoadSnapshot(path);
-  EXPECT_EQ(r.status().code(), StatusCode::kCorruption) << r.status();
+  // The first tag's length prefix points far past its segment.
+  std::string bytes = SavedSnapshot("huge_string.idx");
+  const size_t tag_table = GetLe(bytes, kOffTagSegmentPage, 8) * kPageSize;
+  PutLe(&bytes, tag_table, 4, 0x40000000u);  // claimed 1 GiB name
+  ExpectCorrupt(bytes, "tag name length");
 }
 
 TEST(PersistTest, RecordCountJustOverActualPayloadRejected) {
-  // Off-by-one: the header claims one more record than the bytes hold.
-  BlasSystem sys = MustBuild("<a><b>x</b></a>");
+  // Off-by-one: the header claims one more record than the trees hold.
   std::string path = TempPath("offbyone.idx");
-  ASSERT_TRUE(sys.SaveIndex(path).ok());
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
-  // Locate the record-count u64: magic + tagcount + tags + depth.
-  size_t pos = 8 + 4;
-  uint32_t num_tags = 0;
-  for (int i = 3; i >= 0; --i) {
-    num_tags = (num_tags << 8) | static_cast<uint8_t>(bytes[8 + i]);
-  }
-  for (uint32_t t = 0; t < num_tags; ++t) {
-    uint32_t len = 0;
-    for (int i = 3; i >= 0; --i) {
-      len = (len << 8) | static_cast<uint8_t>(bytes[pos + i]);
-    }
-    pos += 4 + len;
-  }
-  pos += 4;  // depth
-  uint64_t num_records = 0;
-  for (int i = 7; i >= 0; --i) {
-    num_records = (num_records << 8) | static_cast<uint8_t>(bytes[pos + i]);
-  }
-  std::string patched = bytes;
-  uint64_t bumped = num_records + 1;
-  for (int i = 0; i < 8; ++i) {
-    patched[pos + i] = static_cast<char>((bumped >> (8 * i)) & 0xFF);
-  }
-  std::string bad_path = TempPath("offbyone_bad.idx");
-  WriteBytes(bad_path, patched);
-  Result<IndexSnapshot> r = LoadSnapshot(bad_path);
-  EXPECT_EQ(r.status().code(), StatusCode::kCorruption) << r.status();
+  std::string bytes = SavedSnapshot("offbyone.idx");
+  PutLe(&bytes, kOffNodeCount, 8, GetLe(bytes, kOffNodeCount, 8) + 1);
+  ExpectCorrupt(bytes, "node count + 1");
+  Result<PagedIndex> opened =
+      OpenPagedSnapshot(TempPath("corrupt_case.idx"));
+  ASSERT_FALSE(opened.ok());
+  EXPECT_NE(opened.status().message().find(
+                "tree size disagrees with record count"),
+            std::string::npos)
+      << opened.status();
   // The unpatched original still loads.
   EXPECT_TRUE(LoadSnapshot(path).ok());
 }
 
-/// One BLAS1 file holding a single record whose P-label and 32-bit tag,
-/// level and data fields are written verbatim.
+TEST(PersistTest, LeafRecordFieldsOutOfRangeRejected) {
+  // FromIndexFile range-checks every record against the file's own
+  // header: a level outside [1, max_depth], a tag past the tag table or
+  // a data id past the dictionary fails the load (the value tree's
+  // counting pass would otherwise size a bucket per id up to it).
+  std::string path = TempPath("fields_ok.idx");
+  const std::string bytes = SavedSnapshot("fields_ok.idx");
+  Result<BlasSystem> ok = BlasSystem::FromIndexFile(path);
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  const BlasSystem::DocStats stats = ok->doc_stats();
+
+  // The first record of the first SP leaf (past the 16-byte leaf header).
+  const size_t leaf = (1 + GetLe(bytes, kOffSpFirstLeaf, 4)) * kPageSize;
+  const size_t at = leaf + 16;
+  NodeRecord original;
+  std::memcpy(&original, bytes.data() + at, sizeof(NodeRecord));
+  ASSERT_GE(original.level, 1);
+
+  auto expect_rejected = [&](const char* what, const NodeRecord& rec) {
+    std::string patched = bytes;
+    std::memcpy(patched.data() + at, &rec, sizeof(NodeRecord));
+    std::string bad = TempPath("fields_bad.idx");
+    WriteBytes(bad, patched);
+    EXPECT_EQ(BlasSystem::FromIndexFile(bad).status().code(),
+              StatusCode::kCorruption)
+        << what;
+  };
+  NodeRecord rec = original;
+  rec.level = 0;
+  expect_rejected("level 0", rec);
+  rec.level = static_cast<int32_t>(stats.depth + 1);
+  expect_rejected("level max_depth + 1", rec);
+  rec = original;
+  rec.tag = static_cast<uint32_t>(stats.tags + 1);
+  expect_rejected("tag past the tag table", rec);
+  rec = original;
+  for (uint32_t data :
+       {static_cast<uint32_t>(stats.distinct_values), 0xFFFFFFFEu}) {
+    rec.data = data;
+    expect_rejected("data past the dictionary", rec);
+  }
+}
+
+/// One BLAS1 file (the retired flat format) holding a single record whose
+/// P-label and 32-bit tag, level and data fields are written verbatim.
 std::string OneRecordBlas1(uint32_t tag, uint32_t level,
                            uint32_t data = kNullData, PLabel plabel = 1) {
   std::string bytes = "BLASIDX1";
@@ -209,49 +229,20 @@ std::string OneRecordBlas1(uint32_t tag, uint32_t level,
   return bytes;
 }
 
-TEST(PersistTest, RecordFieldsTooWideForTheRecordRejected) {
-  // The record keeps 24 tag bits and 8 level bits; a file value beyond
-  // them must fail, not truncate (0x01000002 would otherwise read as 2).
-  std::string ok_path = TempPath("narrow_ok.idx");
-  WriteBytes(ok_path, OneRecordBlas1(2, 1));
-  ASSERT_TRUE(LoadSnapshot(ok_path).ok());
-
-  struct Case {
-    uint32_t tag;
-    uint32_t level;
-  };
-  for (Case c : {Case{0x01000002u, 1}, Case{2, 0}, Case{2, 128},
-                 Case{2, 0x101}}) {
-    std::string path = TempPath("narrow_bad.idx");
-    WriteBytes(path, OneRecordBlas1(c.tag, c.level));
-    EXPECT_EQ(LoadSnapshot(path).status().code(), StatusCode::kCorruption)
-        << c.tag << "/" << c.level;
-    EXPECT_EQ(BlasSystem::FromIndexFile(path).status().code(),
-              StatusCode::kCorruption)
-        << c.tag << "/" << c.level;
-  }
-}
-
-TEST(PersistTest, RecordDataPastTheDictionaryRejected) {
-  // The value tree's counting pass sizes its buckets by the largest data
-  // id, so an id past the stored dictionary must fail the load instead of
-  // allocating a bucket per id up to it. The record is a root "b", so
-  // its P-label must decode for the load to reach the data check.
-  Result<PLabelCodec> codec = PLabelCodec::Create(2, 3);
-  ASSERT_TRUE(codec.ok());
-  const PLabel root_b = codec->RootLabel(2);
-  std::string ok_path = TempPath("data_ok.idx");
-  WriteBytes(ok_path, OneRecordBlas1(2, 1, kNullData, root_b));
-  Result<BlasSystem> ok = BlasSystem::FromIndexFile(ok_path);
-  ASSERT_TRUE(ok.ok()) << ok.status();
-
-  for (uint32_t data : {1u, 0xFFFFFFFEu}) {
-    std::string path = TempPath("data_bad.idx");
-    WriteBytes(path, OneRecordBlas1(2, 1, data, root_b));
-    EXPECT_EQ(BlasSystem::FromIndexFile(path).status().code(),
-              StatusCode::kCorruption)
-        << data;
-  }
+TEST(PersistTest, RetiredBlas1FileIsRejectedWithAStatus) {
+  // A file in the old flat format — here padded past one page, so the
+  // size check alone cannot reject it — fails cleanly on every open.
+  std::string bytes = OneRecordBlas1(2, 1);
+  bytes.resize(kPageSize + 100, '\0');
+  std::string path = TempPath("retired.idx");
+  WriteBytes(path, bytes);
+  Result<BlasSystem> materialized = BlasSystem::FromIndexFile(path);
+  EXPECT_FALSE(materialized.ok());
+  EXPECT_EQ(materialized.status().code(), StatusCode::kCorruption)
+      << materialized.status();
+  Result<BlasSystem> paged = BlasSystem::OpenPaged(path);
+  EXPECT_FALSE(paged.ok());
+  EXPECT_EQ(paged.status().code(), StatusCode::kCorruption) << paged.status();
 }
 
 TEST(PersistTest, SystemRoundTripAnswersQueriesIdentically) {
@@ -260,7 +251,7 @@ TEST(PersistTest, SystemRoundTripAnswersQueriesIdentically) {
       "</desc></item><item id=\"2\"><name>y</name></item>"
       "<people><person><name>x</name></person></people></site>");
   std::string path = TempPath("system.idx");
-  ASSERT_TRUE(original.SaveIndex(path).ok());
+  ASSERT_TRUE(original.SavePagedIndex(path).ok());
 
   Result<BlasSystem> reopened = BlasSystem::FromIndexFile(path);
   ASSERT_TRUE(reopened.ok()) << reopened.status();
@@ -306,7 +297,7 @@ TEST(PersistTest, GeneratedCorpusRoundTrip) {
       opts);
   ASSERT_TRUE(sys.ok());
   std::string path = TempPath("auction.idx");
-  ASSERT_TRUE(sys->SaveIndex(path).ok());
+  ASSERT_TRUE(sys->SavePagedIndex(path).ok());
   Result<BlasSystem> reopened = BlasSystem::FromIndexFile(path);
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   EXPECT_EQ(reopened->doc_stats().nodes, sys->doc_stats().nodes);
