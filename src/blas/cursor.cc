@@ -1,6 +1,8 @@
 #include "blas/cursor.h"
 
 #include <algorithm>
+#include <cmath>
+#include <string_view>
 #include <utility>
 
 #include "common/stopwatch.h"
@@ -12,20 +14,9 @@ namespace blas {
 
 namespace {
 
-/// Streaming gate: the limit-k producer needs the return part to be a leaf
-/// of the part tree (nothing anchors into it) whose matches all carry one
-/// known tag, so they can be pulled from the tag-clustered SD index in
-/// document order. Returns the tag, or nullopt for the materialized
-/// fallback.
-std::optional<TagId> StreamableReturnTag(const ExecPlan& plan,
-                                         const PLabelCodec& codec) {
-  const int r = plan.return_part;
-  for (size_t i = 0; i < plan.parts.size(); ++i) {
-    if (static_cast<int>(i) != r && plan.parts[i].anchor == r) {
-      return std::nullopt;
-    }
-  }
-  const PlanPart& part = plan.parts[r];
+/// The one tag all of the part's matches carry, or nullopt: a tag scan's
+/// tag, or the leaf tag every P-label alternative ends in.
+std::optional<TagId> LeafTag(const PlanPart& part, const PLabelCodec& codec) {
   switch (part.scan) {
     case PlanPart::Scan::kTag:
       return part.tag;
@@ -47,16 +38,82 @@ std::optional<TagId> StreamableReturnTag(const ExecPlan& plan,
   return leaf;
 }
 
+/// Streaming gate: the limit-k producer needs the return part to be a leaf
+/// of the part tree (nothing anchors into it) whose matches all carry one
+/// known tag, so they can be pulled from the tag-clustered SD index in
+/// document order. Returns the tag, or nullopt for the materialized
+/// fallback.
+std::optional<TagId> StreamableReturnTag(const ExecPlan& plan,
+                                         const PLabelCodec& codec) {
+  const int r = plan.return_part;
+  for (size_t i = 0; i < plan.parts.size(); ++i) {
+    if (static_cast<int>(i) != r && plan.parts[i].anchor == r) {
+      return std::nullopt;
+    }
+  }
+  return LeafTag(plan.parts[r], codec);
+}
+
+/// Return-first gate: every part is a P-label part (so the return part's
+/// anchors are one ancestor seek away) and no equality literal seeds the
+/// plan (a seeded plan keeps its literal read).
+bool ReturnFirst(const ExecPlan& plan) {
+  for (const PlanPart& part : plan.parts) {
+    if (part.scan != PlanPart::Scan::kPlabelAlts) return false;
+  }
+  return !PartFetcher::LiteralSeedPart(plan, /*skip=*/-1).has_value();
+}
+
+/// The part's non-empty alternatives as sorted, disjoint ranges.
+std::vector<PLabelRange> MergedRanges(const PlanPart& part) {
+  std::vector<PLabelRange> ranges;
+  for (const PlanAlt& alt : part.alts) {
+    if (!alt.range.empty()) ranges.push_back(alt.range);
+  }
+  std::sort(ranges.begin(), ranges.end(),
+            [](const PLabelRange& a, const PLabelRange& b) {
+              return a.lo < b.lo;
+            });
+  std::vector<PLabelRange> merged;
+  for (const PLabelRange& range : ranges) {
+    if (!merged.empty() && range.lo <= merged.back().hi) {
+      merged.back().hi = std::max(merged.back().hi, range.hi);
+    } else {
+      merged.push_back(range);
+    }
+  }
+  return merged;
+}
+
+/// `want` records at the expected match `rate`, clamped to [1, cap].
+uint64_t BatchSize(double want, double rate, uint64_t cap) {
+  const double size = std::ceil(want / rate);
+  if (size >= static_cast<double>(cap)) return std::max<uint64_t>(cap, 1);
+  return std::max<uint64_t>(static_cast<uint64_t>(size), 1);
+}
+
 }  // namespace
 
 StreamPlanInfo ResultCursor::AnalyzePlan(const ExecPlan& plan,
                                          const Env& env) {
   StreamPlanInfo info;
-  info.tag = StreamableReturnTag(plan, *env.codec);
+  CostModel model(env.summary, env.dict);
+  const PlanPart& ret = plan.parts[plan.return_part];
+  if (ReturnFirst(plan)) {
+    info.return_first = true;
+    info.return_count = model.PathCount(ret);
+    info.return_paths = model.PathLabels(ret);
+    for (const PlanPart& part : plan.parts) {
+      if (part.value.has_value()) {
+        info.match_rate *= CostModel::kValueSelectivity;
+      }
+    }
+    info.tag = LeafTag(ret, *env.codec);
+  } else {
+    info.tag = StreamableReturnTag(plan, *env.codec);
+    if (info.tag.has_value()) info.cardinality = model.EstimateCardinality(ret);
+  }
   if (info.tag.has_value()) {
-    CostModel model(env.summary, env.dict);
-    info.cardinality =
-        model.EstimateCardinality(plan.parts[plan.return_part]);
     PlanPart run;
     run.scan = PlanPart::Scan::kTag;
     run.tag = *info.tag;
@@ -106,25 +163,33 @@ Result<ResultCursor> ResultCursor::Open(const Env& env,
   return cursor;
 }
 
+uint64_t ResultCursor::Wanted() const {
+  return options_.limit > UINT64_MAX - options_.offset
+             ? UINT64_MAX
+             : options_.offset + options_.limit;
+}
+
 Status ResultCursor::Init() {
   const ExecPlan& p = *plan_;
   std::optional<TagId> stream_tag;
   if (options_.limit > 0) {
     const StreamPlanInfo info =
         plan_info_.has_value() ? *plan_info_ : AnalyzePlan(p, env_);
+    if (info.return_first) {
+      InitBatches(info);
+      return Status::OK();
+    }
     stream_tag = info.tag;
     // Cost gate: streaming scans the tag's SD run at a match rate of
     // (cardinality / run size) and stops after `wanted` matches, so it
     // expects to visit ~wanted * run / card elements; the materialized
     // path's return-part scan visits ~card. Stream only when the former
-    // is smaller — otherwise a selective absolute path (e.g.
-    // /PLAYS/PLAY/TITLE, whose SP range touches only matches) would be
-    // pessimized by filtering the much larger tag run.
+    // is smaller — otherwise a selective absolute return path (e.g. the
+    // /PLAYS/PLAY/TITLE of /PLAYS/PLAY[ACT/TITLE='ACT 1']/TITLE, whose SP
+    // range touches only play titles) would be pessimized by filtering the
+    // much larger tag run.
     if (stream_tag.has_value()) {
-      const uint64_t wanted =
-          options_.limit > UINT64_MAX - options_.offset
-              ? UINT64_MAX
-              : options_.offset + options_.limit;
+      const uint64_t wanted = Wanted();
       const double card = static_cast<double>(info.cardinality);
       if (card <= 0 || static_cast<double>(wanted) *
                                static_cast<double>(info.run_size) >=
@@ -208,6 +273,124 @@ Status ResultCursor::Init() {
   return Status::OK();
 }
 
+bool ResultCursor::TagRunCheaper(uint64_t n) const {
+  const BatchState& b = *batches_;
+  if (b.data.has_value() || !b.info.tag.has_value() ||
+      b.info.return_count == 0) {
+    return false;
+  }
+  // Page estimate: SP seeks once per path of the part and reads n
+  // records; the SD run is one seek and reads the run from the batch start
+  // until n of its records are the part's.
+  constexpr double kPerLeaf = BPlusTree<NodeRecord, SdKey, SdKeyOf>::kLeafCap;
+  const double records = static_cast<double>(n);
+  const double run_ratio = static_cast<double>(b.info.run_size) /
+                           static_cast<double>(b.info.return_count);
+  return 1.0 + records * run_ratio / kPerLeaf <
+         static_cast<double>(b.info.return_paths) + records / kPerLeaf;
+}
+
+std::vector<NodeRecord> ResultCursor::ReadTagRun(size_t n) const {
+  const BatchState& b = *batches_;
+  NodeStore::TagScan scan(env_.store, *b.info.tag,
+                          {StartWindow{b.next_lo, UINT32_MAX}});
+  std::vector<NodeRecord> out;
+  while (out.size() < n) {
+    const NodeRecord* rec = scan.Next();
+    if (rec == nullptr) break;
+    // The last range starting at or below the plabel is the only one that
+    // can hold it.
+    auto above = std::upper_bound(
+        b.ranges.begin(), b.ranges.end(), rec->plabel,
+        [](PLabel p, const PLabelRange& range) { return p < range.lo; });
+    if (above != b.ranges.begin() && std::prev(above)->Contains(rec->plabel)) {
+      out.push_back(*rec);
+    }
+  }
+  return out;
+}
+
+void ResultCursor::InitBatches(const StreamPlanInfo& info) {
+  const PlanPart& ret = plan_->parts[plan_->return_part];
+  BatchState b;
+  b.ranges = MergedRanges(ret);
+  if (ret.value.has_value() && ret.value->op == ValueOp::kEq &&
+      !ret.value->literal.empty()) {
+    b.data = env_.dict->Find(ret.value->literal);
+    // A literal that never occurs: no record can match.
+    if (!b.data.has_value()) b.ranges.clear();
+  }
+  b.info = info;
+  b.size = BatchSize(static_cast<double>(Wanted()), info.match_rate,
+                     info.return_count);
+  b.done = b.ranges.empty();
+  batches_.emplace(std::move(b));
+}
+
+void ResultCursor::RunBatch() {
+  BatchState& b = *batches_;
+  const ExecPlan& p = *plan_;
+  const PlanPart& ret = p.parts[p.return_part];
+  std::vector<NodeRecord> batch =
+      TagRunCheaper(b.size)
+          ? ReadTagRun(b.size)
+          : env_.store->FirstByStart(b.ranges, b.data, b.next_lo, b.size);
+  b.read += batch.size();
+  if (batch.size() < b.size || batch.back().start == UINT32_MAX) {
+    b.done = true;
+  } else {
+    b.next_lo = batch.back().start + 1;
+  }
+  std::erase_if(batch, [&](const NodeRecord& rec) {
+    if (ret.level_eq.has_value() && rec.level != *ret.level_eq) return true;
+    if (!ret.value.has_value() || b.data.has_value()) return false;
+    std::string_view text =
+        rec.data == kNullData ? std::string_view() : env_.dict->Get(rec.data);
+    return !ret.value->Matches(text);
+  });
+
+  b.matches.clear();
+  b.pos = 0;
+  if (!batch.empty()) {
+    PartFetcher fetcher(p, static_cast<size_t>(p.return_part), batch, env_);
+    ExecStats local;
+    // ExecuteBindings fails only on an empty plan, which Open rejects.
+    Result<std::vector<DLabel>> bindings =
+        engine_ == Engine::kRelational
+            ? RelationalExecutor(env_).ExecuteBindings(p, &local, &fetcher)
+            : TwigEngine(env_).ExecuteBindings(p, &local, &fetcher);
+    local.output_rows = 0;  // the cursor counts deliveries
+    stats_ += local;
+    if (bindings.ok()) {
+      // Both lists are in start order, and every binding is a batch
+      // record: keep the records, which projection needs.
+      auto rec = batch.begin();
+      for (const DLabel& binding : *bindings) {
+        while (rec != batch.end() && rec->start < binding.start) ++rec;
+        if (rec != batch.end() && rec->start == binding.start) {
+          b.matches.push_back(*rec);
+        }
+      }
+    }
+  }
+  b.matched += b.matches.size();
+
+  // Grow geometrically, or to what the observed match rate predicts the
+  // remaining matches need, whichever is larger.
+  const uint64_t wanted = Wanted();
+  const uint64_t remaining = wanted > b.matched ? wanted - b.matched : 0;
+  const uint64_t cap = b.info.return_count;
+  const uint64_t doubled =
+      BatchSize(2.0 * static_cast<double>(b.size), 1.0, cap);
+  b.size = b.matched == 0
+               ? doubled
+               : std::max(doubled,
+                          BatchSize(static_cast<double>(remaining),
+                                    static_cast<double>(b.matched) /
+                                        static_cast<double>(b.read),
+                                    cap));
+}
+
 bool ResultCursor::StreamCandidatePasses(const NodeRecord& rec) {
   const PlanPart& part = *stream_->part;
   if (part.scan == PlanPart::Scan::kPlabelAlts) {
@@ -255,7 +438,25 @@ std::optional<Match> ResultCursor::Next() {
 
   {
     ReadCounterScope scope(&counters);
-    if (stream_.has_value()) {
+    if (batches_.has_value()) {
+      BatchState& b = *batches_;
+      while (b.pos < b.matches.size() || !b.done) {
+        if (b.pos == b.matches.size()) {
+          RunBatch();
+          continue;
+        }
+        const NodeRecord& rec = b.matches[b.pos++];
+        if (skipped_ < options_.offset) {
+          ++skipped_;
+          continue;
+        }
+        ++delivered_;
+        ++stats_.output_rows;
+        out = projector_.Project(rec, options_.projection);
+        break;
+      }
+      if (!out.has_value()) exhausted_ = true;
+    } else if (stream_.has_value()) {
       while (std::optional<NodeRecord> rec = NextStreamMatch()) {
         if (skipped_ < options_.offset) {
           ++skipped_;
@@ -307,7 +508,7 @@ std::optional<Match> ResultCursor::Next() {
 QueryResult ResultCursor::Drain() {
   QueryResult result;
 
-  if (stream_.has_value()) {
+  if (streaming()) {
     // One delivery loop: Next() owns the offset/limit/projection and
     // accounting semantics.
     while (std::optional<Match> match = Next()) {

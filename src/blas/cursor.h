@@ -36,17 +36,31 @@ struct QueryResult {
   uint64_t offset_skipped = 0;
 };
 
-/// Plan-derived inputs of the bounded-cursor streaming decision. Computing
+/// Plan-derived inputs of a bounded cursor's producer choice. Computing
 /// them walks the path summary and decodes P-labels, so the query service
 /// caches this alongside the translated plan; only the offset+limit
-/// comparison is per-request.
+/// arithmetic is per-request.
 struct StreamPlanInfo {
-  /// The return part's single SD tag when the plan shape allows streaming
-  /// (the part is a leaf of the part tree with one known leaf tag).
+  /// True when a bounded cursor reads the plan return-first: every part is
+  /// a P-label part and no equality literal seeds the plan.
+  bool return_first = false;
+  /// Return-first: the return part's exact path count, which caps every
+  /// batch, and the number of distinct paths (P-labels) it spans.
+  uint64_t return_count = 0;
+  uint64_t return_paths = 0;
+  /// Return-first: the expected share of return-part records that match,
+  /// the product of CostModel::kValueSelectivity over the plan's
+  /// value-predicate parts.
+  double match_rate = 1.0;
+  /// The one tag every alternative of the return part ends in, when there
+  /// is one: a return-first batch may read its SD run instead of SP (no
+  /// equality literal on the part), and the SD stream needs it (with the
+  /// part a leaf of the part tree).
   std::optional<TagId> tag;
-  /// Estimated cardinality of the return part's own access path.
+  /// SD stream: estimated cardinality of the return part's own access
+  /// path.
   uint64_t cardinality = 0;
-  /// Estimated size of the tag's SD run.
+  /// Size of the tag's SD run (exact: no value predicate applies).
   uint64_t run_size = 0;
 };
 
@@ -58,12 +72,25 @@ struct StreamPlanInfo {
 ///   * Unbounded cursors (`limit == 0`) run the full engine once and serve
 ///     from the materialized position list — `Drain()` is byte-identical
 ///     (results and stats) to a full engine run (`ExecutePlan`).
-///   * Bounded cursors (`limit > 0`) use the engines' incremental
-///     producers when the plan allows it: the pattern minus the return
-///     part is evaluated first (the relational executor's pipelined final
-///     D-join / the twig engine's arc-consistency passes), then return
-///     candidates stream from the tag-clustered SD index in document
-///     order, and all scanning stops after `offset + limit` matches.
+///   * Bounded cursors (`limit > 0`) stop early where the plan allows it,
+///     by one of two producers:
+///       - Return-first, for plans of P-label parts only that no equality
+///         literal seeds: the return part's records are read in
+///         document-order batches (NodeStore::FirstByStart), each batch
+///         seeds a PartFetcher that finds its anchors by ancestor seeks,
+///         and the resolved engine runs over that reduced plan. Every
+///         match of a batch is one of its records and batches move
+///         forward in start order, so each batch's matches are final and
+///         already in document order. Batches grow until `offset + limit`
+///         matches are found or the part runs out.
+///       - The SD stream, for D-labeling plans and literal-seeded P-label
+///         plans whose return part is a single-tag leaf, behind a cost
+///         gate: the pattern minus the return part is evaluated first (the
+///         relational executor's pipelined final D-join / the twig
+///         engine's arc-consistency passes), then return candidates stream
+///         from the tag-clustered SD index in document order, and all
+///         scanning stops after `offset + limit` matches.
+///     Other bounded cursors materialize like unbounded ones and truncate.
 ///
 /// Projection (`QueryOptions::projection`) materializes per-match content
 /// from the store and dictionary; no retained DOM is needed.
@@ -115,9 +142,11 @@ class ResultCursor {
   const ExecStats& stats() const { return stats_; }
   /// The resolved engine this cursor executes with.
   Engine engine() const { return engine_; }
-  /// True when the limit-k incremental producer is active (the plan's
-  /// return part is a single-tag leaf of the part tree).
-  bool streaming() const { return stream_.has_value(); }
+  /// True when this bounded cursor stops early: it reads return-first
+  /// batches or streams the SD run.
+  bool streaming() const {
+    return batches_.has_value() || stream_.has_value();
+  }
 
  private:
   struct StreamState {
@@ -137,11 +166,46 @@ class ResultCursor {
     bool value_residual = false;
   };
 
+  /// Return-first mode: the return part read in start-ordered batches.
+  struct BatchState {
+    /// The return part's alternatives, sorted and merged.
+    std::vector<PLabelRange> ranges;
+    /// Its equality literal's id: batches then read the value tree.
+    std::optional<uint32_t> data;
+    /// The plan's sizes: path count, paths and SD tag of the return part.
+    StreamPlanInfo info;
+    /// Where the next batch starts, and how many records it reads.
+    uint32_t next_lo = 0;
+    uint64_t size = 0;
+    /// Records read and matches found (offset included) so far: the
+    /// observed match rate that sizes later batches.
+    uint64_t read = 0;
+    uint64_t matched = 0;
+    /// The part has no records left past the last batch.
+    bool done = false;
+    /// The current batch's matches in start order, and the next to go.
+    std::vector<NodeRecord> matches;
+    size_t pos = 0;
+  };
+
   ResultCursor(const Env& env, std::shared_ptr<const ExecPlan> plan,
                Engine engine, const QueryOptions& options);
 
-  /// Runs the setup phase (engine execution or the streaming prefix plus
-  /// scan positioning). Called once from Open under a counter scope.
+  /// `offset + limit`, saturating.
+  uint64_t Wanted() const;
+  /// Sets up return-first batches (nothing is read until Next).
+  void InitBatches(const StreamPlanInfo& info);
+  /// Reads the next batch, runs the engine over it and sizes the next.
+  void RunBatch();
+  /// True when a batch of `n` records costs fewer pages from the return
+  /// tag's SD run than from SP.
+  bool TagRunCheaper(uint64_t n) const;
+  /// The next `n` records of the return part from the tag's SD run.
+  std::vector<NodeRecord> ReadTagRun(size_t n) const;
+
+  /// Runs the setup phase (engine execution, the SD stream's prefix plus
+  /// scan positioning, or the first batch's sizing). Called once from Open
+  /// under a counter scope.
   Status Init();
   bool StreamCandidatePasses(const NodeRecord& rec);
   std::optional<NodeRecord> NextStreamMatch();
@@ -165,7 +229,10 @@ class ResultCursor {
   std::vector<DLabel> bindings_;
   size_t pos_ = 0;
 
-  /// Streaming mode.
+  /// Return-first mode.
+  std::optional<BatchState> batches_;
+
+  /// SD streaming mode.
   std::optional<StreamState> stream_;
 };
 

@@ -119,8 +119,8 @@ std::vector<NodeRecord> FetchPartTuples(const PlanPart& part,
 
 }  // namespace
 
-PartFetcher::PartFetcher(const ExecPlan& plan, int skip, const ExecEnv& env)
-    : plan_(plan), env_(env), seeded_(plan.parts.size()) {
+std::optional<size_t> PartFetcher::LiteralSeedPart(const ExecPlan& plan,
+                                                   int skip) {
   for (size_t s = 1; s < plan.parts.size(); ++s) {
     const PlanPart& part = plan.parts[s];
     bool qualifies = static_cast<int>(s) != skip &&
@@ -132,14 +132,28 @@ PartFetcher::PartFetcher(const ExecPlan& plan, int skip, const ExecEnv& env)
          c = plan.parts[c].anchor) {
       qualifies = plan.parts[c].scan == PlanPart::Scan::kPlabelAlts;
     }
-    if (qualifies) {
-      SeedFrom(s);
-      return;
+    if (qualifies) return s;
+  }
+  return std::nullopt;
+}
+
+PartFetcher::PartFetcher(const ExecPlan& plan, int skip, const ExecEnv& env)
+    : plan_(plan), env_(env), seeded_(plan.parts.size()) {
+  if (std::optional<size_t> s = LiteralSeedPart(plan, skip)) {
+    if (std::optional<std::vector<NodeRecord>> seeds = ReadLiteral(*s)) {
+      SeedChain(*s, std::move(*seeds));
     }
   }
 }
 
-void PartFetcher::SeedFrom(size_t s) {
+PartFetcher::PartFetcher(const ExecPlan& plan, size_t s,
+                         std::vector<NodeRecord> seeds, const ExecEnv& env)
+    : plan_(plan), env_(env), seeded_(plan.parts.size()) {
+  SeedChain(s, std::move(seeds));
+}
+
+std::optional<std::vector<NodeRecord>> PartFetcher::ReadLiteral(
+    size_t s) const {
   const PlanPart& seed_part = plan_.parts[s];
   std::vector<NodeRecord> seeds;
   if (std::optional<uint32_t> id = env_.dict->Find(seed_part.value->literal)) {
@@ -148,7 +162,7 @@ void PartFetcher::SeedFrom(size_t s) {
     for (const PlanAlt& alt : seed_part.alts) {
       std::optional<std::vector<NodeRecord>> chunk =
           env_.store->ScanValueCapped(alt.range, *id, cap - seeds.size());
-      if (!chunk.has_value()) return;  // past the cap: top-down
+      if (!chunk.has_value()) return std::nullopt;  // past the cap
       seeds.insert(seeds.end(), chunk->begin(), chunk->end());
     }
   }
@@ -157,11 +171,14 @@ void PartFetcher::SeedFrom(size_t s) {
       return rec.level != *seed_part.level_eq;
     });
   }
+  return seeds;
+}
 
+void PartFetcher::SeedChain(size_t s, std::vector<NodeRecord> seeds) {
   // Every prefix of a seed's path that lies in a chain part's
   // alternatives names the seed's ancestor in that part.
   std::vector<int> chain;
-  for (int c = seed_part.anchor; c >= 0; c = plan_.parts[c].anchor) {
+  for (int c = plan_.parts[s].anchor; c >= 0; c = plan_.parts[c].anchor) {
     chain.push_back(c);
   }
   std::vector<std::vector<SpKey>> targets(chain.size());
@@ -227,9 +244,8 @@ std::vector<StartWindow> AnchorWindows(const std::vector<Row>& rows,
 /// intermediate result empties the remaining P-label parts scan nothing;
 /// D-labeling tag parts are always scanned in full (the baseline
 /// relational engine materializes each base input of the join).
-std::vector<Row> FoldJoins(const ExecPlan& plan, int skip, const ExecEnv& env,
-                           ExecStats* local) {
-  PartFetcher fetcher(plan, skip, env);
+std::vector<Row> FoldJoins(const ExecPlan& plan, int skip,
+                           PartFetcher& fetcher, ExecStats* local) {
   std::vector<Row> rows;
   {
     std::vector<NodeRecord> tuples = fetcher.Fetch(0, kWholeDocument);
@@ -275,7 +291,7 @@ Result<std::vector<uint32_t>> RelationalExecutor::Execute(
 }
 
 Result<std::vector<DLabel>> RelationalExecutor::ExecuteBindings(
-    const ExecPlan& plan, ExecStats* stats) const {
+    const ExecPlan& plan, ExecStats* stats, PartFetcher* fetcher) const {
   if (plan.parts.empty()) {
     return Status::InvalidArgument("empty plan");
   }
@@ -286,7 +302,9 @@ Result<std::vector<DLabel>> RelationalExecutor::ExecuteBindings(
   ReadCounterScope scope(&counters);
   ExecStats local;
 
-  std::vector<Row> rows = FoldJoins(plan, /*skip=*/-1, env_, &local);
+  std::optional<PartFetcher> own;
+  if (fetcher == nullptr) fetcher = &own.emplace(plan, /*skip=*/-1, env_);
+  std::vector<Row> rows = FoldJoins(plan, /*skip=*/-1, *fetcher, &local);
 
   std::vector<DLabel> result;
   result.reserve(rows.size());
@@ -313,8 +331,9 @@ Result<std::vector<DLabel>> RelationalExecutor::MatchedAnchors(
   ReadCounterScope scope(&counters);
   ExecStats local;
 
+  PartFetcher fetcher(plan, static_cast<int>(skip), env_);
   std::vector<Row> rows =
-      FoldJoins(plan, static_cast<int>(skip), env_, &local);
+      FoldJoins(plan, static_cast<int>(skip), fetcher, &local);
 
   const int anchor_col = ColOf(plan.parts[skip].anchor,
                                static_cast<int>(skip));

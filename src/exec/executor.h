@@ -56,6 +56,8 @@ struct ExecStats {
   }
 };
 
+class PartFetcher;
+
 /// \brief The RDBMS-style query engine (section 5.2).
 ///
 /// Evaluates a translated plan with index selections and structural merge
@@ -71,9 +73,12 @@ class RelationalExecutor {
 
   /// Same execution, but returns the return part's full D-label bindings
   /// (distinct by start, sorted) — cursors enumerate these without
-  /// per-match point lookups.
-  Result<std::vector<DLabel>> ExecuteBindings(const ExecPlan& plan,
-                                              ExecStats* stats) const;
+  /// per-match point lookups. `fetcher` supplies the parts' tuples: nullptr
+  /// reads them top-down or from a literal (PartFetcher(plan, -1, env)); a
+  /// return-first cursor passes one seeded from its batch.
+  Result<std::vector<DLabel>> ExecuteBindings(
+      const ExecPlan& plan, ExecStats* stats,
+      PartFetcher* fetcher = nullptr) const;
 
   /// \brief The prefix of a pipelined execution: evaluates the plan with
   /// part `skip` (a leaf of the part tree) left out and returns the
@@ -98,25 +103,39 @@ class RelationalExecutor {
 /// Top-down, part 0 is read whole and every other P-label part only
 /// inside its anchors' windows (sorted, disjoint; see OutermostWindows);
 /// D-labeling tag and wildcard parts ignore windows and scan their whole
-/// SD run. A plan with an equality-literal part is read from the literal
-/// upward instead:
-///   * seed — the literal's matches, from the value tree without windows;
+/// SD run. A seeded plan is read from one part's seeds upward instead:
+///   * seed — part s's records, from one of two sources: an equality
+///     literal's matches, read from the value tree without windows, or
+///     records the caller supplies (a return-first cursor's batch of the
+///     return part, see ResultCursor);
 ///   * chain — every part from the seed's anchor up to part 0, by
 ///     ancestor seeks: a node's depth-k ancestor carries the depth-k
 ///     prefix of its P-label path (PLabelCodec::ParentLabel), so each
 ///     prefix inside a chain part's alternatives names one ancestor,
 ///     found by NodeStore::SeekAncestors.
 /// The engines then join top-down as before over these reduced lists, and
-/// every other part is windowed by them. The seed read stops once it
-/// would visit more than part 0's exact path-summary count, and the plan
-/// then runs top-down: that capped read is the only work the rule can add.
-/// The first equality part qualifies unless it is `skip` (the part a
-/// cursor streams) or a D-labeling tag or wildcard scan lies on its chain.
+/// every other part (branches, and parts below the seed) is windowed by
+/// them. The literal read stops once it would visit more than part 0's
+/// exact path-summary count, and the plan then runs top-down: that capped
+/// read is the only work the rule can add. The first equality part
+/// qualifies unless it is `skip` (the part a cursor streams) or a
+/// D-labeling tag or wildcard scan lies on its chain.
 class PartFetcher {
  public:
-  /// Runs the seed read and the chain's ancestor seeks when a part
+  /// Runs the literal read and the chain's ancestor seeks when a part
   /// qualifies. `skip` < 0 fetches the whole plan.
   PartFetcher(const ExecPlan& plan, int skip, const ExecEnv& env);
+
+  /// Seeds part `s` from `seeds` — records inside its alternatives that
+  /// pass its level and value predicates — and runs the chain's ancestor
+  /// seeks. Every part on the chain must be a P-label part.
+  PartFetcher(const ExecPlan& plan, size_t s, std::vector<NodeRecord> seeds,
+              const ExecEnv& env);
+
+  /// The part a literal read seeds from: the first qualifying equality
+  /// part other than `skip` (see the class comment), or nullopt.
+  static std::optional<size_t> LiteralSeedPart(const ExecPlan& plan,
+                                               int skip);
 
   /// Part i's tuples: its seeded list when it lies on the seed chain
   /// (fetch each part once), else a scan inside `windows`.
@@ -124,9 +143,11 @@ class PartFetcher {
                                 std::span<const StartWindow> windows);
 
  private:
-  /// Seeds from part `s` and fills seeded_ along its chain; leaves
-  /// seeded_ empty when the literal's matches pass the cap.
-  void SeedFrom(size_t s);
+  /// Part `s`'s literal matches, or nullopt once they pass the cap.
+  std::optional<std::vector<NodeRecord>> ReadLiteral(size_t s) const;
+  /// Fills seeded_ with `seeds` at part `s` and the ancestors along its
+  /// chain.
+  void SeedChain(size_t s, std::vector<NodeRecord> seeds);
 
   const ExecPlan& plan_;
   ExecEnv env_;

@@ -7,37 +7,51 @@ namespace blas {
 
 namespace {
 
-void SumCounts(const SummaryNode* node, const PlanPart& part,
-               uint64_t* plabel_hits, uint64_t* tag_hits, uint64_t* total) {
+/// Instances summed over the summary's paths: those inside the part's
+/// alternatives (and how many such paths there are), those ending in its
+/// tag, and all.
+struct Counts {
+  uint64_t plabel_hits = 0;
+  uint64_t plabel_paths = 0;
+  uint64_t tag_hits = 0;
+  uint64_t total = 0;
+};
+
+void SumCounts(const SummaryNode* node, const PlanPart& part, Counts* out) {
   for (const auto& child : node->children) {
-    *total += child->count;
-    if (child->tag == part.tag) *tag_hits += child->count;
+    out->total += child->count;
+    if (child->tag == part.tag) out->tag_hits += child->count;
     for (const PlanAlt& alt : part.alts) {
       if (alt.range.Contains(child->plabel)) {
-        *plabel_hits += child->count;
+        out->plabel_hits += child->count;
+        ++out->plabel_paths;
         break;
       }
     }
-    SumCounts(child.get(), part, plabel_hits, tag_hits, total);
+    SumCounts(child.get(), part, out);
   }
 }
 
 }  // namespace
 
 uint64_t CostModel::PathCount(const PlanPart& part) const {
-  uint64_t plabel_hits = 0;
-  uint64_t tag_hits = 0;
-  uint64_t total = 0;
-  SumCounts(summary_->root(), part, &plabel_hits, &tag_hits, &total);
+  Counts counts;
+  SumCounts(summary_->root(), part, &counts);
   switch (part.scan) {
     case PlanPart::Scan::kPlabelAlts:
-      return plabel_hits;
+      return counts.plabel_hits;
     case PlanPart::Scan::kTag:
-      return tag_hits;
+      return counts.tag_hits;
     case PlanPart::Scan::kAllTags:
-      return total;
+      return counts.total;
   }
-  return total;
+  return counts.total;
+}
+
+uint64_t CostModel::PathLabels(const PlanPart& part) const {
+  Counts counts;
+  SumCounts(summary_->root(), part, &counts);
+  return counts.plabel_paths;
 }
 
 uint64_t CostModel::EstimateCardinality(const PlanPart& part) const {

@@ -28,6 +28,10 @@ class CostModel {
   /// value and level predicates.
   uint64_t PathCount(const PlanPart& part) const;
 
+  /// Number of distinct document paths (P-labels) inside a P-label part's
+  /// alternatives.
+  uint64_t PathLabels(const PlanPart& part) const;
+
   static constexpr double kValueSelectivity = 0.05;
 
  private:

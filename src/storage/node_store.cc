@@ -200,6 +200,80 @@ std::optional<std::vector<NodeRecord>> NodeStore::ScanValueCapped(
   return out;
 }
 
+std::vector<NodeRecord> NodeStore::FirstByStart(
+    std::span<const PLabelRange> ranges, std::optional<uint32_t> data,
+    uint32_t lo, size_t n) const {
+  if (data.has_value()) {
+    const uint32_t id = *data;
+    return FirstByStartIn(
+        vindex_,
+        [id](PLabel plabel, uint32_t start) {
+          return ValKey{plabel, id, start};
+        },
+        [id](const NodeRecord& rec) { return rec.data == id; }, ranges, lo,
+        n);
+  }
+  return FirstByStartIn(
+      sp_, [](PLabel plabel, uint32_t start) { return SpKey{plabel, start}; },
+      [](const NodeRecord&) { return true; }, ranges, lo, n);
+}
+
+template <typename Tree, typename KeyFn, typename RunFn>
+std::vector<NodeRecord> NodeStore::FirstByStartIn(
+    const Tree& tree, KeyFn key_of, RunFn in_run,
+    std::span<const PLabelRange> ranges, uint32_t lo, size_t n) const {
+  std::vector<NodeRecord> heap;  // max-heap on start
+  if (n == 0 || ranges.empty()) return heap;
+  auto earlier = [](const NodeRecord& a, const NodeRecord& b) {
+    return a.start < b.start;
+  };
+  uint64_t visited = 0;
+  size_t r = 0;
+  auto it = tree.Seek(key_of(ranges[0].lo, lo));
+  ReadaheadFrom(tree, it.page());
+  while (!it.at_end()) {
+    const NodeRecord& rec = *it;
+    if (!in_run(rec)) break;
+    while (r < ranges.size() && rec.plabel > ranges[r].hi) ++r;
+    if (r == ranges.size()) break;
+    if (rec.plabel < ranges[r].lo) {
+      tree.SkipTo(&it, key_of(ranges[r].lo, lo));
+      continue;
+    }
+    if (rec.start < lo) {
+      tree.SkipTo(&it, key_of(rec.plabel, lo));
+      continue;
+    }
+    ++visited;
+    const PLabel plabel = rec.plabel;
+    bool full = heap.size() == n;
+    if (!full) {
+      heap.push_back(rec);
+      std::push_heap(heap.begin(), heap.end(), earlier);
+    } else if (rec.start < heap.front().start) {
+      std::pop_heap(heap.begin(), heap.end(), earlier);
+      heap.back() = rec;
+      std::push_heap(heap.begin(), heap.end(), earlier);
+    }
+    full = heap.size() == n;
+    if (!full || heap.front().start > rec.start) {
+      ++it;
+      continue;
+    }
+    // Whether this record was rejected or entered as the largest, the
+    // rest of its P-label starts later still: on to the next P-label.
+    if (plabel == ranges[r].hi) {
+      if (++r == ranges.size()) break;
+      tree.SkipTo(&it, key_of(ranges[r].lo, lo));
+    } else {
+      tree.SkipTo(&it, key_of(plabel + 1, lo));
+    }
+  }
+  CountVisited(&elements_, visited);
+  std::sort_heap(heap.begin(), heap.end(), earlier);
+  return heap;
+}
+
 std::vector<NodeRecord> NodeStore::SeekAncestors(
     std::span<const SpKey> targets) const {
   std::vector<NodeRecord> out;

@@ -20,11 +20,17 @@ namespace blas {
 struct SpKey {
   PLabel plabel;
   uint32_t start;
+  /// The 12 bytes the 16-byte plabel alignment leaves after `start`, named
+  /// so they are zero wherever a key is built: internal nodes copy keys
+  /// into snapshot pages, which must be byte-identical across builds.
+  uint32_t pad32 = 0;
+  uint64_t pad64 = 0;
   friend bool operator<(const SpKey& a, const SpKey& b) {
     if (a.plabel != b.plabel) return a.plabel < b.plabel;
     return a.start < b.start;
   }
 };
+static_assert(sizeof(SpKey) == 32, "BLASIDX2 v3 persists 32-byte SpKeys");
 
 /// Composite key (tag, start) of the SD relation (clustered order of the
 /// D-labeling baseline relation).
@@ -44,6 +50,9 @@ struct ValKey {
   PLabel plabel;
   uint32_t data;
   uint32_t start;
+  /// The 8 bytes the 16-byte plabel alignment leaves after `start`, zero
+  /// for the reason SpKey's are.
+  uint64_t pad = 0;
   friend bool operator<(const ValKey& a, const ValKey& b) {
     if (a.data != b.data) return a.data < b.data;
     if (a.plabel != b.plabel) return a.plabel < b.plabel;
@@ -183,6 +192,20 @@ class NodeStore {
   /// (the records read stay counted as visited).
   std::optional<std::vector<NodeRecord>> ScanValueCapped(
       const PLabelRange& range, uint32_t data, uint64_t cap) const;
+
+  /// The batch read of return-first limit-k cursors: the `n` records with
+  /// the smallest start >= `lo` whose plabel lies in one of `ranges`
+  /// (non-empty, sorted, disjoint), in start order. With a data id it
+  /// reads the value tree and sees only records carrying it; otherwise SP.
+  /// One forward iterator skips from P-label to P-label and a max-heap
+  /// keeps the `n` smallest starts: records of one P-label ascend, so once
+  /// one cannot enter the full heap (or enters as its largest) the read
+  /// skips to the next P-label. Every record read counts as visited, so a
+  /// P-label whose first record at `lo` or later lies past the heap costs
+  /// one visit.
+  std::vector<NodeRecord> FirstByStart(std::span<const PLabelRange> ranges,
+                                       std::optional<uint32_t> data,
+                                       uint32_t lo, size_t n) const;
 
   /// Ancestors by floor seeks in SP. Each target (plabel, start) names a
   /// P-label on the root-to-node path of the node at `start`; records of
@@ -355,6 +378,14 @@ class NodeStore {
                                       std::optional<int32_t> level,
                                       std::span<const StartWindow> windows)
       const;
+
+  /// FirstByStart over `tree` (SP or the value tree; `key_of` and
+  /// `in_run` as for ScanWindows).
+  template <typename Tree, typename KeyFn, typename RunFn>
+  std::vector<NodeRecord> FirstByStartIn(const Tree& tree, KeyFn key_of,
+                                         RunFn in_run,
+                                         std::span<const PLabelRange> ranges,
+                                         uint32_t lo, size_t n) const;
 
   /// Issues one batched readahead for the leaf run ahead of a scan that
   /// just seeked `tree` to `at`. Leaves are contiguous in

@@ -21,7 +21,7 @@ struct TwigPasses {
 /// Loads the streams and runs the bottom-up and top-down passes over the
 /// plan's part tree. `skip` < 0 evaluates the whole pattern; otherwise the
 /// (leaf) part `skip` is left out — the cursor's streaming prefix.
-TwigPasses RunPasses(const ExecPlan& plan, int skip, const ExecEnv& env,
+TwigPasses RunPasses(const ExecPlan& plan, int skip, PartFetcher& fetcher,
                      ExecStats* local) {
   const size_t n = plan.parts.size();
   TwigPasses out;
@@ -32,7 +32,6 @@ TwigPasses RunPasses(const ExecPlan& plan, int skip, const ExecEnv& env,
   // reads only records inside its anchor stream's outermost intervals:
   // nothing outside them can join. Anchors precede their children, so the
   // anchor stream is already loaded.
-  PartFetcher fetcher(plan, skip, env);
   out.streams.resize(n);
   for (size_t i = 0; i < n; ++i) {
     if (static_cast<int>(i) == skip) continue;
@@ -106,7 +105,7 @@ Result<std::vector<uint32_t>> TwigEngine::Execute(const ExecPlan& plan,
 }
 
 Result<std::vector<DLabel>> TwigEngine::ExecuteBindings(
-    const ExecPlan& plan, ExecStats* stats) const {
+    const ExecPlan& plan, ExecStats* stats, PartFetcher* fetcher) const {
   if (plan.parts.empty()) {
     return Status::InvalidArgument("empty plan");
   }
@@ -115,7 +114,9 @@ Result<std::vector<DLabel>> TwigEngine::ExecuteBindings(
   ReadCounterScope scope(&counters);
   ExecStats local;
 
-  TwigPasses passes = RunPasses(plan, /*skip=*/-1, env_, &local);
+  std::optional<PartFetcher> own;
+  if (fetcher == nullptr) fetcher = &own.emplace(plan, /*skip=*/-1, env_);
+  TwigPasses passes = RunPasses(plan, /*skip=*/-1, *fetcher, &local);
 
   std::vector<DLabel> result;
   const auto& ret_stream = passes.streams[plan.return_part];
@@ -146,8 +147,9 @@ Result<std::vector<DLabel>> TwigEngine::MatchedAnchors(const ExecPlan& plan,
   ReadCounterScope scope(&counters);
   ExecStats local;
 
+  PartFetcher fetcher(plan, static_cast<int>(skip), env_);
   TwigPasses passes =
-      RunPasses(plan, static_cast<int>(skip), env_, &local);
+      RunPasses(plan, static_cast<int>(skip), fetcher, &local);
 
   const int a = plan.parts[skip].anchor;
   std::vector<DLabel> anchors;

@@ -35,9 +35,11 @@ class TwigEngine {
 
   /// Same execution, but returns the return part's full D-label bindings
   /// (distinct by start, sorted) — cursors enumerate these without
-  /// per-match point lookups.
-  Result<std::vector<DLabel>> ExecuteBindings(const ExecPlan& plan,
-                                              ExecStats* stats) const;
+  /// per-match point lookups. `fetcher` as for
+  /// RelationalExecutor::ExecuteBindings.
+  Result<std::vector<DLabel>> ExecuteBindings(
+      const ExecPlan& plan, ExecStats* stats,
+      PartFetcher* fetcher = nullptr) const;
 
   /// \brief Streaming prefix: runs both arc-consistency passes with part
   /// `skip` (a leaf of the part tree) left out and returns the D-labels of

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "blas/collection.h"
+#include "exec/optimizer.h"
 #include "gen/generator.h"
 #include "gen/queries.h"
 #include "service/query_service.h"
@@ -213,22 +214,45 @@ TEST(CursorTest, CostGateRejectsStreamingWhenTheTagRunWouldCostMore) {
   QueryOptions options;
   options.engine = Engine::kRelational;
   options.limit = 3;
-  // /PLAYS/PLAY/TITLE: the part's SP range touches only the 37 matches,
-  // while the TITLE SD run interleaves every ACT/SCENE/PLAY title in the
+  // The gate decides for literal-seeded P-label plans. The return part
+  // /PLAYS/PLAY/TITLE's SP range touches only the 37 play titles, while
+  // the TITLE SD run interleaves every ACT/SCENE/PLAY title in the
   // document — filtering the run would visit more than the full query.
-  Result<ResultCursor> selective = sys.Open("/PLAYS/PLAY/TITLE", options);
+  const std::string selective_xpath = "/PLAYS/PLAY[ACT/TITLE='ACT 1']/TITLE";
+  Result<ResultCursor> selective = sys.Open(selective_xpath, options);
   ASSERT_TRUE(selective.ok());
   EXPECT_FALSE(selective->streaming());
-  // A broad suffix pattern's range is the whole run: streaming wins.
-  Result<ResultCursor> broad = sys.Open("//LINE", options);
+  // QS3's return part (//LINE) is the whole LINE run: streaming wins.
+  Result<ResultCursor> broad = sys.Open(kQS3, options);
   ASSERT_TRUE(broad.ok());
   EXPECT_TRUE(broad->streaming());
   // Either way the answers agree with the truncated full results.
-  std::optional<std::vector<uint32_t>> full =
-      RunDirect(sys, "/PLAYS/PLAY/TITLE", Translator::kPushUp,
-                Engine::kRelational);
+  std::optional<std::vector<uint32_t>> full = RunDirect(
+      sys, selective_xpath, Translator::kPushUp, Engine::kRelational);
+  ASSERT_TRUE(full.has_value());
+  ASSERT_GE(full->size(), 3u);
   full->resize(3);
   EXPECT_EQ(selective->Drain().starts, *full);
+
+  // Without a literal both single-part plans read return-first, and the
+  // first batch holds exactly the three matches: /PLAYS/PLAY/TITLE is one
+  // path read from SP, //LINE spans five paths whose records make up the
+  // whole LINE run, read from SD.
+  for (Engine engine : kEngines) {
+    options.engine = engine;
+    for (const char* xpath : {"/PLAYS/PLAY/TITLE", "//LINE"}) {
+      Result<ResultCursor> cursor = sys.Open(xpath, options);
+      ASSERT_TRUE(cursor.ok());
+      EXPECT_TRUE(cursor->streaming());
+      QueryResult got = cursor->Drain();
+      std::optional<std::vector<uint32_t>> expected =
+          RunDirect(sys, xpath, Translator::kPushUp, engine);
+      ASSERT_TRUE(expected.has_value());
+      expected->resize(3);
+      EXPECT_EQ(got.starts, *expected) << xpath;
+      EXPECT_EQ(got.stats.elements, 3u) << xpath << " " << EngineName(engine);
+    }
+  }
 }
 
 TEST(CursorTest, BoundedWildcardQueryFallsBackAndTruncates) {
@@ -382,6 +406,70 @@ TEST(CursorTest, LiteralMoreFrequentThanItsRootPathRunsTopDown) {
       sys, "/site/regions/africa/item[payment=\"Creditcard\"]/name",
       /*exact=*/false,
       [&](Translator, size_t) { return cap + top_down; });
+}
+
+TEST(CursorTest, ReturnFirstPriceLookupPaysPerMatchDelivered) {
+  // No literal seeds //closed_auction[price>"P"]/buyer/@person, so a
+  // bounded cursor reads the buyers in document-order batches and seeks
+  // each batch's auctions. On the benchmark's eight-copy corpus (2,000
+  // closed auctions) a price most auctions pass needs one batch; a price
+  // none passes reads every buyer once on top of what a full run reads.
+  static const BlasSystem* sys = [] {
+    Result<BlasSystem> s = BlasSystem::FromEvents([](SaxHandler* h) {
+      GenOptions gen;
+      gen.replicate = 8;
+      GenerateAuction(gen, h);
+    });
+    EXPECT_TRUE(s.ok()) << s.status().ToString();
+    return new BlasSystem(std::move(s).value());
+  }();
+  CostModel model(&sys->summary(), &sys->dict());
+  for (const char* price : {"500", "100000"}) {
+    const std::string xpath =
+        std::string("//closed_auction[price>\"") + price + "\"]/buyer/@person";
+    std::optional<std::vector<uint32_t>> baseline =
+        RunDirect(*sys, xpath, Translator::kDLabel, Engine::kRelational);
+    ASSERT_TRUE(baseline.has_value());
+    for (Translator translator :
+         {Translator::kSplit, Translator::kPushUp, Translator::kUnfold}) {
+      Result<ExecPlan> plan = sys->Plan(xpath, translator);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      const uint64_t buyers =
+          model.PathCount(plan->parts[plan->return_part]);
+      for (Engine engine : kEngines) {
+        ExecStats unbounded;
+        ASSERT_TRUE(RunDirect(*sys, xpath, translator, engine, &unbounded)
+                        .has_value());
+        for (uint64_t offset : {0u, 3u}) {
+          const std::string what = xpath + " " + TranslatorName(translator) +
+                                   "/" + EngineName(engine) +
+                                   " offset=" + std::to_string(offset);
+          QueryOptions options;
+          options.translator = translator;
+          options.engine = engine;
+          options.limit = 10;
+          options.offset = offset;
+          Result<ResultCursor> cursor = sys->Open(xpath, options);
+          ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+          EXPECT_TRUE(cursor->streaming()) << what;
+          QueryResult got = cursor->Drain();
+          const size_t from = std::min<size_t>(offset, baseline->size());
+          const size_t to = std::min<size_t>(from + 10, baseline->size());
+          EXPECT_EQ(got.starts, std::vector<uint32_t>(baseline->begin() + from,
+                                                      baseline->begin() + to))
+              << what;
+          if (std::string(price) == "500") {
+            ASSERT_EQ(got.starts.size(), 10u) << what;
+            EXPECT_LT(4 * got.stats.elements, unbounded.elements) << what;
+          } else {
+            EXPECT_TRUE(got.starts.empty()) << what;
+            EXPECT_LE(got.stats.elements, unbounded.elements + buyers)
+                << what;
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---- Projection: DOM-free content vs. DOM-derived ground truth. --------

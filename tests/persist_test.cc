@@ -1,6 +1,8 @@
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -310,6 +312,63 @@ TEST(PersistTest, GeneratedCorpusRoundTrip) {
       {.translator = Translator::kUnfold, .engine = Engine::kRelational});
   ASSERT_TRUE(orig.ok());
   EXPECT_EQ(r->starts, orig->starts);
+}
+
+
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(PersistTest, TwoBuildsOfOneDocumentSaveIdenticalBytes) {
+  // SP and value-tree internal nodes copy 32-byte keys whose alignment
+  // padding must be zero, or two snapshots of one document differ.
+  std::string paths[2];
+  for (int i = 0; i < 2; ++i) {
+    Result<BlasSystem> sys = BlasSystem::FromEvents(
+        [](SaxHandler* h) { GenerateAuction(GenOptions{}, h); });
+    ASSERT_TRUE(sys.ok()) << sys.status();
+    ASSERT_GE(sys->store().paged_meta().sp.height, 2);
+    ASSERT_GE(sys->store().paged_meta().value.height, 2);
+    paths[i] = TempPath("deterministic_" + std::to_string(i) + ".idx2");
+    ASSERT_TRUE(sys->SavePagedIndex(paths[i]).ok());
+  }
+  const std::string first = ReadAll(paths[0]);
+  ASSERT_FALSE(first.empty());
+  EXPECT_TRUE(first == ReadAll(paths[1]));
+  for (const std::string& path : paths) std::remove(path.c_str());
+}
+
+TEST(PersistTest, InternalKeysCarryZeroPadding) {
+  Result<BlasSystem> sys = BlasSystem::FromEvents(
+      [](SaxHandler* h) { GenerateAuction(GenOptions{}, h); });
+  ASSERT_TRUE(sys.ok()) << sys.status();
+  const BufferPool& pool = sys->store().pool();
+  // The bytes after each internal key's last field, for both trees.
+  auto expect_zero = [&](const BPlusTreeMeta& meta, size_t header,
+                         size_t used, const char* tree) {
+    size_t keys = 0;
+    for (PageId pid = meta.first_page;
+         pid < meta.first_page + meta.page_count; ++pid) {
+      PageRef ref = pool.Peek(pid);
+      const uint32_t* words = ref->As<uint32_t>();
+      if (words[0] != 0) continue;  // a leaf
+      const auto* bytes =
+          reinterpret_cast<const unsigned char*>(ref->bytes.data()) + header;
+      for (uint32_t k = 0; k < words[1]; ++k, ++keys) {
+        for (size_t b = used; b < 32; ++b) {
+          ASSERT_EQ(bytes[k * 32 + b], 0) << tree << " key " << k;
+        }
+      }
+    }
+    EXPECT_GT(keys, 0u) << tree;
+  };
+  expect_zero(sys->store().paged_meta().sp,
+              BPlusTree<NodeRecord, SpKey, SpKeyOf>::kInternalHeaderSize,
+              offsetof(SpKey, start) + sizeof(uint32_t), "sp");
+  expect_zero(sys->store().paged_meta().value,
+              BPlusTree<NodeRecord, ValKey, ValKeyOf>::kInternalHeaderSize,
+              offsetof(ValKey, start) + sizeof(uint32_t), "value");
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -83,10 +84,13 @@ class RandomQueryGen {
 
 /// Checks every translator × engine against the naive answers, unbounded
 /// and through bounded cursors over an offset × limit grid (each a slice
-/// of the naive answer).
+/// of the naive answer). Counts into `multi_batch` the bounded runs that
+/// executed their plan's D-joins more than once (return-first cursors
+/// run the plan once per batch).
 void ExpectMatchesNaive(const BlasSystem& sys, const std::string& where,
                         const Query& query,
-                        const std::vector<uint32_t>& expected) {
+                        const std::vector<uint32_t>& expected,
+                        uint64_t* multi_batch = nullptr) {
   for (Translator translator :
        {Translator::kDLabel, Translator::kSplit, Translator::kPushUp,
         Translator::kUnfold}) {
@@ -117,6 +121,11 @@ void ExpectMatchesNaive(const BlasSystem& sys, const std::string& where,
                     std::vector<uint32_t>(expected.begin() + from,
                                           expected.begin() + to))
               << what << " offset=" << offset << " limit=" << limit;
+          const uint64_t joins = bounded->shape.d_joins;
+          if (multi_batch != nullptr && joins > 0 &&
+              bounded->stats.d_joins > joins) {
+            ++*multi_batch;
+          }
         }
       }
     }
@@ -210,43 +219,55 @@ std::string MatchingQuery(const DomTree& dom, Rng* rng) {
   return xpath;
 }
 
-TEST(DifferentialLargeTest, SeededChainsOnHeightThreeTreesMatchNaiveEval) {
-  // Large enough that SP and the value tree have an internal level below
-  // the root (so SkipTo's parent tier runs), with rare literals (about 2k
-  // values) so seeded plans stay under the root part's cap and run their
-  // ancestor seeks. Five queries are built around document nodes (so they
-  // have answers); five are random ones with an inner equality literal.
-  constexpr uint64_t kSeed = 101;
-  constexpr int kTags = 6;
-  constexpr int kValues = 2000;
+/// Builds the large differential tests' document — about 64k records, so
+/// SP and the value tree have an internal level below the root (SkipTo's
+/// parent tier runs), with rare values (about 2k) — and its BLASIDX2 copy,
+/// saved to `path` and demand-paged through a two-frame pool.
+constexpr uint64_t kLargeSeed = 101;
+constexpr int kLargeTags = 6;
+constexpr int kLargeValues = 2000;
+
+void BuildLargeDoc(const std::string& path, std::optional<BlasSystem>* sys,
+                   std::optional<BlasSystem>* paged) {
   BlasOptions options;
   options.keep_dom = true;
-  Result<BlasSystem> sys = BlasSystem::FromEvents(
+  Result<BlasSystem> built = BlasSystem::FromEvents(
       [&](SaxHandler* h) {
-        GenerateRandomDoc(kSeed, /*approx_nodes=*/64000, kTags,
-                          /*max_depth=*/5, kValues, h);
+        GenerateRandomDoc(kLargeSeed, /*approx_nodes=*/64000, kLargeTags,
+                          /*max_depth=*/5, kLargeValues, h);
       },
       options);
-  ASSERT_TRUE(sys.ok()) << sys.status();
-  ASSERT_GE(sys->store().paged_meta().sp.height, 3);
-  ASSERT_GE(sys->store().paged_meta().value.height, 3);
-
-  const std::string path = testing::TempDir() + "/property_large.idx2";
-  ASSERT_TRUE(sys->SavePagedIndex(path).ok());
+  ASSERT_TRUE(built.ok()) << built.status();
+  ASSERT_GE(built->store().paged_meta().sp.height, 3);
+  ASSERT_GE(built->store().paged_meta().value.height, 3);
+  ASSERT_TRUE(built->SavePagedIndex(path).ok());
   StorageOptions storage;
   storage.frames_per_shard = 2;
   storage.shards = 1;
-  Result<BlasSystem> paged = BlasSystem::OpenPaged(path, storage);
-  ASSERT_TRUE(paged.ok()) << paged.status();
+  Result<BlasSystem> reopened = BlasSystem::OpenPaged(path, storage);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  sys->emplace(std::move(built).value());
+  paged->emplace(std::move(reopened).value());
+}
+
+TEST(DifferentialLargeTest, SeededChainsOnHeightThreeTreesMatchNaiveEval) {
+  // Rare literals keep seeded plans under the root part's cap, so they run
+  // their ancestor seeks. Five queries are built around document nodes
+  // (so they have answers); five are random ones with an inner equality
+  // literal.
+  const std::string path = testing::TempDir() + "/property_large.idx2";
+  std::optional<BlasSystem> sys, paged;
+  BuildLargeDoc(path, &sys, &paged);
+  if (HasFatalFailure()) return;
 
   std::vector<Query> queries;
-  Rng rng(kSeed);
+  Rng rng(kLargeSeed);
   while (queries.size() < 5) {
     Result<Query> query = ParseXPath(MatchingQuery(*sys->dom(), &rng));
     ASSERT_TRUE(query.ok()) << query.status();
     queries.push_back(std::move(query).value());
   }
-  RandomQueryGen qgen(kSeed * 7919 + 1, kTags, kValues);
+  RandomQueryGen qgen(kLargeSeed * 7919 + 1, kLargeTags, kLargeValues);
   while (queries.size() < 10) {
     Query query = qgen.Generate();
     if (HasInnerEquality(*query.root, true)) {
@@ -259,6 +280,44 @@ TEST(DifferentialLargeTest, SeededChainsOnHeightThreeTreesMatchNaiveEval) {
     ExpectMatchesNaive(*sys, "large", queries[i], expected);
     ExpectMatchesNaive(*paged, "large paged", queries[i], expected);
   }
+  std::remove(path.c_str());
+}
+
+/// True when some node of the query carries an equality predicate.
+bool HasEquality(const QueryNode& node) {
+  if (node.value.has_value() && node.value->op == ValueOp::kEq) return true;
+  for (const auto& child : node.children) {
+    if (HasEquality(*child)) return true;
+  }
+  return false;
+}
+
+TEST(DifferentialLargeTest, ReturnFirstBatchesOnHeightThreeTreesMatchNaiveEval) {
+  // Without an equality literal every bounded P-label cursor reads its
+  // return part in document-order batches. On this document batches cross
+  // leaves, and a return part whose matches are rare among its records
+  // (a branch, or a comparison that few values pass) needs several batch
+  // rounds — under eviction in the paged copy.
+  const std::string path = testing::TempDir() + "/property_batches.idx2";
+  std::optional<BlasSystem> sys, paged;
+  BuildLargeDoc(path, &sys, &paged);
+  if (HasFatalFailure()) return;
+
+  RandomQueryGen qgen(kLargeSeed * 104729 + 7, kLargeTags, kLargeValues);
+  uint64_t multi_batch = 0;
+  int with_answers = 0;
+  for (int queries = 0; queries < 12;) {
+    Query query = qgen.Generate();
+    if (HasEquality(*query.root)) continue;
+    ++queries;
+    std::vector<uint32_t> expected = NaiveEvalStarts(query, *sys->dom());
+    if (!expected.empty()) ++with_answers;
+    ExpectMatchesNaive(*sys, "batches", query, expected, &multi_batch);
+    ExpectMatchesNaive(*paged, "batches paged", query, expected,
+                       &multi_batch);
+  }
+  EXPECT_GE(with_answers, 4);
+  EXPECT_GT(multi_batch, 0u);
   std::remove(path.c_str());
 }
 

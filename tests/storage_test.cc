@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -600,6 +602,140 @@ TEST_F(WindowedScanTest, DataLevelAndWindowsTogether) {
     ExpectScan(PLabelRange{11, 11}, data, std::nullopt, windows);
     ExpectScan(PLabelRange{10, 12}, data, 1, {StartWindow{}});
   }
+}
+
+
+// ------------------------------------------------- start-ordered batches ---
+
+/// 70,000 records over a height-3 SP tree: five P-labels 10-14 holding one
+/// contiguous run of 12,000 even starts each, in key order, with gaps of
+/// 6,000 between runs, and two P-labels 20-21 alternating over 10,000 odd
+/// starts across the whole document. Data ids cycle through 0-6.
+class FirstByStartTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (uint32_t run = 0; run < 5; ++run) {
+      for (uint32_t i = 0; i < 12000; ++i) {
+        Add(10 + run, run * 30000 + 2 + 2 * i);
+      }
+    }
+    for (uint32_t i = 0; i < 10000; ++i) Add(20 + i % 2, 6 * i + 1);
+    store_ = std::make_unique<NodeStore>(recs_, 4096);
+    ASSERT_EQ(store_->paged_meta().sp.height, 3);
+  }
+
+  void Add(PLabel plabel, uint32_t start) {
+    NodeRecord r;
+    r.plabel = plabel;
+    r.start = start;
+    r.end = start;
+    r.tag = 1;
+    r.level = 1;
+    r.data = static_cast<uint32_t>(recs_.size() % 7);
+    recs_.push_back(r);
+  }
+
+  /// Checks FirstByStart on `store` against a sort of the matching
+  /// records, for every batch size in `sizes`. Visits stay within one
+  /// probe per P-label holding a record at `lo` or later, plus, per such
+  /// P-label, the records it can push into the heap (at most `n`); when
+  /// the ranges hold only the runs (whose key order is their start order)
+  /// that is at most `n` plus the probes.
+  void Expect(const NodeStore& store, std::vector<PLabelRange> ranges,
+              std::optional<uint32_t> data, uint32_t lo) {
+    std::vector<NodeRecord> all;
+    std::map<PLabel, uint64_t> per_label;
+    for (const NodeRecord& r : recs_) {
+      bool in = false;
+      for (const PLabelRange& range : ranges) in = in || range.Contains(r.plabel);
+      if (!in || r.start < lo || (data.has_value() && r.data != *data)) {
+        continue;
+      }
+      all.push_back(r);
+      ++per_label[r.plabel];
+    }
+    std::sort(all.begin(), all.end(),
+              [](const NodeRecord& a, const NodeRecord& b) {
+                return a.start < b.start;
+              });
+    const bool runs_only = ranges.back().hi < 20;
+    for (size_t n : {size_t{1}, size_t{7}, size_t{255}, size_t{256},
+                     size_t{1000}, size_t{13000}, all.size() + 5}) {
+      const std::string what = "lo=" + std::to_string(lo) +
+                               " n=" + std::to_string(n) + " data=" +
+                               (data ? std::to_string(*data) : "none");
+      ReadCounters counters;
+      std::vector<NodeRecord> got;
+      {
+        ReadCounterScope scope(&counters);
+        got = store.FirstByStart(ranges, data, lo, n);
+      }
+      const size_t want = std::min(n, all.size());
+      ASSERT_EQ(got.size(), want) << what;
+      for (size_t i = 0; i < want; ++i) {
+        ASSERT_EQ(got[i].start, all[i].start) << what << " at " << i;
+        ASSERT_EQ(got[i].plabel, all[i].plabel) << what << " at " << i;
+      }
+      uint64_t pushes = 0;
+      for (const auto& [label, count] : per_label) {
+        pushes += std::min<uint64_t>(n, count);
+      }
+      EXPECT_LE(counters.elements, pushes + per_label.size()) << what;
+      if (runs_only) {
+        EXPECT_LE(counters.elements, n + per_label.size()) << what;
+      }
+    }
+  }
+
+  void ExpectAll(const NodeStore& store) {
+    const std::vector<std::vector<PLabelRange>> range_sets = {
+        {{10, 14}}, {{12, 12}}, {{11, 11}, {13, 14}}, {{20, 21}},
+        {{10, 10}, {12, 21}}, {{0, 100}}};
+    // From the start, inside run 2, between runs 0 and 1, inside the last
+    // run, and past every record.
+    for (uint32_t lo : {0u, 60501u, 27000u, 124001u, 200000u}) {
+      for (const std::vector<PLabelRange>& ranges : range_sets) {
+        Expect(store, ranges, std::nullopt, lo);
+        Expect(store, ranges, 3, lo);
+      }
+    }
+  }
+
+  std::vector<NodeRecord> recs_;
+  std::unique_ptr<NodeStore> store_;
+};
+
+TEST_F(FirstByStartTest, MatchesSortedRecordsInMemory) { ExpectAll(*store_); }
+
+TEST_F(FirstByStartTest, MatchesSortedRecordsUnderATwoFramePagedPool) {
+  // The same pages written to a file and demand-paged through two frames:
+  // every P-label hop runs under eviction.
+  const std::string path = testing::TempDir() + "/first_by_start.pages";
+  const BufferPool& pool = store_->pool();
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    for (PageId pid = 0; pid < pool.page_count(); ++pid) {
+      PageRef ref = pool.Peek(pid);
+      out.write(reinterpret_cast<const char*>(ref->bytes.data()), kPageSize);
+    }
+    ASSERT_TRUE(out.good());
+  }
+  Result<PagedFile> file = PagedFile::Open(path, 0, pool.page_count());
+  ASSERT_TRUE(file.ok()) << file.status();
+  StorageOptions options;
+  options.frames_per_shard = 2;
+  options.shards = 1;
+  NodeStore paged(std::move(file).value(), store_->paged_meta(), options);
+  ExpectAll(paged);
+  std::remove(path.c_str());
+}
+
+TEST_F(FirstByStartTest, EmptyRangesAndZeroSizeReadNothing) {
+  EXPECT_TRUE(store_->FirstByStart({}, std::nullopt, 0, 10).empty());
+  const std::vector<PLabelRange> ranges{{10, 14}};
+  EXPECT_TRUE(store_->FirstByStart(ranges, std::nullopt, 0, 0).empty());
+  EXPECT_EQ(store_->stats().elements, 0u);
+  EXPECT_EQ(store_->stats().page_fetches, 0u);
 }
 
 }  // namespace
