@@ -103,9 +103,24 @@ StreamPlanInfo ResultCursor::AnalyzePlan(const ExecPlan& plan,
     info.return_first = true;
     info.return_count = model.PathCount(ret);
     info.return_paths = model.PathLabels(ret);
-    for (const PlanPart& part : plan.parts) {
+    // The return part and its anchors up to the root.
+    std::vector<bool> on_chain(plan.parts.size(), false);
+    for (int i = plan.return_part; i >= 0; i = plan.parts[i].anchor) {
+      on_chain[i] = true;
+    }
+    for (size_t i = 0; i < plan.parts.size(); ++i) {
+      const PlanPart& part = plan.parts[i];
       if (part.value.has_value()) {
         info.match_rate *= CostModel::kValueSelectivity;
+      }
+      // A branch off the chain keeps at most the share of its anchors
+      // that have one.
+      if (on_chain[i] || part.anchor < 0 || !on_chain[part.anchor]) continue;
+      const uint64_t anchors = model.PathCount(plan.parts[part.anchor]);
+      if (anchors > 0) {
+        info.match_rate *= std::min(
+            1.0, static_cast<double>(model.PathCount(part)) /
+                     static_cast<double>(anchors));
       }
     }
     info.tag = LeafTag(ret, *env.codec);

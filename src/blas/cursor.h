@@ -50,7 +50,8 @@ struct StreamPlanInfo {
   uint64_t return_paths = 0;
   /// Return-first: the expected share of return-part records that match,
   /// the product of CostModel::kValueSelectivity over the plan's
-  /// value-predicate parts.
+  /// value-predicate parts and, for each branch part anchored on the
+  /// return part's anchor chain, min(1, its path count / its anchor's).
   double match_rate = 1.0;
   /// The one tag every alternative of the return part ends in, when there
   /// is one: a return-first batch may read its SD run instead of SP (no

@@ -17,10 +17,11 @@ namespace blas {
 namespace {
 
 constexpr char kMagic2[8] = {'B', 'L', 'A', 'S', 'I', 'D', 'X', '2'};
-/// 3: the value tree is keyed (data, plabel, start) in 32-byte ValKeys.
-/// Version 2 files key it by (data, start) and version 1 files hold
-/// 48-byte records; both must be re-saved.
-constexpr uint32_t kVersion2 = 3;
+/// 4: internal nodes hold packed 20-byte SpKeys and 24-byte ValKeys.
+/// Version 3 files hold 32-byte padded keys, version 2 files key the value
+/// tree by (data, start) and version 1 files hold 48-byte records; all
+/// must be re-saved.
+constexpr uint32_t kVersion2 = 4;
 /// Written in native byte order: a snapshot produced by a different
 /// endianness reads back as a different value and is rejected (tree pages
 /// are raw native layout, so misreading them must be impossible).

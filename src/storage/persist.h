@@ -61,13 +61,18 @@ struct IndexSnapshot {
 // runs needed no version bump; an older reader rejects a file holding one
 // (its value page index is not strictly ascending), never misreads it.
 //
-// Tree leaf pages (version 3): a 16-byte header (is_leaf, count, next
+// Tree leaf pages (version 4): a 16-byte header (is_leaf, count, next
 // leaf, pad) followed by up to 255 native 32-byte NodeRecords — u128
 // plabel, u32 start, u32 end, u32 data, then tag (24 bits) and level
-// (8 bits) sharing one u32. The value tree is ordered by the 32-byte
-// ValKey (data, plabel, start). Version 2 files (value tree keyed by
-// (data, start)) and version 1 files (48-byte records, 170 per leaf) are
-// rejected with Corruption and must be re-saved.
+// (8 bits) sharing one u32. Internal pages: an 8-byte header (is_leaf,
+// count), the separator keys, then count + 1 u32 child ids at a fixed
+// offset. Keys are packed with no padding: SP's 20-byte (plabel, start)
+// gives 340 keys per node, SD's 8-byte (tag, start) 681, and the value
+// tree's 24-byte (plabel, data, start), ordered by (data, plabel,
+// start), 292. Version 3 files (32-byte padded SP and value keys, 227
+// per node), version 2 files (value tree keyed by (data, start)) and
+// version 1 files (48-byte records, 170 per leaf) are rejected with
+// Corruption and must be re-saved.
 //
 // The header stores (little-endian): magic "BLASIDX2", version,
 // page_size, a native-endianness probe, sizeof(NodeRecord) and the three

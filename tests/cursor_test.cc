@@ -472,6 +472,47 @@ TEST(CursorTest, ReturnFirstPriceLookupPaysPerMatchDelivered) {
   }
 }
 
+TEST(CursorTest, StructuralBranchSizesTheFirstReturnFirstBatch) {
+  // Only some items ship and only some closed auctions carry an annotation
+  // description, so the branch part's share of its anchors sizes the
+  // first batch: under Push-up and Unfold ten answers need one batch, one
+  // pass of every D-join. Split's return part is a `//` suffix path whose
+  // first records in document order lie outside every anchor, which no
+  // share estimate sizes away; its answers are still checked.
+  const BlasSystem& sys = Auction();
+  for (const char* xpath :
+       {"/site/regions/asia/item[shipping]/description",
+        "/site/closed_auctions/closed_auction[annotation/description]/date"}) {
+    std::optional<std::vector<uint32_t>> baseline =
+        RunDirect(sys, xpath, Translator::kDLabel, Engine::kRelational);
+    ASSERT_TRUE(baseline.has_value());
+    ASSERT_GT(baseline->size(), 10u) << xpath;
+    for (Translator translator :
+         {Translator::kSplit, Translator::kPushUp, Translator::kUnfold}) {
+      for (Engine engine : kEngines) {
+        const std::string what = std::string(xpath) + " " +
+                                 TranslatorName(translator) + "/" +
+                                 EngineName(engine);
+        QueryOptions options;
+        options.translator = translator;
+        options.engine = engine;
+        options.limit = 10;
+        Result<ResultCursor> cursor = sys.Open(xpath, options);
+        ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+        EXPECT_TRUE(cursor->streaming()) << what;
+        QueryResult got = cursor->Drain();
+        EXPECT_EQ(got.starts, std::vector<uint32_t>(baseline->begin(),
+                                                    baseline->begin() + 10))
+            << what;
+        ASSERT_GT(got.shape.d_joins, 0u) << what;
+        if (translator != Translator::kSplit) {
+          EXPECT_EQ(got.stats.d_joins, got.shape.d_joins) << what;
+        }
+      }
+    }
+  }
+}
+
 // ---- Projection: DOM-free content vs. DOM-derived ground truth. --------
 
 constexpr char kLibraryXml[] =

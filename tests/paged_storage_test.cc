@@ -443,7 +443,7 @@ TEST_F(PagedCorruptionTest, OldVersionRejected) {
 
 TEST_F(PagedCorruptionTest, Version2HeaderRejected) {
   // Version 2 keyed the value tree by (data, start): its pages must never
-  // be read as the (data, plabel, start) tree of version 3.
+  // be read as the (data, plabel, start) tree of later versions.
   std::string bad = bytes_;
   PatchU32(&bad, kOffVersion, 2);
   ExpectRejected(bad, "version 2");

@@ -321,8 +321,9 @@ std::string ReadAll(const std::string& path) {
 }
 
 TEST(PersistTest, TwoBuildsOfOneDocumentSaveIdenticalBytes) {
-  // SP and value-tree internal nodes copy 32-byte keys whose alignment
-  // padding must be zero, or two snapshots of one document differ.
+  // SP and value-tree internal nodes copy whole keys into snapshot
+  // pages; the keys have no padding (node_store.h proves it at compile
+  // time), so two snapshots of one document are byte-identical.
   std::string paths[2];
   for (int i = 0; i < 2; ++i) {
     Result<BlasSystem> sys = BlasSystem::FromEvents(
@@ -339,36 +340,36 @@ TEST(PersistTest, TwoBuildsOfOneDocumentSaveIdenticalBytes) {
   for (const std::string& path : paths) std::remove(path.c_str());
 }
 
-TEST(PersistTest, InternalKeysCarryZeroPadding) {
-  Result<BlasSystem> sys = BlasSystem::FromEvents(
-      [](SaxHandler* h) { GenerateAuction(GenOptions{}, h); });
-  ASSERT_TRUE(sys.ok()) << sys.status();
-  const BufferPool& pool = sys->store().pool();
-  // The bytes after each internal key's last field, for both trees.
-  auto expect_zero = [&](const BPlusTreeMeta& meta, size_t header,
-                         size_t used, const char* tree) {
-    size_t keys = 0;
-    for (PageId pid = meta.first_page;
-         pid < meta.first_page + meta.page_count; ++pid) {
-      PageRef ref = pool.Peek(pid);
-      const uint32_t* words = ref->As<uint32_t>();
-      if (words[0] != 0) continue;  // a leaf
-      const auto* bytes =
-          reinterpret_cast<const unsigned char*>(ref->bytes.data()) + header;
-      for (uint32_t k = 0; k < words[1]; ++k, ++keys) {
-        for (size_t b = used; b < 32; ++b) {
-          ASSERT_EQ(bytes[k * 32 + b], 0) << tree << " key " << k;
-        }
-      }
-    }
-    EXPECT_GT(keys, 0u) << tree;
+TEST(PersistTest, Version3AndPaddedKeySizesAreRejected) {
+  // Version 3 internal nodes hold 32-byte padded SP and value keys: a
+  // file claiming that version, or those key sizes, fails on every open
+  // instead of having its internal pages read as packed keys.
+  const std::string good = SavedSnapshot("v4_base.idx2");
+  ASSERT_GT(good.size(), kPageSize);
+  // Header offsets (persist.h): version 8, then after the endian probe,
+  // page size and record size, the SP/SD/value key sizes at 24/28/32.
+  auto patched = [&](size_t off, uint32_t v) {
+    std::string bytes = good;
+    std::memcpy(bytes.data() + off, &v, sizeof(v));
+    return bytes;
   };
-  expect_zero(sys->store().paged_meta().sp,
-              BPlusTree<NodeRecord, SpKey, SpKeyOf>::kInternalHeaderSize,
-              offsetof(SpKey, start) + sizeof(uint32_t), "sp");
-  expect_zero(sys->store().paged_meta().value,
-              BPlusTree<NodeRecord, ValKey, ValKeyOf>::kInternalHeaderSize,
-              offsetof(ValKey, start) + sizeof(uint32_t), "value");
+  const struct {
+    std::string bytes;
+    const char* what;
+  } cases[] = {{patched(8, 3), "version 3"},
+               {patched(24, 32), "32-byte SpKey"},
+               {patched(32, 32), "32-byte ValKey"}};
+  for (const auto& c : cases) {
+    std::string path = TempPath("v3_case.idx2");
+    WriteBytes(path, c.bytes);
+    EXPECT_EQ(BlasSystem::FromIndexFile(path).status().code(),
+              StatusCode::kCorruption)
+        << c.what;
+    EXPECT_EQ(BlasSystem::OpenPaged(path).status().code(),
+              StatusCode::kCorruption)
+        << c.what;
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

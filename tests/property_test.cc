@@ -219,9 +219,11 @@ std::string MatchingQuery(const DomTree& dom, Rng* rng) {
   return xpath;
 }
 
-/// Builds the large differential tests' document — about 64k records, so
-/// SP and the value tree have an internal level below the root (SkipTo's
-/// parent tier runs), with rare values (about 2k) — and its BLASIDX2 copy,
+/// Builds the large differential tests' document — about 96k records,
+/// past the 86,955 one SP root holds (341 leaves of 255) and the 74,715
+/// one value-tree root holds (293 leaves), so both trees have an internal
+/// level below the root (SkipTo's parent tier runs), with rare values
+/// (about 2k) — and its BLASIDX2 copy,
 /// saved to `path` and demand-paged through a two-frame pool.
 constexpr uint64_t kLargeSeed = 101;
 constexpr int kLargeTags = 6;
@@ -233,7 +235,7 @@ void BuildLargeDoc(const std::string& path, std::optional<BlasSystem>* sys,
   options.keep_dom = true;
   Result<BlasSystem> built = BlasSystem::FromEvents(
       [&](SaxHandler* h) {
-        GenerateRandomDoc(kLargeSeed, /*approx_nodes=*/64000, kLargeTags,
+        GenerateRandomDoc(kLargeSeed, /*approx_nodes=*/96000, kLargeTags,
                           /*max_depth=*/5, kLargeValues, h);
       },
       options);

@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include "blas/blas.h"
 #include "common/rng.h"
 #include "exec/operators.h"
+#include "gen/generator.h"
 #include "storage/bptree.h"
 #include "storage/buffer_pool.h"
 #include "storage/node_store.h"
@@ -162,6 +164,26 @@ TEST(BPlusTreeTest, NodeRecordLeavesHold255Records) {
   EXPECT_EQ((BPlusTree<NodeRecord, SpKey, SpKeyOf>::kLeafCap), 255u);
 }
 
+// Packed separator keys: 8180 bytes after the 8-byte header and the
+// extra child id, over a 20-byte SpKey or 24-byte ValKey plus its child.
+static_assert(BPlusTree<NodeRecord, SpKey, SpKeyOf>::kInternalCap >= 340);
+static_assert(BPlusTree<NodeRecord, ValKey, ValKeyOf>::kInternalCap >= 292);
+
+TEST(BPlusTreeTest, DefaultAuctionShardTreesAreTwoLevels) {
+  // The default auction document is one shard of the collection
+  // workloads: a root and its leaves for SP, SD and the value tree, so
+  // every seek, floor seek and re-descent costs two fetches. A key wide
+  // enough to add a level here would add a fetch to each of them.
+  Result<BlasSystem> sys = BlasSystem::FromEvents(
+      [](SaxHandler* h) { GenerateAuction(GenOptions{}, h); });
+  ASSERT_TRUE(sys.ok()) << sys.status();
+  const PagedStoreMeta meta = sys->store().paged_meta();
+  EXPECT_GT(meta.record_count, 60000u);
+  EXPECT_EQ(meta.sp.height, 2);
+  EXPECT_EQ(meta.value.height, 2);
+  EXPECT_EQ(meta.sd.height, 2);
+}
+
 std::vector<NodeRecord> MakeRecords() {
   // Five nodes across two plabels/tags with values.
   std::vector<NodeRecord> recs;
@@ -280,15 +302,15 @@ TEST(NodeStoreTest, LargeStoreRangeMatchesBruteForce) {
 
 // ------------------------------------------------------------- skipping ---
 
-/// 70,000 records keyed by (plabel, start): 275 leaves under a height-3
-/// tree (227 SpKeys per internal node).
+/// 100,000 records keyed by (plabel, start): 393 leaves under a height-3
+/// tree (340 SpKeys, 341 children per internal node).
 class SkipToTest : public ::testing::Test {
  public:
   using Tree = BPlusTree<NodeRecord, SpKey, SpKeyOf>;
 
  protected:
   void SetUp() override {
-    for (uint32_t i = 0; i < 70000; ++i) {
+    for (uint32_t i = 0; i < 100000; ++i) {
       NodeRecord r;
       r.plabel = 5;
       r.start = 2 * i;  // even starts only
@@ -311,8 +333,8 @@ class SkipToTest : public ::testing::Test {
 };
 
 TEST_F(SkipToTest, FetchesZeroInLeafOneForTheSiblingTwoInTheParent) {
-  // 275 leaves: the root's first child parents leaves 0-227, its second
-  // leaves 228-274.
+  // 393 leaves: the root's first child parents leaves 0-340, its second
+  // leaves 341-392.
   constexpr uint32_t kCap = Tree::kLeafCap;
   const uint64_t height = static_cast<uint64_t>(tree_.height());
   Tree::Iterator it = tree_.Seek(SpKey{5, 0});
@@ -326,17 +348,17 @@ TEST_F(SkipToTest, FetchesZeroInLeafOneForTheSiblingTwoInTheParent) {
   EXPECT_EQ(FetchesOf(&it, 2 * (60 * kCap + 3)), 2u);
   EXPECT_EQ(it->start, 2u * (60 * kCap + 3));
   // Beyond the parent: a root descent.
-  EXPECT_EQ(FetchesOf(&it, 2 * (250 * kCap + 3)), height);
-  EXPECT_EQ(it->start, 2u * (250 * kCap + 3));
+  EXPECT_EQ(FetchesOf(&it, 2 * (360 * kCap + 3)), height);
+  EXPECT_EQ(it->start, 2u * (360 * kCap + 3));
   // In the sibling leaf the fences place it in: one fetch.
-  EXPECT_EQ(FetchesOf(&it, 2 * (251 * kCap + 7)), 1u);
-  EXPECT_EQ(it->start, 2u * (251 * kCap + 7));
+  EXPECT_EQ(FetchesOf(&it, 2 * (361 * kCap + 7)), 1u);
+  EXPECT_EQ(it->start, 2u * (361 * kCap + 7));
   // Past the leaves the last descent saw, the sibling's fence is unknown:
   // the sibling is probed first (one fetch when it holds the key, then
   // the parent tier).
-  EXPECT_EQ(FetchesOf(&it, 2 * (252 * kCap + 7)), 1u);
-  EXPECT_EQ(FetchesOf(&it, 2 * (270 * kCap + 7)), 1u + 2u);
-  EXPECT_EQ(it->start, 2u * (270 * kCap + 7));
+  EXPECT_EQ(FetchesOf(&it, 2 * (362 * kCap + 7)), 1u);
+  EXPECT_EQ(FetchesOf(&it, 2 * (380 * kCap + 7)), 1u + 2u);
+  EXPECT_EQ(it->start, 2u * (380 * kCap + 7));
   // Past the last record: the iterator ends.
   tree_.SkipTo(&it, SpKey{6, 0});
   EXPECT_TRUE(it.at_end());
@@ -607,19 +629,19 @@ TEST_F(WindowedScanTest, DataLevelAndWindowsTogether) {
 
 // ------------------------------------------------- start-ordered batches ---
 
-/// 70,000 records over a height-3 SP tree: five P-labels 10-14 holding one
-/// contiguous run of 12,000 even starts each, in key order, with gaps of
-/// 6,000 between runs, and two P-labels 20-21 alternating over 10,000 odd
-/// starts across the whole document. Data ids cycle through 0-6.
+/// 100,000 records over a height-3 SP tree: five P-labels 10-14 holding
+/// one contiguous run of 18,000 even starts each, in key order, with gaps
+/// of 9,000 between runs, and two P-labels 20-21 alternating over 10,000
+/// odd starts across the whole document. Data ids cycle through 0-6.
 class FirstByStartTest : public ::testing::Test {
  protected:
   void SetUp() override {
     for (uint32_t run = 0; run < 5; ++run) {
-      for (uint32_t i = 0; i < 12000; ++i) {
-        Add(10 + run, run * 30000 + 2 + 2 * i);
+      for (uint32_t i = 0; i < 18000; ++i) {
+        Add(10 + run, run * 45000 + 2 + 2 * i);
       }
     }
-    for (uint32_t i = 0; i < 10000; ++i) Add(20 + i % 2, 6 * i + 1);
+    for (uint32_t i = 0; i < 10000; ++i) Add(20 + i % 2, 22 * i + 1);
     store_ = std::make_unique<NodeStore>(recs_, 4096);
     ASSERT_EQ(store_->paged_meta().sp.height, 3);
   }
@@ -660,7 +682,7 @@ class FirstByStartTest : public ::testing::Test {
               });
     const bool runs_only = ranges.back().hi < 20;
     for (size_t n : {size_t{1}, size_t{7}, size_t{255}, size_t{256},
-                     size_t{1000}, size_t{13000}, all.size() + 5}) {
+                     size_t{1000}, size_t{19000}, all.size() + 5}) {
       const std::string what = "lo=" + std::to_string(lo) +
                                " n=" + std::to_string(n) + " data=" +
                                (data ? std::to_string(*data) : "none");
@@ -693,7 +715,7 @@ class FirstByStartTest : public ::testing::Test {
         {{10, 10}, {12, 21}}, {{0, 100}}};
     // From the start, inside run 2, between runs 0 and 1, inside the last
     // run, and past every record.
-    for (uint32_t lo : {0u, 60501u, 27000u, 124001u, 200000u}) {
+    for (uint32_t lo : {0u, 100501u, 40000u, 190001u, 250000u}) {
       for (const std::vector<PLabelRange>& ranges : range_sets) {
         Expect(store, ranges, std::nullopt, lo);
         Expect(store, ranges, 3, lo);
