@@ -1,13 +1,12 @@
 // Demand-paged storage: cold-open latency of OpenPaged (O(1) in document
 // size) vs the materializing FromIndexFile, cold-open + first-scan wall
-// time per storage backend (the pread-vs-mmap read-path comparison), and
-// query cost under a real memory budget — page misses that are actual
-// disk reads — vs the in-memory store's simulated misses.
+// time of the paged pool vs the materialized load, and query cost under a
+// real memory budget — page misses that are actual disk reads — vs the
+// in-memory store's simulated misses.
 //
-// Every paged benchmark runs on a backend={inmem,pread,mmap} axis: the
-// backend appears in the benchmark name and as the `backend` user
-// counter in BENCH_paged_storage.json (0 = inmem, 1 = pread, 2 = mmap),
-// so the perf trajectory tracks the backend split.
+// Every benchmark runs on a store={inmem,pread} axis: the store appears
+// in the benchmark name and as the `backend` user counter in
+// BENCH_paged_storage.json (0 = inmem, 1 = pread).
 //
 // Knobs: BLAS_BENCH_REPLICATE (corpus scale, default 4),
 //        BLAS_BENCH_FRAMES (paged frames per shard, default 16).
@@ -18,7 +17,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
-#include "storage/page_source.h"
 #include "storage/persist.h"
 
 namespace blas {
@@ -45,52 +43,32 @@ const Corpus& GetCorpus() {
   return *corpus;
 }
 
-double BackendCounter(StorageBackend backend) {
-  switch (backend) {
-    case StorageBackend::kInMemory:
-      return 0;
-    case StorageBackend::kPread:
-      return 1;
-    case StorageBackend::kMmap:
-      return 2;
-    default:
-      return -1;
-  }
-}
+/// The `backend` user counter: 0 = in-memory store, 1 = paged (pread).
+double StoreCounter(bool paged) { return paged ? 1 : 0; }
 
 /// Query benchmarks run under real frame pressure.
-StorageOptions BenchStorage(StorageBackend backend) {
+StorageOptions BenchStorage() {
   StorageOptions storage;
   storage.frames_per_shard =
       static_cast<size_t>(EnvInt("BLAS_BENCH_FRAMES", 16));
   storage.shards = 1;
-  storage.backend = backend;
-  return storage;
-}
-
-/// First-scan benchmarks run with an ample budget: the comparison is the
-/// raw read path (syscall + copy per page vs minor fault, zero-copy),
-/// not eviction policy.
-StorageOptions ScanStorage(StorageBackend backend) {
-  StorageOptions storage;
-  storage.backend = backend;
   return storage;
 }
 
 /// Cold open: header + schema segments only. Document size does not
 /// enter the loop body.
-void BM_ColdOpenPaged(benchmark::State& state, StorageBackend backend) {
+void BM_ColdOpenPaged(benchmark::State& state) {
   const Corpus& corpus = GetCorpus();
   for (auto _ : state) {
     Result<BlasSystem> sys =
-        BlasSystem::OpenPaged(corpus.path, BenchStorage(backend));
+        BlasSystem::OpenPaged(corpus.path, BenchStorage());
     if (!sys.ok()) {
       state.SkipWithError(sys.status().ToString().c_str());
       return;
     }
     benchmark::DoNotOptimize(sys->doc_stats().tags);
   }
-  state.counters["backend"] = BackendCounter(backend);
+  state.counters["backend"] = StoreCounter(true);
   state.counters["index_pages"] =
       static_cast<double>(GetCorpus().memory->doc_stats().pages);
 }
@@ -108,7 +86,7 @@ void BM_ColdOpenMaterialized(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(sys->doc_stats().tags);
   }
-  state.counters["backend"] = BackendCounter(StorageBackend::kInMemory);
+  state.counters["backend"] = StoreCounter(false);
   state.counters["index_pages"] =
       static_cast<double>(GetCorpus().memory->doc_stats().pages);
 }
@@ -128,15 +106,16 @@ uint64_t ScanAllPages(const BufferPool& pool) {
 
 /// The acceptance benchmark: open the snapshot cold and stream every
 /// index page once — the startup cost a replica or cache-warming pass
-/// pays. pread pays one syscall + 8 KiB copy per page; mmap pays a page
-/// fault on a prefetched mapping, zero-copy.
-void BM_ColdOpenFirstScan(benchmark::State& state, StorageBackend backend) {
+/// pays. The paged pool pays one pread (syscall + 8 KiB copy) per page
+/// under an ample budget, so the comparison is the read path, not
+/// eviction policy.
+void BM_ColdOpenFirstScan(benchmark::State& state, bool paged) {
   const Corpus& corpus = GetCorpus();
   size_t pages = 0;
   for (auto _ : state) {
     uint64_t sum = 0;
-    if (backend == StorageBackend::kInMemory) {
-      // The in-memory "backend" has no paged open: its cold start is the
+    if (!paged) {
+      // The in-memory store has no paged open: its cold start is the
       // materializing load.
       Result<BlasSystem> sys = BlasSystem::FromIndexFile(corpus.path);
       if (!sys.ok()) {
@@ -147,7 +126,7 @@ void BM_ColdOpenFirstScan(benchmark::State& state, StorageBackend backend) {
       pages = sys->store().pool().page_count();
     } else {
       Result<BlasSystem> sys =
-          BlasSystem::OpenPaged(corpus.path, ScanStorage(backend));
+          BlasSystem::OpenPaged(corpus.path, StorageOptions{});
       if (!sys.ok()) {
         state.SkipWithError(sys.status().ToString().c_str());
         return;
@@ -157,12 +136,12 @@ void BM_ColdOpenFirstScan(benchmark::State& state, StorageBackend backend) {
     }
     benchmark::DoNotOptimize(sum);
   }
-  state.counters["backend"] = BackendCounter(backend);
+  state.counters["backend"] = StoreCounter(paged);
   state.counters["pool_pages"] = static_cast<double>(pages);
 }
 
 void RunColdQuery(benchmark::State& state, const BlasSystem& sys,
-                  const std::string& xpath, StorageBackend backend) {
+                  const std::string& xpath) {
   QueryResult last;
   for (auto _ : state) {
     state.PauseTiming();
@@ -176,7 +155,7 @@ void RunColdQuery(benchmark::State& state, const BlasSystem& sys,
     last = std::move(result).value();
     benchmark::DoNotOptimize(last.starts.data());
   }
-  state.counters["backend"] = BackendCounter(backend);
+  state.counters["backend"] = StoreCounter(sys.store().pool().paged());
   state.counters["elements"] = static_cast<double>(last.stats.elements);
   state.counters["pages"] = static_cast<double>(last.stats.page_fetches);
   state.counters["misses"] = static_cast<double>(last.stats.page_misses);
@@ -184,23 +163,21 @@ void RunColdQuery(benchmark::State& state, const BlasSystem& sys,
   state.counters["results"] = static_cast<double>(last.stats.output_rows);
 }
 
-/// Cold-cache query, paged backends: misses are real disk reads.
-void BM_ColdQueryPaged(benchmark::State& state, const std::string& xpath,
-                       StorageBackend backend) {
+/// Cold-cache query over the paged pool: misses are real disk reads.
+void BM_ColdQueryPaged(benchmark::State& state, const std::string& xpath) {
   const Corpus& corpus = GetCorpus();
   Result<BlasSystem> sys =
-      BlasSystem::OpenPaged(corpus.path, BenchStorage(backend));
+      BlasSystem::OpenPaged(corpus.path, BenchStorage());
   if (!sys.ok()) {
     state.SkipWithError(sys.status().ToString().c_str());
     return;
   }
-  RunColdQuery(state, *sys, xpath, backend);
+  RunColdQuery(state, *sys, xpath);
 }
 
 /// Cold-cache query over the in-memory store: misses are simulated.
 void BM_ColdQueryMemory(benchmark::State& state, const std::string& xpath) {
-  RunColdQuery(state, *GetCorpus().memory, xpath,
-               StorageBackend::kInMemory);
+  RunColdQuery(state, *GetCorpus().memory, xpath);
 }
 
 }  // namespace
@@ -208,39 +185,27 @@ void BM_ColdQueryMemory(benchmark::State& state, const std::string& xpath) {
 }  // namespace blas
 
 int main(int argc, char** argv) {
-  using blas::StorageBackend;
   using blas::bench::BM_ColdOpenFirstScan;
   using blas::bench::BM_ColdOpenMaterialized;
   using blas::bench::BM_ColdOpenPaged;
   using blas::bench::BM_ColdQueryMemory;
   using blas::bench::BM_ColdQueryPaged;
 
-  const std::pair<const char*, StorageBackend> backends[] = {
-      {"pread", StorageBackend::kPread},
-      {"mmap", StorageBackend::kMmap},
-  };
-  for (const auto& [name, backend] : backends) {
-    benchmark::RegisterBenchmark(
-        (std::string("ColdOpenPaged/") + name).c_str(),
-        [backend = backend](benchmark::State& state) {
-          BM_ColdOpenPaged(state, backend);
-        })
-        ->Unit(benchmark::kMillisecond);
-  }
+  benchmark::RegisterBenchmark("ColdOpenPaged/pread", BM_ColdOpenPaged)
+      ->Unit(benchmark::kMillisecond);
   benchmark::RegisterBenchmark("ColdOpenMaterialized",
                                BM_ColdOpenMaterialized)
       ->Unit(benchmark::kMillisecond);
 
-  const std::pair<const char*, StorageBackend> scan_backends[] = {
-      {"inmem", StorageBackend::kInMemory},
-      {"pread", StorageBackend::kPread},
-      {"mmap", StorageBackend::kMmap},
+  const std::pair<const char*, bool> stores[] = {
+      {"inmem", false},
+      {"pread", true},
   };
-  for (const auto& [name, backend] : scan_backends) {
+  for (const auto& [name, paged] : stores) {
     benchmark::RegisterBenchmark(
         (std::string("ColdOpenFirstScan/") + name).c_str(),
-        [backend = backend](benchmark::State& state) {
-          BM_ColdOpenFirstScan(state, backend);
+        [paged = paged](benchmark::State& state) {
+          BM_ColdOpenFirstScan(state, paged);
         })
         ->Unit(benchmark::kMillisecond);
   }
@@ -251,15 +216,12 @@ int main(int argc, char** argv) {
       {"keywords", "/site//keyword"},
   };
   for (const auto& q : queries) {
-    for (const auto& [name, backend] : backends) {
-      benchmark::RegisterBenchmark(
-          (std::string("ColdQuery/") + name + "/" + q[0]).c_str(),
-          [xpath = std::string(q[1]),
-           backend = backend](benchmark::State& state) {
-            BM_ColdQueryPaged(state, xpath, backend);
-          })
-          ->Unit(benchmark::kMillisecond);
-    }
+    benchmark::RegisterBenchmark(
+        (std::string("ColdQuery/pread/") + q[0]).c_str(),
+        [xpath = std::string(q[1])](benchmark::State& state) {
+          BM_ColdQueryPaged(state, xpath);
+        })
+        ->Unit(benchmark::kMillisecond);
     benchmark::RegisterBenchmark(
         (std::string("ColdQuery/inmem/") + q[0]).c_str(),
         [xpath = std::string(q[1])](benchmark::State& state) {

@@ -1,18 +1,17 @@
 // Fuzz target: BLASIDX2 snapshot preflight (header + segment directory),
 // the full materialization of the page payloads, then the paged open
-// itself under the mmap backend.
+// itself.
 //
 // OpenPagedSnapshot validates the fixed header, tree metadata, and segment
 // directory before anything sized by untrusted bytes is allocated — this
 // target hammers exactly that boundary. When the directory does validate,
 // LoadSnapshot walks every page payload (the SP leaf chain, packed value
 // pages and value runs), so those bytes are fuzzed too. Then the target
-// opens the pool through the mmap backend: PagedFile::Open's size
+// opens the pool and reads its first page: PagedFile::Open's size
 // preflight must reject a file too short for its claimed pool pages (a
-// truncated file behind a valid header) BEFORE any mapping is established
-// — failing with a Status, never a SIGBUS on an unbacked mapped page. The
-// contract: any byte string either opens or returns a non-OK Status;
-// never a crash or unbounded allocation.
+// truncated file behind a valid header) with a Status before any page is
+// read. The contract: any byte string either opens or returns a non-OK
+// Status; never a crash or unbounded allocation.
 
 #include <cstddef>
 #include <cstdint>
@@ -27,13 +26,12 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (!opened.ok()) return 0;
   (void)blas::LoadSnapshot(path);
 
-  // Valid directory: open the pool mmap'ed and touch the first page, so a
-  // header that overstates pool_pages against the file's real size must
-  // die in the preflight, not fault through the mapping.
+  // Valid directory: open the pool and read the first page, so a header
+  // that overstates pool_pages against the file's real size must die in
+  // the preflight.
   blas::Result<blas::PagedFile> file = opened->OpenPool();
   if (!file.ok()) return 0;
   blas::StorageOptions storage;
-  storage.backend = blas::StorageBackend::kMmap;
   storage.frames_per_shard = 4;
   storage.shards = 1;
   blas::BufferPool pool(std::move(file).value(), storage);

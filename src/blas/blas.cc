@@ -313,9 +313,4 @@ void BlasSystem::ResetCounters() {
   store_->DropCache();
 }
 
-bool BlasSystem::DeferUnlinkToMapping(const std::string& path) const {
-  if (store_ == nullptr) return false;
-  return store_->pool().DeferUnlinkToMapping(path);
-}
-
 }  // namespace blas

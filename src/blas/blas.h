@@ -167,15 +167,6 @@ class BlasSystem {
   /// Resets storage counters and drops the page cache (cold-cache runs).
   void ResetCounters();
 
-  /// Hands unlinking of this system's segment file over to the storage
-  /// backend's mapping epoch, to happen when the last outstanding
-  /// PageRef drops (mmap backend only). Returns false when the backend
-  /// holds no deferred-release resource — the caller must unlink the
-  /// file itself. Used by LiveCollection's tombstone deleter so a
-  /// reclaimed segment's mapping (and file) outlives any in-flight
-  /// zero-copy reads.
-  bool DeferUnlinkToMapping(const std::string& path) const;
-
  private:
   BlasSystem() = default;
 

@@ -143,19 +143,16 @@ std::shared_ptr<const BlasSystem> LiveCollection::WrapSystem(
   return std::shared_ptr<const BlasSystem>(
       new BlasSystem(std::move(system)), [tomb](const BlasSystem* sys) {
         // Last pin (state or cursor) dropped: an obsolete generation's
-        // snapshot file goes with it. Under the mmap backend, zero-copy
-        // PageRefs may still point into the segment's mapping even after
-        // every system pin is gone (refs pin the mapping epoch, not the
-        // pool) — so the unlink is first offered to the backend, which
-        // performs it together with the munmap when the last ref drops.
-        // A crash between deferral and that final release leaves a plain
-        // orphan file, which SweepOrphans collects on the next open.
+        // snapshot file goes with it. Every PageRef into the segment was
+        // minted by this system's pool and died with the pin that held
+        // it, so deleting the system (which closes its descriptor) and
+        // then unlinking leaves nothing reading the file. A crash between
+        // the two leaves a plain orphan file, which SweepOrphans collects
+        // on the next open.
         const bool obsolete = tomb->obsolete.load(std::memory_order_acquire);
-        const bool deferred =
-            obsolete && sys->DeferUnlinkToMapping(tomb->path);
         delete sys;
         if (obsolete) {
-          if (!deferred) std::remove(tomb->path.c_str());
+          std::remove(tomb->path.c_str());
           if (tomb->published.load(std::memory_order_relaxed)) {
             tomb->reclaimed->fetch_add(1, std::memory_order_relaxed);
           }

@@ -42,9 +42,8 @@ Result<PagedFile> PagedFile::Open(const std::string& path,
     ::close(fd);
     return Status::Internal("fstat failed: " + path);
   }
-  // This preflight is what makes the mmap backend safe as well as pread:
-  // a truncated file behind a valid header fails here with Corruption
-  // instead of SIGBUS-ing on first touch of an unbacked mapped page.
+  // A truncated file behind a valid header fails here with Corruption at
+  // open, not with a short read in the middle of some later query.
   const uint64_t needed = base_offset + page_count * kPageSize;
   if (static_cast<uint64_t>(st.st_size) < needed) {
     ::close(fd);
@@ -174,21 +173,18 @@ void FrameBudget::Unregister(BufferPool* pool) {
 // -------------------------------------------------------------- PageRef ---
 
 PageRef::PageRef(PageRef&& other) noexcept
-    : page_(other.page_), pin_(other.pin_), owner_(other.owner_) {
+    : page_(other.page_), pins_(other.pins_) {
   other.page_ = nullptr;
-  other.pin_ = nullptr;
-  other.owner_ = nullptr;
+  other.pins_ = nullptr;
 }
 
 PageRef& PageRef::operator=(PageRef&& other) noexcept {
   if (this != &other) {
     Release();
     page_ = other.page_;
-    pin_ = other.pin_;
-    owner_ = other.owner_;
+    pins_ = other.pins_;
     other.page_ = nullptr;
-    other.pin_ = nullptr;
-    other.owner_ = nullptr;
+    other.pins_ = nullptr;
   }
   return *this;
 }
@@ -196,17 +192,19 @@ PageRef& PageRef::operator=(PageRef&& other) noexcept {
 PageRef::~PageRef() { Release(); }
 
 void PageRef::Release() {
-  if (pin_ != nullptr) owner_->Unpin(pin_);
+  // Pins drop lock-free; the release pairs with the acquire load in the
+  // paged source's eviction, so this reader's last access to the page
+  // happens before any eviction that observes the zero.
+  if (pins_ != nullptr) pins_->fetch_sub(1, std::memory_order_release);
   page_ = nullptr;
-  pin_ = nullptr;
-  owner_ = nullptr;
+  pins_ = nullptr;
 }
 
 // ----------------------------------------------------------- BufferPool ---
 //
-// The facade: all mechanism lives in the PageSource backend
-// (page_source.cc); BufferPool owns the source, the shared-budget
-// registration, and nothing else.
+// The facade: all mechanism lives in the PageSource (page_source.cc);
+// BufferPool owns the source, the shared-budget registration, and
+// nothing else.
 
 BufferPool::BufferPool(size_t cache_capacity, size_t shards)
     : source_(MakeInMemorySource(cache_capacity, shards)) {}
@@ -227,8 +225,6 @@ BufferPool::~BufferPool() {
 }
 
 bool BufferPool::paged() const { return source_->paged(); }
-
-StorageBackend BufferPool::backend() const { return source_->backend(); }
 
 size_t BufferPool::page_count() const { return source_->page_count(); }
 
@@ -263,9 +259,5 @@ void BufferPool::DropCache() { source_->DropCache(); }
 size_t BufferPool::frames_in_use() const { return source_->frames_in_use(); }
 
 size_t BufferPool::peak_frames() const { return source_->peak_frames(); }
-
-bool BufferPool::DeferUnlinkToMapping(const std::string& path) const {
-  return source_->AdoptUnlinkOnRelease(path);
-}
 
 }  // namespace blas

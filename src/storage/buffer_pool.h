@@ -48,21 +48,16 @@ class ReadCounterScope {
   ReadCounters* prev_;
 };
 
-/// Sizing and backend selection of a paged (disk-backed) BufferPool.
+/// Sizing of a paged (disk-backed) BufferPool.
 struct StorageOptions {
   /// Total bytes of page frames this pool (or, with `shared_budget`, the
   /// whole pool group) may keep resident. Rounded down to whole frames;
   /// at least one frame per shard is always kept so progress is possible.
-  /// Under the mmap backend the same allowance bounds mapped-resident
-  /// bytes (pages touched since the last madvise eviction).
   size_t memory_budget = size_t{64} << 20;
   /// Explicit per-shard frame cap; 0 derives it from `memory_budget`.
   size_t frames_per_shard = 0;
   /// Latch shards (0 = auto-scale with the frame count, up to 16).
   size_t shards = 0;
-  /// Read-path backend for paged pools (see StorageBackend in page.h).
-  /// kDefault resolves BLAS_STORAGE_BACKEND, falling back to kPread.
-  StorageBackend backend = StorageBackend::kDefault;
   /// Optional budget shared between several pools (a collection of paged
   /// documents drawing on one memory allowance). When set, a miss that
   /// would exceed the group budget first evicts an unpinned frame from
@@ -72,9 +67,8 @@ struct StorageOptions {
 
 /// \brief Byte budget shared by a group of paged BufferPools.
 ///
-/// Each pool charges one frame on every page brought in (pread frames and
-/// mapped-resident mmap pages charge identically) and releases it on
-/// eviction. When a charge would exceed the limit, the charging pool
+/// Each pool charges one frame on every page it reads in and releases it
+/// on eviction. When a charge would exceed the limit, the charging pool
 /// asks the group to reclaim: registered pools are probed (try-lock, no
 /// nested latches) for an unpinned frame to evict, retrying with yields
 /// when a probe round loses every try-lock race. Only when frames stay
@@ -91,7 +85,7 @@ class FrameBudget {
 
  private:
   friend class BufferPool;
-  friend class PageSource;  // backends charge through protected shims
+  friend class PageSource;  // sources charge through protected shims
 
   /// Reserves `bytes` if it fits; false when the budget is exhausted.
   bool TryCharge(size_t bytes);
@@ -142,10 +136,6 @@ class PagedFile {
 
   uint64_t page_count() const { return pages_; }
   const std::string& path() const { return path_; }
-  /// Descriptor and placement, for page-source backends (mmap maps the
-  /// prefix [0, base_offset + page_count * kPageSize) of this fd).
-  int fd() const { return fd_; }
-  uint64_t base_offset() const { return base_; }
 
  private:
   PagedFile(int fd, uint64_t base, uint64_t pages, std::string path)
@@ -157,32 +147,15 @@ class PagedFile {
   std::string path_;
 };
 
-/// \brief Releases the pin a PageRef holds. What a "pin" is depends on
-/// the backend: the pread source pins the frame (eviction skips it), the
-/// mmap source pins the mapping epoch (munmap waits for it). In-memory
-/// refs carry no owner at all. Unpin must be callable from any thread,
-/// lock-free, and — for the mmap epoch — valid even after the BufferPool
-/// that minted the ref is gone.
-class PageRefOwner {
- public:
-  virtual void Unpin(void* pin) const = 0;
-
- protected:
-  ~PageRefOwner() = default;
-};
-
 /// \brief RAII handle to a fetched page.
 ///
-/// Lifetime rules by backend:
-///   * in-memory — pages are never freed; the ref is a plain pointer;
-///   * pread — the referenced frame is pinned: eviction, DropCache and
-///     shard reclaim all skip pinned frames, so the bytes stay valid and
-///     immutable until the ref dies;
-///   * mmap — the ref pins the *mapping epoch*, not the page: eviction
-///     (madvise) may drop the physical page under a live ref, but the
-///     next access simply refaults the identical bytes from the immutable
-///     segment file, and munmap/unlink are deferred until the last ref
-///     drops — an mmap ref even outlives its BufferPool safely.
+/// Lifetime rules:
+///   * in-memory — pages are never freed; the ref is a plain pointer
+///     (`pins_` is null);
+///   * paged — the ref holds one pin on its frame: eviction, DropCache
+///     and shard reclaim all skip pinned frames, so the bytes stay valid
+///     and immutable until the ref dies. A ref must not outlive the
+///     BufferPool that minted it.
 /// An empty ref (`!ref`) means the page id was out of range or the
 /// backing read failed — treat it as end-of-data.
 class [[nodiscard]] PageRef {
@@ -202,17 +175,17 @@ class [[nodiscard]] PageRef {
  private:
   friend class BufferPool;
   friend class PageSource;
-  PageRef(const Page* page, void* pin, const PageRefOwner* owner)
-      : page_(page), pin_(pin), owner_(owner) {}
+  PageRef(const Page* page, std::atomic<uint32_t>* pins)
+      : page_(page), pins_(pins) {}
 
   void Release();
 
   const Page* page_ = nullptr;
-  void* pin_ = nullptr;  // Frame* (pread) or MappingEpoch* (mmap)
-  const PageRefOwner* owner_ = nullptr;
+  /// The frame's pin count (paged pools), or null (in-memory pages).
+  std::atomic<uint32_t>* pins_ = nullptr;
 };
 
-/// \brief Page store facade over a pluggable PageSource backend.
+/// \brief Page store facade over a PageSource (in-memory or paged).
 ///
 /// **In-memory mode** (the build-time pool): all pages live in memory;
 /// `Fetch` runs every access through an LRU cache so benchmarks can
@@ -220,12 +193,10 @@ class [[nodiscard]] PageRef {
 /// (`fetches`) and simulated disk accesses (`misses`). Nothing is ever
 /// freed, so refs never dangle and `io_reads` stays 0.
 ///
-/// **Paged mode** (`BufferPool(PagedFile, StorageOptions)`): the read
-/// path is supplied by the backend `StorageOptions::backend` selects —
-/// pread-into-frame with second-chance eviction, or zero-copy mmap with
-/// madvise eviction (see StorageBackend in page.h). Either way a miss
-/// costs a real disk read (counted in `io_reads`) and residency honors
-/// the frame budget. `Allocate`/`MutablePage` are unavailable (the file
+/// **Paged mode** (`BufferPool(PagedFile, StorageOptions)`): a miss
+/// preads the page into an owned frame — a real disk read, counted in
+/// `io_reads` — and second-chance eviction keeps residency within the
+/// frame budget. `Allocate`/`MutablePage` are unavailable (the file
 /// is immutable).
 ///
 /// Concurrency: `Fetch`, `Peek`, `stats`, `DropCache`, `ResetStats` and
@@ -245,9 +216,7 @@ class BufferPool {
 
   /// Paged pool over `file`. Frame count derives from
   /// `options.memory_budget` (or `frames_per_shard`); at least one frame
-  /// per shard is kept so a pinned descent can always progress. The
-  /// backend comes from `options.backend`; if mmap is selected but the
-  /// mapping cannot be established, the pool falls back to pread.
+  /// per shard is kept so a pinned descent can always progress.
   BufferPool(PagedFile file, const StorageOptions& options);
 
   ~BufferPool();
@@ -258,9 +227,6 @@ class BufferPool {
   BufferPool& operator=(BufferPool&&) = delete;
 
   bool paged() const;
-  /// The backend actually serving reads (kInMemory, kPread or kMmap —
-  /// never kDefault; fallback already applied).
-  StorageBackend backend() const;
 
   /// Appends a zeroed page and returns its id. Build-time, in-memory
   /// pools only (kInvalidPage otherwise).
@@ -272,21 +238,21 @@ class BufferPool {
   Page* MutablePage(PageId id);
 
   /// Query-time access; counts one fetch, plus one miss when `id` is not
-  /// resident in its shard (paged backends then bring it in, possibly
+  /// resident in its shard (paged pools then read it in, possibly
   /// evicting an unpinned frame). An out-of-range id — e.g. from a
   /// corrupt snapshot directory — yields an empty ref, never UB.
   PageRef Fetch(PageId id) const;
 
   /// Maintenance access (export, verification); bypasses the counters
-  /// and, in in-memory pools, the cache. Paged backends still track
+  /// and, in in-memory pools, the cache. Paged pools still track
   /// residency (the bytes must come from somewhere) but without touching
   /// the statistics. Bounds-checked like Fetch.
   PageRef Peek(PageId id) const;
 
   /// Hints that pages [first, first + count) are about to be read in
-  /// order (one ranged readahead batch: POSIX_FADV_WILLNEED under pread,
-  /// MADV_WILLNEED under mmap, no-op in memory). Purely advisory; does
-  /// not charge the budget or touch the counters.
+  /// order (one ranged POSIX_FADV_WILLNEED batch in paged pools, no-op
+  /// in memory). Purely advisory; does not charge the budget or touch
+  /// the counters.
   void Readahead(PageId first, size_t count) const;
 
   size_t page_count() const;
@@ -297,8 +263,7 @@ class BufferPool {
     uint64_t misses = 0;
     /// Real disk reads (== misses for paged pools, 0 for in-memory).
     uint64_t io_reads = 0;
-    /// Frames evicted to stay within the budget (paged pools; under mmap
-    /// an eviction is one madvise(MADV_DONTNEED) page drop).
+    /// Frames evicted to stay within the budget (paged pools).
     uint64_t evictions = 0;
     /// preads that failed (see io_error()).
     uint64_t io_errors = 0;
@@ -316,24 +281,15 @@ class BufferPool {
 
   /// Drops cached state (cold-cache experiments; the paper runs every
   /// query on a cold cache). In-memory pools clear the LRU bookkeeping;
-  /// the pread backend evicts every unpinned frame — pinned frames
-  /// survive, so concurrent readers holding PageRefs stay valid; the
-  /// mmap backend madvises every resident page away — live refs stay
-  /// valid too (they refault from the immutable file).
+  /// paged pools evict every unpinned frame — pinned frames survive, so
+  /// concurrent readers holding PageRefs stay valid.
   void DropCache();
 
-  /// Frames currently resident (paged pools; 0 for in-memory). Under
-  /// mmap: mapped-resident pages still charged to the budget.
+  /// Frames currently resident (paged pools; 0 for in-memory).
   size_t frames_in_use() const;
   /// Sum of the per-shard resident high-water marks since construction
   /// or the last ResetStats() (paged pools; 0 for in-memory).
   size_t peak_frames() const;
-
-  /// Asks the backend to take over unlinking `path` when its mapping
-  /// epoch finally releases (mmap only; false means the caller must
-  /// unlink itself). Lets segment reclamation defer unlink+munmap until
-  /// the last PageRef drops — see LiveCollection::WrapSystem.
-  bool DeferUnlinkToMapping(const std::string& path) const;
 
  private:
   friend class FrameBudget;

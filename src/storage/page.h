@@ -14,28 +14,6 @@ inline constexpr size_t kPageSize = 8192;
 using PageId = uint32_t;
 inline constexpr PageId kInvalidPage = 0xFFFFFFFFu;
 
-/// \brief How a BufferPool turns page ids into page bytes (the PageSource
-/// seam; see storage/page_source.h).
-///
-/// * `kInMemory` — the build-time page array with the counting LRU that
-///   models disk accesses. Never selected via StorageOptions; it is what
-///   the in-memory BufferPool constructor builds.
-/// * `kPread` — demand paging: a miss preads the page into an owned frame,
-///   eviction is second-chance over the frames.
-/// * `kMmap` — the segment file is mapped once at open; fetches return
-///   zero-copy refs over the mapping and eviction is
-///   `madvise(MADV_DONTNEED)` over mapped-resident pages. Requires the
-///   backing file to be immutable while mapped (published BLASIDX2
-///   segments are).
-/// * `kDefault` — resolve from the BLAS_STORAGE_BACKEND environment
-///   variable ("mmap" or "pread"), falling back to kPread.
-enum class StorageBackend : uint8_t {
-  kDefault = 0,
-  kInMemory,
-  kPread,
-  kMmap,
-};
-
 /// \brief One fixed-size storage page.
 ///
 /// Pages are opaque byte containers; the B+-tree layouts reinterpret them.

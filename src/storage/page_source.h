@@ -1,29 +1,25 @@
 #ifndef BLAS_STORAGE_PAGE_SOURCE_H_
 #define BLAS_STORAGE_PAGE_SOURCE_H_
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
-#include <string>
 
 #include "storage/buffer_pool.h"
 #include "storage/page.h"
 
 namespace blas {
 
-/// \brief Backend interface of the paged read path (the seam behind
-/// BufferPool).
+/// \brief The read path behind BufferPool.
 ///
 /// A PageSource turns page ids into page bytes and owns the residency
-/// bookkeeping (shard latches, eviction, budget charges, statistics)
-/// for its mechanism:
+/// bookkeeping (shard latches, eviction, budget charges, statistics):
 ///
 ///   * InMemorySource — the build-time page array with the counting LRU
 ///     that models disk accesses (BufferPool's in-memory constructor);
 ///   * PreadFrameSource — demand paging, pread-into-frame with
-///     second-chance eviction and pin-counted frames;
-///   * MmapSource — the segment file mapped once at open, zero-copy refs
-///     over the mapping, madvise(MADV_DONTNEED) eviction, refs pinning
-///     the mapping epoch instead of any frame.
+///     second-chance eviction and pin-counted frames.
 ///
 /// The concrete classes live in page_source.cc; everything reaches them
 /// through this interface plus the factories below. Thread-safety
@@ -34,8 +30,6 @@ class PageSource {
  public:
   virtual ~PageSource() = default;
 
-  /// The concrete backend (never StorageBackend::kDefault).
-  virtual StorageBackend backend() const = 0;
   virtual bool paged() const = 0;
   virtual size_t page_count() const = 0;
   virtual size_t shard_count() const = 0;
@@ -64,18 +58,11 @@ class PageSource {
   /// probes only, never blocks). False when nothing is evictable.
   virtual bool TryEvictOne() = 0;
 
-  /// Hands ownership of unlinking `path` to the backend's mapping epoch,
-  /// to be performed when the last PageRef drops (mmap only). False
-  /// means the backend holds no deferred-release resource and the caller
-  /// should unlink normally.
-  virtual bool AdoptUnlinkOnRelease(const std::string& path);
-
  protected:
   /// Concrete sources mint refs through this shim (PageRef's constructor
   /// is private; PageSource is a friend).
-  static PageRef MakeRef(const Page* page, void* pin,
-                         const PageRefOwner* owner) {
-    return PageRef(page, pin, owner);
+  static PageRef MakeRef(const Page* page, std::atomic<uint32_t>* pins) {
+    return PageRef(page, pins);
   }
 
   /// FrameBudget shims: the budget's mutating interface is private
@@ -94,35 +81,18 @@ class PageSource {
   }
 };
 
-/// Resolves kDefault to a concrete paged backend: BLAS_STORAGE_BACKEND
-/// ("mmap" or "pread") when set, else kPread. Concrete values pass
-/// through unchanged.
-StorageBackend ResolveBackend(StorageBackend requested);
-
-/// Lower-case backend name for logs, metrics and bench labels
-/// ("inmem", "pread", "mmap", "default").
-const char* StorageBackendName(StorageBackend backend);
-
 /// The in-memory source (BufferPool's default constructor delegates
 /// here).
 std::unique_ptr<PageSource> MakeInMemorySource(size_t cache_capacity,
                                                size_t shards);
 
-/// A paged source over `file`, backend per `options.backend` (resolved
-/// through ResolveBackend). If mmap is selected but mapping fails, falls
-/// back to pread. `owner` is the facade pool (passed to shared-budget
-/// reclaim as the preferred eviction target); `budget` may be null.
+/// The pread source over `file`, sized per `options`. `owner` is the
+/// facade pool (passed to shared-budget reclaim as the preferred eviction
+/// target); `budget` may be null.
 std::unique_ptr<PageSource> MakePagedSource(PagedFile file,
                                             const StorageOptions& options,
                                             BufferPool* owner,
                                             FrameBudget* budget);
-
-/// Test hooks: bytes / count of live mmap mapping epochs process-wide.
-/// An epoch stays live until its source is destroyed AND every PageRef
-/// minted from it has dropped — tests assert reclamation ordering with
-/// these.
-size_t MappedBytesLive();
-size_t MappedEpochsLive();
 
 }  // namespace blas
 

@@ -102,31 +102,20 @@ struct IndexSnapshot {
 // still escapes range (and any short read) yields an empty PageRef,
 // which scans treat as end-of-data — never UB.
 //
-// mmap validity rules (StorageBackend::kMmap serves these files as one
-// read-only MAP_SHARED mapping of the pool prefix):
-//   * Immutability: the mapped file must not change size or content
-//     while mapped. BLASIDX2 snapshots satisfy this by construction —
-//     they are written tmp+fsync+rename and never modified in place; a
-//     new generation is a new file. Nothing else may truncate a
-//     published segment (truncation under a mapping is the one way to
-//     SIGBUS); logical deletion is fine — see reclamation below.
+// Paged-open rules (OpenPaged preads pool pages on demand for as long as
+// the system lives):
+//   * Immutability: a published file must not change size or content
+//     while a paged system reads it. BLASIDX2 snapshots satisfy this by
+//     construction — they are written tmp+fsync+rename and never
+//     modified in place; a new generation is a new file. Logical
+//     deletion is fine: LiveCollection unlinks an obsolete segment only
+//     after the last pin on its system drops and the system (with its
+//     descriptor) is gone; a crash in between leaves an orphan file for
+//     LiveCollection::SweepOrphans.
 //   * Preflight: PagedFile::Open fstats the file and requires it to
-//     cover base_offset + pool_pages * kPageSize before any mapping is
-//     established, so a truncated file behind a valid header fails with
-//     Corruption instead of faulting on an unbacked mapped page.
-//   * Budget accounting: mapped-*resident* pages (touched since their
-//     last eviction), not mapped bytes, are charged to the
-//     StorageOptions/FrameBudget allowance, one frame per page — the
-//     same unit the pread backend charges. Eviction is
-//     madvise(MADV_DONTNEED), which drops the physical page and its
-//     charge; the address range stays valid and refaults on next use.
-//   * Reclamation ordering: PageRefs pin the mapping epoch, not pages.
-//     munmap — and, when a tombstone deleter deferred it via
-//     DeferUnlinkToMapping, the unlink — run only after the owning pool
-//     is destroyed AND the last PageRef drops, in that order:
-//     munmap first, then unlink (a crash between the two leaves an
-//     orphan file for LiveCollection::SweepOrphans, never a dangling
-//     mapping).
+//     cover base_offset + pool_pages * kPageSize, so a truncated file
+//     behind a valid header fails with Corruption at open instead of
+//     with a short read under some later query.
 // ------------------------------------------------------------------------
 
 /// One flattened path-summary node (preorder; parent precedes child).

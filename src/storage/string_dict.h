@@ -96,12 +96,11 @@ bool DecodeValuePages(uint32_t expected_first, uint32_t group_pages,
 ///     probes (worst case the whole dictionary). Lookups serialize on
 ///     one latch per dictionary; value-projection-heavy concurrent
 ///     workloads pay that contention, index scans never do.
-///     The pool's storage backend is transparent here: each raw page is
-///     pinned only while it is copied out (a short-lived PageRef, valid
-///     across DropCache under every backend — pread pins the frame, mmap
-///     pins the mapping epoch), one page at a time even across a run, so
-///     a 2-frame pool that already pins a scan leaf still makes
-///     progress; everything returned to callers is copied into the memo.
+///     Each raw page is pinned only while it is copied out (a
+///     short-lived PageRef, whose pinned frame survives DropCache), one
+///     page at a time even across a run, so a 2-frame pool that already
+///     pins a scan leaf still makes progress; everything returned to
+///     callers is copied into the memo.
 ///
 /// Concurrency: both modes are safe for concurrent readers once
 /// construction/attachment finishes (`Intern` is build-time only).

@@ -903,5 +903,18 @@ TEST(PagedStorageTest, OutOfRangePageIdsAreRejected) {
 #endif
 }
 
+TEST(PagedStorageTest, PagedFilePreflightRejectsShortFile) {
+  std::string path = TempPath("paged_short.bin");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << std::string(4096, '\0');
+  }
+  // The file cannot cover base_offset + 8 pages: Open must fail before
+  // any page is read.
+  Result<PagedFile> file = PagedFile::Open(path, kPageSize, 8);
+  ASSERT_FALSE(file.ok());
+  EXPECT_EQ(file.status().code(), StatusCode::kCorruption);
+}
+
 }  // namespace
 }  // namespace blas
