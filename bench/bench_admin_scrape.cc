@@ -224,8 +224,9 @@ void BM_ConcurrentScrapeChurn(benchmark::State& state) {
     std::atomic<bool> done{false};
     std::atomic<bool> failed{false};
     // The churn threads are background load, not a saturation test:
-    // paced like live traffic (bench_ingest_churn owns the saturated
-    // shape) so scrape latency measures the server, not the scheduler.
+    // paced like live traffic (blas_bench's live_churn workload owns the
+    // saturated shape) so scrape latency measures the server, not the
+    // scheduler.
     std::thread writer([&] {
       uint64_t round = 0;
       while (!done.load(std::memory_order_acquire)) {

@@ -213,7 +213,7 @@ int main(int argc, char** argv) {
   const char* queries[][2] = {
       {"item_name", "//item/name"},
       {"asia_desc", "/site/regions/asia/item[shipping]/description"},
-      {"keywords", "/site//keyword"},
+      {"dates", "/site//date"},
   };
   for (const auto& q : queries) {
     benchmark::RegisterBenchmark(

@@ -114,12 +114,15 @@ int main(int argc, char** argv) {
   writer.join();
   service.DrainIngest();
 
-  blas::server::AdminServer::Stats stats = server.stats();
+  blas::obs::MetricsSnapshot admin = server.metrics().Snapshot();
   std::printf("served %llu admin request(s) on %llu connection(s), %llu "
               "bytes written\n",
-              static_cast<unsigned long long>(stats.requests_ok),
-              static_cast<unsigned long long>(stats.accepted),
-              static_cast<unsigned long long>(stats.bytes_written));
+              static_cast<unsigned long long>(
+                  admin.counters["blas_admin_requests_ok"]),
+              static_cast<unsigned long long>(
+                  admin.counters["blas_admin_accepted"]),
+              static_cast<unsigned long long>(
+                  admin.counters["blas_admin_bytes_written"]));
   server.Stop();
   snapshotter->Stop();
   service.Shutdown();

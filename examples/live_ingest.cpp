@@ -114,12 +114,12 @@ int main(int argc, char** argv) {
   blas::LiveCollection::Stats ingest = live.stats();
   std::printf("\nafter %.2f s of churn:\n", secs);
   std::printf("  epochs published        %llu\n",
-              static_cast<unsigned long long>(stats.epochs_published));
+              static_cast<unsigned long long>(ingest.epochs_published));
   std::printf("  docs ingested/removed   %llu / %llu\n",
-              static_cast<unsigned long long>(stats.docs_ingested),
-              static_cast<unsigned long long>(stats.docs_removed));
+              static_cast<unsigned long long>(ingest.docs_ingested),
+              static_cast<unsigned long long>(ingest.docs_removed));
   std::printf("  manifest bytes          %llu (%llu checkpoints)\n",
-              static_cast<unsigned long long>(stats.manifest_bytes),
+              static_cast<unsigned long long>(ingest.manifest_bytes),
               static_cast<unsigned long long>(ingest.checkpoints));
   std::printf("  queries completed       %llu (%llu matches)\n",
               static_cast<unsigned long long>(reads.load()),

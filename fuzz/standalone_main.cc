@@ -1,12 +1,14 @@
 // Standalone driver for the fuzz targets when libFuzzer is unavailable
 // (GCC builds, the local ctest smoke). Feeds each argv file — typically
-// the checked-in seed corpus — through LLVMFuzzerTestOneInput once.
+// the checked-in seed corpus — through LLVMFuzzerTestOneInput once. An
+// argument that is not a regular file (a directory) is refused, exit 2.
 // With -fsanitize=fuzzer (Clang CI) this file is not compiled; libFuzzer
 // provides main().
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <vector>
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size);
@@ -14,7 +16,11 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size);
 int main(int argc, char** argv) {
   int ran = 0;
   for (int i = 1; i < argc; ++i) {
-    std::FILE* f = std::fopen(argv[i], "rb");
+    // fopen succeeds on a directory, whose ftell is not a size.
+    std::error_code ec;
+    std::FILE* f = std::filesystem::is_regular_file(argv[i], ec)
+                       ? std::fopen(argv[i], "rb")
+                       : nullptr;
     if (f == nullptr) {
       std::fprintf(stderr, "cannot open %s\n", argv[i]);
       return 2;

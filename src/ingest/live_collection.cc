@@ -105,6 +105,8 @@ Result<std::unique_ptr<LiveCollection>> LiveCollection::Open(
   } else {
     return replayed.status();
   }
+  live->manifest_bytes_.store(live->writer_->bytes(),
+                              std::memory_order_relaxed);
 
   // Open every recovered document O(1) against the shared budget.
   StorageOptions storage = options.storage;
@@ -270,6 +272,7 @@ Status LiveCollection::PublishBatch(std::vector<BatchOp> ops) {
     // ordering is the crash-consistency protocol, not an accident.
     // blas-analyze: allow(blocking-under-lock) -- fsync-before-publish
     Status appended = writer_->Append(record);
+    manifest_bytes_.store(writer_->bytes(), std::memory_order_relaxed);
     ingest_metrics().manifest_append_ns->Record(append_timer.ElapsedNanos());
     BLAS_RETURN_NOT_OK(appended);
   }
@@ -330,6 +333,7 @@ Status LiveCollection::PublishBatch(std::vector<BatchOp> ops) {
     if (writer_->Compact(next->epoch, next->files).ok()) {
       checkpoints_.fetch_add(1, std::memory_order_relaxed);
     }
+    manifest_bytes_.store(writer_->bytes(), std::memory_order_relaxed);
   }
 
   if (listener_) {
@@ -376,7 +380,9 @@ Status LiveCollection::Checkpoint() {
   // Same protocol as PublishBatch: the compacted manifest must be
   // durable before the next publish can append to it.
   // blas-analyze: allow(blocking-under-lock) -- checkpoint durability
-  BLAS_RETURN_NOT_OK(writer_->Compact(current->epoch, current->files));
+  Status compacted = writer_->Compact(current->epoch, current->files);
+  manifest_bytes_.store(writer_->bytes(), std::memory_order_relaxed);
+  BLAS_RETURN_NOT_OK(compacted);
   checkpoints_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
@@ -414,10 +420,7 @@ LiveCollection::Stats LiveCollection::stats() const {
   s.checkpoints = checkpoints_.load(std::memory_order_relaxed);
   s.files_reclaimed = files_reclaimed_->load(std::memory_order_relaxed);
   s.files_swept = files_swept_.load(std::memory_order_relaxed);
-  {
-    MutexLock publish_lock(publish_mu_);
-    if (writer_.has_value()) s.manifest_bytes = writer_->bytes();
-  }
+  s.manifest_bytes = manifest_bytes_.load(std::memory_order_relaxed);
   return s;
 }
 

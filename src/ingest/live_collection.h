@@ -176,6 +176,7 @@ class LiveCollection {
     /// Orphaned files (unreferenced by the manifest) swept at Open.
     uint64_t files_swept = 0;
   };
+  /// Lock-free: never waits for a publish in progress.
   Stats stats() const;
 
   const std::string& dir() const { return dir_; }
@@ -243,6 +244,9 @@ class LiveCollection {
   std::atomic<uint64_t> docs_ingested_{0};
   std::atomic<uint64_t> docs_removed_{0};
   std::atomic<uint64_t> epochs_published_{0};
+  /// The writer's size, kept after every append and compaction so stats()
+  /// reads it without waiting out a publish's fsync.
+  std::atomic<uint64_t> manifest_bytes_{0};
   std::atomic<uint64_t> manifest_records_{0};
   std::atomic<uint64_t> checkpoints_{0};
   std::atomic<uint64_t> files_swept_{0};

@@ -133,6 +133,7 @@ MetricsRegistry::Entry* MetricsRegistry::GetOrCreate(std::string_view name,
       entry.histogram.reset(new Histogram());
       break;
     case Entry::Kind::kCallbackGauge:
+    case Entry::Kind::kCallbackCounter:
       break;
   }
   return &entries_.emplace(std::string(name), std::move(entry))
@@ -164,6 +165,23 @@ void MetricsRegistry::RegisterCallbackGauge(std::string_view name,
   if (entry != nullptr) entry->callback = std::move(fn);
 }
 
+void MetricsRegistry::RegisterCallbackCounter(std::string_view name,
+                                              std::string_view help,
+                                              std::function<uint64_t()> fn) {
+  Entry* entry = GetOrCreate(name, help, Entry::Kind::kCallbackCounter);
+  if (entry != nullptr) entry->counter_callback = std::move(fn);
+}
+
+uint64_t MetricsRegistry::Entry::CounterValue() const {
+  if (counter != nullptr) return counter->value();
+  return counter_callback ? counter_callback() : 0;
+}
+
+int64_t MetricsRegistry::Entry::GaugeValue() const {
+  if (gauge != nullptr) return gauge->value();
+  return callback ? callback() : 0;
+}
+
 namespace {
 
 void AppendF(std::string* out, const char* fmt, ...) {
@@ -186,19 +204,14 @@ std::string MetricsRegistry::DumpPrometheus() const {
     }
     switch (entry.kind) {
       case Entry::Kind::kCounter:
+      case Entry::Kind::kCallbackCounter:
         out += "# TYPE " + name + " counter\n";
-        AppendF(&out, "%s %" PRIu64 "\n", name.c_str(),
-                entry.counter->value());
+        AppendF(&out, "%s %" PRIu64 "\n", name.c_str(), entry.CounterValue());
         break;
       case Entry::Kind::kGauge:
-        out += "# TYPE " + name + " gauge\n";
-        AppendF(&out, "%s %" PRId64 "\n", name.c_str(),
-                entry.gauge->value());
-        break;
       case Entry::Kind::kCallbackGauge:
         out += "# TYPE " + name + " gauge\n";
-        AppendF(&out, "%s %" PRId64 "\n", name.c_str(),
-                entry.callback ? entry.callback() : 0);
+        AppendF(&out, "%s %" PRId64 "\n", name.c_str(), entry.GaugeValue());
         break;
       case Entry::Kind::kHistogram: {
         out += "# TYPE " + name + " histogram\n";
@@ -230,19 +243,16 @@ std::string MetricsRegistry::DumpJson() const {
   for (const auto& [name, entry] : entries_) {
     switch (entry.kind) {
       case Entry::Kind::kCounter:
+      case Entry::Kind::kCallbackCounter:
         if (!counters.empty()) counters += ",";
         AppendF(&counters, "\"%s\":%" PRIu64, name.c_str(),
-                entry.counter->value());
+                entry.CounterValue());
         break;
       case Entry::Kind::kGauge:
-        if (!gauges.empty()) gauges += ",";
-        AppendF(&gauges, "\"%s\":%" PRId64, name.c_str(),
-                entry.gauge->value());
-        break;
       case Entry::Kind::kCallbackGauge:
         if (!gauges.empty()) gauges += ",";
         AppendF(&gauges, "\"%s\":%" PRId64, name.c_str(),
-                entry.callback ? entry.callback() : 0);
+                entry.GaugeValue());
         break;
       case Entry::Kind::kHistogram: {
         if (!histograms.empty()) histograms += ",";

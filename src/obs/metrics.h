@@ -126,9 +126,14 @@ class MetricsRegistry {
 
   /// Gauge whose value is computed at dump time (frame occupancy, queue
   /// depth — anything already counted elsewhere). The callback must stay
-  /// valid for the registry's lifetime and be safe from any thread.
+  /// valid for the registry's lifetime and be safe from any thread; it
+  /// runs under the registry's mutex, so it must not block.
   void RegisterCallbackGauge(std::string_view name, std::string_view help,
                              std::function<int64_t()> fn);
+  /// The same for a monotonic count kept elsewhere (a cache's hit count):
+  /// dumped and snapshotted as a counter, so windowed rates apply.
+  void RegisterCallbackCounter(std::string_view name, std::string_view help,
+                               std::function<uint64_t()> fn);
 
   /// Prometheus text exposition format, version 0.0.4: `# HELP` / `# TYPE`
   /// headers, counter/gauge samples, and histograms as cumulative
@@ -150,13 +155,25 @@ class MetricsRegistry {
 
  private:
   struct Entry {
-    enum class Kind { kCounter, kGauge, kHistogram, kCallbackGauge };
+    enum class Kind {
+      kCounter,
+      kGauge,
+      kHistogram,
+      kCallbackGauge,
+      kCallbackCounter
+    };
     Kind kind;
     std::string help;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
     std::function<int64_t()> callback;
+    std::function<uint64_t()> counter_callback;
+
+    /// Current value of a counter or callback counter.
+    uint64_t CounterValue() const;
+    /// Current level of a gauge or callback gauge.
+    int64_t GaugeValue() const;
   };
 
   Entry* GetOrCreate(std::string_view name, std::string_view help,

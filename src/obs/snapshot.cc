@@ -126,13 +126,12 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   for (const auto& [name, entry] : entries_) {
     switch (entry.kind) {
       case Entry::Kind::kCounter:
-        snap.counters[name] = entry.counter->value();
+      case Entry::Kind::kCallbackCounter:
+        snap.counters[name] = entry.CounterValue();
         break;
       case Entry::Kind::kGauge:
-        snap.gauges[name] = entry.gauge->value();
-        break;
       case Entry::Kind::kCallbackGauge:
-        snap.gauges[name] = entry.callback ? entry.callback() : 0;
+        snap.gauges[name] = entry.GaugeValue();
         break;
       case Entry::Kind::kHistogram: {
         HistogramSnapshot hist;

@@ -50,9 +50,9 @@ struct HistogramSnapshot {
   uint64_t p999() const { return ValueAtQuantile(0.999); }
 };
 
-/// \brief Copyable state of a whole registry (plus any synthetic counters
-/// the capturer folds in): what MetricsRegistry::Snapshot() returns and
-/// what the MetricsSnapshotter rings.
+/// \brief Copyable state of a whole registry (or of several, merged):
+/// what MetricsRegistry::Snapshot() returns and what the
+/// MetricsSnapshotter rings.
 ///
 /// Counter and histogram state is cumulative since process start, so two
 /// snapshots subtract into an exact per-window view; gauges are levels

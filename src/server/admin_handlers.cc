@@ -5,7 +5,6 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -71,23 +70,6 @@ std::string SlowEntryJson(const obs::SlowQueryEntry& entry) {
   return out;
 }
 
-/// (name, value) pairs of AdminServer::Stats — exported by /metrics as
-/// `blas_admin_*` and by /varz's "admin" section. Emitted by the handlers
-/// themselves (which cannot outlive the server) rather than registered as
-/// process-registry callbacks, which would dangle once the server dies.
-std::vector<std::pair<const char*, uint64_t>> AdminStatsFields(
-    const AdminServer::Stats& s) {
-  return {
-      {"accepted", s.accepted},
-      {"rejected_over_capacity", s.rejected_over_capacity},
-      {"requests_ok", s.requests_ok},
-      {"requests_bad", s.requests_bad},
-      {"deadline_closes", s.deadline_closes},
-      {"bytes_written", s.bytes_written},
-      {"active_connections", s.active_connections},
-  };
-}
-
 }  // namespace
 
 std::string BuildInfoJson(double uptime_seconds) {
@@ -151,18 +133,9 @@ std::unique_ptr<obs::MetricsSnapshotter> InstallAdminEndpoints(
     // Statsz() is one JSON object; splice the windowed and admin sections
     // in before its closing brace so /varz stays a single document.
     std::string body = service->Statsz();
-    if (!body.empty() && body.back() == '}') {
-      body.pop_back();
-      body += ",\"windowed\":";
-      body += snaps->WindowsJson(windows);
-      body += ",\"admin\":{";
-      bool first = true;
-      for (const auto& [name, value] : AdminStatsFields(server->stats())) {
-        AppendF(&body, "%s\"%s\":%" PRIu64, first ? "" : ",", name, value);
-        first = false;
-      }
-      body += "}}";
-    }
+    body.pop_back();
+    body += ",\"windowed\":" + snaps->WindowsJson(windows) +
+            ",\"admin\":" + server->metrics().DumpJson() + "}";
     return JsonResponse(std::move(body));
   });
 
@@ -170,14 +143,8 @@ std::unique_ptr<obs::MetricsSnapshotter> InstallAdminEndpoints(
     HttpResponse response;
     // The exact string Prometheus sniffs for text exposition 0.0.4.
     response.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    response.body = service->StatszPrometheus();
-    for (const auto& [name, value] : AdminStatsFields(server->stats())) {
-      const char* type =
-          std::string_view(name) == "active_connections" ? "gauge" : "counter";
-      AppendF(&response.body,
-              "# TYPE blas_admin_%s %s\nblas_admin_%s %" PRIu64 "\n", name,
-              type, name, value);
-    }
+    response.body =
+        service->StatszPrometheus() + server->metrics().DumpPrometheus();
     return response;
   });
 

@@ -26,8 +26,9 @@ struct AdminEndpointsOptions {
 ///
 ///   /         index of registered paths
 ///   /healthz  liveness probe ("ok")
-///   /varz     QueryService::Statsz() JSON + a "windowed" section
-///   /metrics  Prometheus text exposition 0.0.4
+///   /varz     QueryService::Statsz() JSON + a "windowed" section + the
+///             server's own registry ("admin")
+///   /metrics  Prometheus text exposition 0.0.4 of the same registries
 ///   /timez    windowed rates + percentiles (10s/60s/300s by default)
 ///   /tracez   recent trace span trees (JSON; ?format=text for humans)
 ///   /slowz    slow-query log (JSON; ?format=text for humans)

@@ -59,7 +59,24 @@ struct AdminServer::Conn {
   bool close_after = false;  // close once `out` drains
 };
 
-AdminServer::AdminServer(Options options) : options_(std::move(options)) {}
+AdminServer::AdminServer(Options options)
+    : options_(std::move(options)),
+      accepted_(metrics_.GetCounter("blas_admin_accepted",
+                                    "Connections accepted")),
+      rejected_over_capacity_(metrics_.GetCounter(
+          "blas_admin_rejected_over_capacity",
+          "Connections refused with 503 at max_connections")),
+      requests_ok_(metrics_.GetCounter("blas_admin_requests_ok",
+                                       "Requests answered by a handler")),
+      requests_bad_(metrics_.GetCounter("blas_admin_requests_bad",
+                                        "Requests rejected as malformed")),
+      deadline_closes_(metrics_.GetCounter(
+          "blas_admin_deadline_closes",
+          "Connections closed at the read deadline")),
+      bytes_written_(metrics_.GetCounter("blas_admin_bytes_written",
+                                         "Response bytes written")),
+      active_connections_(metrics_.GetGauge("blas_admin_active_connections",
+                                            "Open connections")) {}
 
 AdminServer::~AdminServer() { Stop(); }
 
@@ -74,19 +91,6 @@ std::vector<std::string> AdminServer::HandlerPaths() const {
   paths.reserve(handlers_.size());
   for (const auto& [path, handler] : handlers_) paths.push_back(path);
   return paths;
-}
-
-AdminServer::Stats AdminServer::stats() const {
-  Stats s;
-  s.accepted = accepted_.load(std::memory_order_relaxed);
-  s.rejected_over_capacity =
-      rejected_over_capacity_.load(std::memory_order_relaxed);
-  s.requests_ok = requests_ok_.load(std::memory_order_relaxed);
-  s.requests_bad = requests_bad_.load(std::memory_order_relaxed);
-  s.deadline_closes = deadline_closes_.load(std::memory_order_relaxed);
-  s.bytes_written = bytes_written_.load(std::memory_order_relaxed);
-  s.active_connections = active_connections_.load(std::memory_order_relaxed);
-  return s;
 }
 
 Status AdminServer::Start() {
@@ -193,7 +197,7 @@ bool AdminServer::ServeBuffered(Conn* conn, uint64_t now_ns) {
     const size_t head_end = conn->in.find("\r\n\r\n");
     if (head_end == std::string::npos) {
       if (conn->in.size() > options_.max_request_bytes) {
-        requests_bad_.fetch_add(1, std::memory_order_relaxed);
+        requests_bad_->Increment();
         conn->out += SerializeHttpResponse(
             PlainResponse(400, "request head too large\n"),
             /*head_only=*/false, /*keep_alive=*/false);
@@ -206,7 +210,7 @@ bool AdminServer::ServeBuffered(Conn* conn, uint64_t now_ns) {
 
     Result<HttpRequest> parsed = ParseHttpRequest(head);
     if (!parsed.ok()) {
-      requests_bad_.fetch_add(1, std::memory_order_relaxed);
+      requests_bad_->Increment();
       conn->out += SerializeHttpResponse(
           PlainResponse(400, std::string(parsed.status().message()) + "\n"),
           /*head_only=*/false, /*keep_alive=*/false);
@@ -221,7 +225,7 @@ bool AdminServer::ServeBuffered(Conn* conn, uint64_t now_ns) {
     } else {
       response = PlainResponse(405, "only GET and HEAD are supported\n");
     }
-    requests_ok_.fetch_add(1, std::memory_order_relaxed);
+    requests_ok_->Increment();
 
     const bool keep_alive = request.KeepAlive() && !conn->close_after;
     conn->out += SerializeHttpResponse(response,
@@ -253,7 +257,7 @@ void AdminServer::RunLoop(int listen_fd, int wake_fd) {
   auto close_conn = [&](int fd) {
     conns.erase(fd);  // closing the fd drops its epoll registration
     ::close(fd);
-    active_connections_.store(conns.size(), std::memory_order_relaxed);
+    active_connections_->Set(static_cast<int64_t>(conns.size()));
   };
   // Returns false when the connection is done (drained a close_after
   // response, or the socket errored) and must be closed by the caller.
@@ -264,8 +268,7 @@ void AdminServer::RunLoop(int listen_fd, int wake_fd) {
                  conn.out.size() - conn.out_off, MSG_NOSIGNAL);
       if (n > 0) {
         conn.out_off += static_cast<size_t>(n);
-        bytes_written_.fetch_add(static_cast<uint64_t>(n),
-                                 std::memory_order_relaxed);
+        bytes_written_->Add(static_cast<uint64_t>(n));
         continue;
       }
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
@@ -333,7 +336,7 @@ void AdminServer::RunLoop(int listen_fd, int wake_fd) {
             continue;
           }
           if (conns.size() >= options_.max_connections) {
-            rejected_over_capacity_.fetch_add(1, std::memory_order_relaxed);
+            rejected_over_capacity_->Increment();
             // Best effort: the socket buffer is empty, so the short 503
             // almost always fits without blocking.
             const std::string bytes = SerializeHttpResponse(
@@ -347,12 +350,12 @@ void AdminServer::RunLoop(int listen_fd, int wake_fd) {
           }
           int one = 1;
           ::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-          accepted_.fetch_add(1, std::memory_order_relaxed);
+          accepted_->Increment();
           Conn conn;
           conn.fd = cfd;
           conn.idle_deadline_ns = now_ns + read_deadline_ns;
           conns.emplace(cfd, std::move(conn));
-          active_connections_.store(conns.size(), std::memory_order_relaxed);
+          active_connections_->Set(static_cast<int64_t>(conns.size()));
           add_fd(cfd, EPOLLIN);
         }
         continue;
@@ -399,7 +402,7 @@ void AdminServer::RunLoop(int listen_fd, int wake_fd) {
     std::vector<int> expired;
     for (auto& [fd, conn] : conns) {
       if (now_ns < conn.idle_deadline_ns) continue;
-      deadline_closes_.fetch_add(1, std::memory_order_relaxed);
+      deadline_closes_->Increment();
       if (conn.out_off < conn.out.size()) {
         // Slow reader holding response bytes: give up on it.
         expired.push_back(fd);

@@ -1,9 +1,5 @@
 #include "service/query_service.h"
 
-#include <algorithm>
-#include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 #include <utility>
 
 #include "exec/optimizer.h"
@@ -14,16 +10,6 @@
 namespace blas {
 
 namespace {
-
-void AppendF(std::string* out, const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, fmt);
-  int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  if (n > 0) out->append(buf, static_cast<size_t>(std::min<int>(
-                                  n, static_cast<int>(sizeof(buf)) - 1)));
-}
 
 /// A collection state that never publishes (epoch 0 for every document).
 std::shared_ptr<const CollectionState> StaticState(BlasCollection collection) {
@@ -69,6 +55,20 @@ QueryService::QueryService(const BlasCollection* collection,
 QueryService::QueryService(LiveCollection* live, const ServiceOptions& options)
     : QueryService(options, nullptr) {
   live_ = live;
+  // The collection's own figures, exported under the service's names.
+  metrics_.RegisterCallbackCounter(
+      "blas_service_docs_ingested", "Documents published by add/replace",
+      [live] { return live->stats().docs_ingested; });
+  metrics_.RegisterCallbackCounter(
+      "blas_service_docs_removed", "Documents removed",
+      [live] { return live->stats().docs_removed; });
+  metrics_.RegisterCallbackCounter(
+      "blas_service_epochs_published", "Epochs published",
+      [live] { return live->stats().epochs_published; });
+  // A gauge: a checkpoint compacts the manifest, so the size falls.
+  metrics_.RegisterCallbackGauge(
+      "blas_service_manifest_bytes", "Durable manifest size in bytes",
+      [live] { return static_cast<int64_t>(live->stats().manifest_bytes); });
   ingest_ = std::make_unique<IngestQueue>(live_, &pool_);
   // Epoch tags already make stale per-document plans unservable; the
   // listener reclaims their memory eagerly and keeps the cache honest.
@@ -113,15 +113,42 @@ void QueryService::InitMetrics() {
   stage_execute_ns_ = metrics_.GetHistogram(
       "blas_stage_execute_ns",
       "Cursor open (engine execution / streaming prefix)");
-  metrics_.RegisterCallbackGauge(
-      "blas_plan_cache_hit_percent",
-      "Plan-cache hit ratio over the service's lifetime, in percent",
-      [this] {
-        PlanCache::Stats cache = plan_cache_.stats();
-        uint64_t total = cache.hits + cache.misses;
-        return total == 0 ? int64_t{0}
-                          : static_cast<int64_t>(cache.hits * 100 / total);
-      });
+  auto counter = [this](const char* name, const char* help) {
+    return metrics_.GetCounter(std::string("blas_service_") + name, help);
+  };
+  submitted_ = counter("submitted", "Queries and cursors submitted");
+  completed_ = counter("completed", "Queries run to completion");
+  failed_ = counter("failed", "Parse, translate and execute errors");
+  rejected_ = counter("rejected", "Submissions refused after Shutdown");
+  cursors_opened_ = counter("cursors_opened", "Cursors handed out");
+  cancelled_ = counter("cancelled", "Streams cancelled by their callback");
+  doc_plan_hits_ = counter("doc_plan_hits", "Per-document plan slot hits");
+  doc_plan_misses_ =
+      counter("doc_plan_misses", "Per-document plan slot misses");
+  churn_queries_ = counter("queries_served_during_churn",
+                           "Completed queries that overlapped a publish");
+  docs_executed_ = counter("docs_executed", "Documents a query's cursor ran");
+  docs_cancelled_ =
+      counter("docs_cancelled", "Documents cancelled while still queued");
+  elements_ = counter("exec_elements", "Elements visited");
+  page_fetches_ = counter("exec_page_fetches", "Page accesses");
+  page_misses_ = counter("exec_page_misses", "Page accesses that missed");
+  io_reads_ = counter("exec_io_reads", "Disk reads");
+  d_joins_ = counter("exec_d_joins", "D-joins executed");
+  intermediate_rows_ =
+      counter("exec_intermediate_rows", "Rows between operators");
+  output_rows_ = counter("exec_output_rows", "Rows the engines returned");
+  offset_skipped_ =
+      counter("exec_offset_skipped", "Matches consumed by offset");
+  metrics_.RegisterCallbackCounter("blas_service_plan_cache_hits",
+                                   "Plan-cache hits",
+                                   [this] { return plan_cache_.stats().hits; });
+  metrics_.RegisterCallbackCounter(
+      "blas_service_plan_cache_misses", "Plan-cache misses",
+      [this] { return plan_cache_.stats().misses; });
+  metrics_.RegisterCallbackCounter(
+      "blas_service_plan_cache_evictions", "Plan-cache evictions",
+      [this] { return plan_cache_.stats().evictions; });
 }
 
 std::shared_ptr<obs::TraceContext> QueryService::MaybeStartTrace(
@@ -141,17 +168,16 @@ void QueryService::Complete(const QueryRequest& request, double millis,
                             const CollectionCursor& cursor,
                             obs::TraceContext* trace,
                             uint64_t epoch_at_open) {
-  completed_.fetch_add(1, std::memory_order_relaxed);
+  completed_->Increment();
   RollUp(stats);
-  offset_skipped_.fetch_add(cursor.offset_skipped(),
-                            std::memory_order_relaxed);
+  offset_skipped_->Add(cursor.offset_skipped());
   CollectionCursor::ScatterStats scatter = cursor.scatter_stats();
-  docs_executed_.fetch_add(scatter.docs_executed, std::memory_order_relaxed);
-  docs_cancelled_.fetch_add(scatter.docs_cancelled, std::memory_order_relaxed);
+  docs_executed_->Add(scatter.docs_executed);
+  docs_cancelled_->Add(scatter.docs_cancelled);
   // A live query that overlapped a publish: the epoch it pinned was
   // superseded by the time it drained.
   if (live_ != nullptr && live_->epoch() != epoch_at_open) {
-    churn_queries_.fetch_add(1, std::memory_order_relaxed);
+    churn_queries_->Increment();
   }
   query_latency_ns_->Record(static_cast<uint64_t>(millis * 1e6));
   std::shared_ptr<const obs::Trace> sealed;
@@ -179,7 +205,7 @@ void QueryService::Complete(const QueryRequest& request, double millis,
 template <typename T>
 std::future<Result<T>> QueryService::SubmitTask(
     std::function<Result<T>(const Stopwatch& since)> work) {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
+  submitted_->Increment();
   // Started before the (possibly blocking) enqueue: latency includes
   // backpressure and queue wait.
   Stopwatch since;
@@ -190,7 +216,7 @@ std::future<Result<T>> QueryService::SubmitTask(
       });
   std::future<Result<T>> future = task->get_future();
   if (!pool_.Submit([task] { (*task)(); })) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
+    rejected_->Increment();
     std::promise<Result<T>> refused;
     refused.set_value(Status::Unsupported("service is shut down"));
     return refused.get_future();
@@ -226,18 +252,17 @@ std::future<Result<StreamSummary>> QueryService::Submit(
 
 Result<BlasCollection::CollectionResult> QueryService::Execute(
     const QueryRequest& request) {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
+  submitted_->Increment();
   return Run(request, Stopwatch());
 }
 
 Result<CollectionCursor> QueryService::OpenCursor(const QueryRequest& request) {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
+  submitted_->Increment();
   Result<CollectionCursor> cursor = MakeCursor(request);
   // The cursor escapes the service and executes on the client's thread,
   // so it is tallied as an opened cursor, not a completed query, and its
   // ExecStats stay out of the exec roll-up.
-  (cursor.ok() ? cursors_opened_ : failed_)
-      .fetch_add(1, std::memory_order_relaxed);
+  (cursor.ok() ? cursors_opened_ : failed_)->Increment();
   return cursor;
 }
 
@@ -296,8 +321,7 @@ Result<CollectionCursor> QueryService::MakeCursor(
     auto it = state->doc_epochs.find(name);
     const uint64_t epoch = it != state->doc_epochs.end() ? it->second : 0;
     std::shared_ptr<const CachedPlan> plan = entry->ForDoc(name, epoch);
-    (plan != nullptr ? doc_plan_hits_ : doc_plan_misses_)
-        .fetch_add(1, std::memory_order_relaxed);
+    (plan != nullptr ? doc_plan_hits_ : doc_plan_misses_)->Increment();
     if (plan == nullptr) {
       CachedPlan fresh;
       {
@@ -359,7 +383,7 @@ Result<StreamSummary> QueryService::Stream(
   Result<CollectionCursor> cursor =
       MakeCursor(request, &epoch_at_open, trace);
   if (!cursor.ok()) {
-    failed_.fetch_add(1, std::memory_order_relaxed);
+    failed_->Increment();
     return std::move(cursor).status();
   }
   StreamSummary summary;
@@ -373,7 +397,7 @@ Result<StreamSummary> QueryService::Stream(
       }
     }
     if (!cursor->status().ok()) {
-      failed_.fetch_add(1, std::memory_order_relaxed);
+      failed_->Increment();
       return cursor->status();
     }
     summary.stats = cursor->SettledStats();
@@ -387,7 +411,7 @@ Result<StreamSummary> QueryService::Stream(
   if (summary.cancelled) {
     // An abandoned stream's truncated stats would skew the
     // per-completed-query roll-up.
-    cancelled_.fetch_add(1, std::memory_order_relaxed);
+    cancelled_->Increment();
   } else {
     Complete(request, summary.millis, summary.stats, *cursor, trace.get(),
              epoch_at_open);
@@ -453,128 +477,55 @@ void QueryService::DrainIngest() {
 }
 
 void QueryService::RollUp(const ExecStats& stats) {
-  elements_.fetch_add(stats.elements, std::memory_order_relaxed);
-  page_fetches_.fetch_add(stats.page_fetches, std::memory_order_relaxed);
-  page_misses_.fetch_add(stats.page_misses, std::memory_order_relaxed);
-  io_reads_.fetch_add(stats.io_reads, std::memory_order_relaxed);
-  d_joins_.fetch_add(stats.d_joins, std::memory_order_relaxed);
-  intermediate_rows_.fetch_add(stats.intermediate_rows,
-                               std::memory_order_relaxed);
-  output_rows_.fetch_add(stats.output_rows, std::memory_order_relaxed);
+  elements_->Add(stats.elements);
+  page_fetches_->Add(stats.page_fetches);
+  page_misses_->Add(stats.page_misses);
+  io_reads_->Add(stats.io_reads);
+  d_joins_->Add(stats.d_joins);
+  intermediate_rows_->Add(stats.intermediate_rows);
+  output_rows_->Add(stats.output_rows);
 }
 
 ServiceStats QueryService::stats() const {
   ServiceStats s;
-  s.submitted = submitted_.load(std::memory_order_relaxed);
-  s.completed = completed_.load(std::memory_order_relaxed);
-  s.failed = failed_.load(std::memory_order_relaxed);
-  s.rejected = rejected_.load(std::memory_order_relaxed);
-  s.cursors_opened = cursors_opened_.load(std::memory_order_relaxed);
-  s.cancelled = cancelled_.load(std::memory_order_relaxed);
+  s.submitted = submitted_->value();
+  s.completed = completed_->value();
+  s.failed = failed_->value();
+  s.rejected = rejected_->value();
+  s.cursors_opened = cursors_opened_->value();
+  s.cancelled = cancelled_->value();
   PlanCache::Stats cache = plan_cache_.stats();
   s.plan_cache_hits = cache.hits;
   s.plan_cache_misses = cache.misses;
   s.plan_cache_evictions = cache.evictions;
-  s.doc_plan_hits = doc_plan_hits_.load(std::memory_order_relaxed);
-  s.doc_plan_misses = doc_plan_misses_.load(std::memory_order_relaxed);
-  s.queries_served_during_churn =
-      churn_queries_.load(std::memory_order_relaxed);
-  s.docs_executed = docs_executed_.load(std::memory_order_relaxed);
-  s.docs_cancelled = docs_cancelled_.load(std::memory_order_relaxed);
-  if (live_ != nullptr) {
-    LiveCollection::Stats live = live_->stats();
-    s.docs_ingested = live.docs_ingested;
-    s.docs_removed = live.docs_removed;
-    s.epochs_published = live.epochs_published;
-    s.manifest_bytes = live.manifest_bytes;
-  }
-  s.exec.elements = elements_.load(std::memory_order_relaxed);
-  s.exec.page_fetches = page_fetches_.load(std::memory_order_relaxed);
-  s.exec.page_misses = page_misses_.load(std::memory_order_relaxed);
-  s.exec.io_reads = io_reads_.load(std::memory_order_relaxed);
-  s.exec.d_joins = d_joins_.load(std::memory_order_relaxed);
-  s.exec.intermediate_rows =
-      intermediate_rows_.load(std::memory_order_relaxed);
-  s.exec.output_rows = output_rows_.load(std::memory_order_relaxed);
-  s.exec.offset_skipped = offset_skipped_.load(std::memory_order_relaxed);
+  s.doc_plan_hits = doc_plan_hits_->value();
+  s.doc_plan_misses = doc_plan_misses_->value();
+  s.queries_served_during_churn = churn_queries_->value();
+  s.docs_executed = docs_executed_->value();
+  s.docs_cancelled = docs_cancelled_->value();
+  s.exec.elements = elements_->value();
+  s.exec.page_fetches = page_fetches_->value();
+  s.exec.page_misses = page_misses_->value();
+  s.exec.io_reads = io_reads_->value();
+  s.exec.d_joins = d_joins_->value();
+  s.exec.intermediate_rows = intermediate_rows_->value();
+  s.exec.output_rows = output_rows_->value();
+  s.exec.offset_skipped = offset_skipped_->value();
   return s;
 }
 
-namespace {
-
-/// (name, value) pairs of every ServiceStats field — the single source
-/// both exporters walk, so JSON and Prometheus can never disagree on
-/// coverage.
-std::vector<std::pair<const char*, uint64_t>> ServiceStatsFields(
-    const ServiceStats& s) {
-  return {
-      {"submitted", s.submitted},
-      {"completed", s.completed},
-      {"failed", s.failed},
-      {"rejected", s.rejected},
-      {"cursors_opened", s.cursors_opened},
-      {"cancelled", s.cancelled},
-      {"plan_cache_hits", s.plan_cache_hits},
-      {"plan_cache_misses", s.plan_cache_misses},
-      {"plan_cache_evictions", s.plan_cache_evictions},
-      {"doc_plan_hits", s.doc_plan_hits},
-      {"doc_plan_misses", s.doc_plan_misses},
-      {"docs_ingested", s.docs_ingested},
-      {"docs_removed", s.docs_removed},
-      {"epochs_published", s.epochs_published},
-      {"manifest_bytes", s.manifest_bytes},
-      {"queries_served_during_churn", s.queries_served_during_churn},
-      {"docs_executed", s.docs_executed},
-      {"docs_cancelled", s.docs_cancelled},
-      {"exec_elements", s.exec.elements},
-      {"exec_page_fetches", s.exec.page_fetches},
-      {"exec_page_misses", s.exec.page_misses},
-      {"exec_io_reads", s.exec.io_reads},
-      {"exec_d_joins", s.exec.d_joins},
-      {"exec_intermediate_rows", s.exec.intermediate_rows},
-      {"exec_output_rows", s.exec.output_rows},
-      {"exec_offset_skipped", s.exec.offset_skipped},
-  };
-}
-
-}  // namespace
-
 std::string QueryService::Statsz() const {
-  ServiceStats s = stats();
-  std::string out = "{\"service\":{";
-  bool first = true;
-  for (const auto& [name, value] : ServiceStatsFields(s)) {
-    AppendF(&out, "%s\"%s\":%" PRIu64, first ? "" : ",", name, value);
-    first = false;
-  }
-  out += "},\"metrics\":";
-  out += metrics_.DumpJson();
-  out += ",\"process\":";
-  out += obs::DefaultRegistry().DumpJson();
-  out += "}";
-  return out;
+  return "{\"metrics\":" + metrics_.DumpJson() +
+         ",\"process\":" + obs::DefaultRegistry().DumpJson() + "}";
 }
 
 std::string QueryService::StatszPrometheus() const {
-  ServiceStats s = stats();
-  std::string out;
-  for (const auto& [name, value] : ServiceStatsFields(s)) {
-    AppendF(&out, "# TYPE blas_service_%s counter\nblas_service_%s %" PRIu64
-                  "\n",
-            name, name, value);
-  }
-  out += metrics_.DumpPrometheus();
-  out += obs::DefaultRegistry().DumpPrometheus();
-  return out;
+  return metrics_.DumpPrometheus() + obs::DefaultRegistry().DumpPrometheus();
 }
 
 obs::MetricsSnapshot QueryService::SnapshotMetrics() const {
   obs::MetricsSnapshot snapshot = metrics_.Snapshot();
   snapshot.Merge(obs::DefaultRegistry().Snapshot());
-  const ServiceStats s = stats();
-  for (const auto& [name, value] : ServiceStatsFields(s)) {
-    snapshot.counters[std::string("blas_service_") + name] = value;
-  }
   return snapshot;
 }
 

@@ -62,9 +62,12 @@ struct StreamSummary {
   bool cancelled = false;
 };
 
-/// Service-wide counters. Values are monotonically increasing since
-/// construction; `stats()` returns a consistent-enough snapshot (each
-/// field is read atomically, the set is not fenced).
+/// Service-wide counters: a read-only view of the service's registry
+/// entries (`blas_service_<field>`, the roll-up as `blas_service_exec_*`).
+/// Every value is monotonic since construction; `stats()` returns a
+/// consistent-enough snapshot (each field is read atomically, the set is
+/// not fenced). A live collection's own figures (documents ingested,
+/// epochs, the manifest size) are in LiveCollection::stats().
 struct ServiceStats {
   uint64_t submitted = 0;
   uint64_t completed = 0;  // queries run to completion by the service
@@ -92,15 +95,6 @@ struct ServiceStats {
   /// unservable.
   uint64_t doc_plan_hits = 0;
   uint64_t doc_plan_misses = 0;
-  // Churn counters (live-collection services; all 0 otherwise).
-  /// Documents published by SubmitAdd/ReplaceDocument — or by anything
-  /// else driving the same LiveCollection.
-  uint64_t docs_ingested = 0;
-  uint64_t docs_removed = 0;
-  /// Epoch publishes on the fronted live collection since it opened.
-  uint64_t epochs_published = 0;
-  /// Current durable manifest size in bytes.
-  uint64_t manifest_bytes = 0;
   /// Completed collection queries that overlapped at least one publish:
   /// the epoch they pinned was superseded by the time they drained. The
   /// headline number of the live-ingestion design — readers kept
@@ -240,25 +234,25 @@ class QueryService {
 
   // ---------------------------------------------------- observability ---
 
-  /// Machine-readable status page: one JSON object with the ServiceStats
-  /// counters ("service"), this service's metric registry ("metrics" —
+  /// Machine-readable status page: one JSON object with this service's
+  /// metric registry ("metrics" — the `blas_service_*` counters and the
   /// query/stage latency histograms with percentiles) and the
   /// process-wide registry ("process" — storage + ingest metrics).
   std::string Statsz() const;
 
-  /// Prometheus text exposition (format 0.0.4) of the same three groups;
-  /// ServiceStats counters are exported as `blas_service_*`.
+  /// Prometheus text exposition (format 0.0.4) of the same two registries.
   std::string StatszPrometheus() const;
 
-  /// Cumulative snapshot of the same three groups for the windowed layer
-  /// (obs/snapshot.h): this service's registry merged with the process
-  /// registry, plus every ServiceStats counter as `blas_service_*`. This
-  /// is the capture callback a MetricsSnapshotter should ring — two of
-  /// these subtract into an exact per-window view.
+  /// Cumulative snapshot of the same two registries, merged, for the
+  /// windowed layer (obs/snapshot.h). This is the capture callback a
+  /// MetricsSnapshotter should ring — two of these subtract into an exact
+  /// per-window view.
   obs::MetricsSnapshot SnapshotMetrics() const;
 
-  /// This service's metric registry (query latency, per-stage latency,
-  /// plan-cache gauges). Stable pointers; safe to read concurrently.
+  /// This service's metric registry: every ServiceStats counter, the
+  /// plan cache's and (live backing) the collection's figures, and the
+  /// query/stage latency histograms. Stable pointers; safe to read
+  /// concurrently.
   const obs::MetricsRegistry& metrics() const { return metrics_; }
   obs::MetricsRegistry& metrics() { return metrics_; }
 
@@ -308,8 +302,8 @@ class QueryService {
                                                const Stopwatch& since);
   void RollUp(const ExecStats& stats);
 
-  /// Registers this service's metrics (latency histograms, plan-cache
-  /// gauge).
+  /// Registers this service's metrics (counters, latency histograms,
+  /// plan-cache callbacks) and caches the hot pointers.
   void InitMetrics();
   /// A new trace context when this query is traced (explicit
   /// QueryOptions::trace or every-Nth sampling); null otherwise.
@@ -354,25 +348,25 @@ class QueryService {
   obs::Histogram* stage_optimize_ns_ = nullptr;
   obs::Histogram* stage_execute_ns_ = nullptr;
 
-  std::atomic<uint64_t> submitted_{0};
-  std::atomic<uint64_t> completed_{0};
-  std::atomic<uint64_t> failed_{0};
-  std::atomic<uint64_t> rejected_{0};
-  std::atomic<uint64_t> cursors_opened_{0};
-  std::atomic<uint64_t> cancelled_{0};
-  std::atomic<uint64_t> doc_plan_hits_{0};
-  std::atomic<uint64_t> doc_plan_misses_{0};
-  std::atomic<uint64_t> churn_queries_{0};
-  std::atomic<uint64_t> docs_executed_{0};
-  std::atomic<uint64_t> docs_cancelled_{0};
-  std::atomic<uint64_t> elements_{0};
-  std::atomic<uint64_t> page_fetches_{0};
-  std::atomic<uint64_t> page_misses_{0};
-  std::atomic<uint64_t> io_reads_{0};
-  std::atomic<uint64_t> d_joins_{0};
-  std::atomic<uint64_t> intermediate_rows_{0};
-  std::atomic<uint64_t> output_rows_{0};
-  std::atomic<uint64_t> offset_skipped_{0};
+  obs::Counter* submitted_ = nullptr;
+  obs::Counter* completed_ = nullptr;
+  obs::Counter* failed_ = nullptr;
+  obs::Counter* rejected_ = nullptr;
+  obs::Counter* cursors_opened_ = nullptr;
+  obs::Counter* cancelled_ = nullptr;
+  obs::Counter* doc_plan_hits_ = nullptr;
+  obs::Counter* doc_plan_misses_ = nullptr;
+  obs::Counter* churn_queries_ = nullptr;
+  obs::Counter* docs_executed_ = nullptr;
+  obs::Counter* docs_cancelled_ = nullptr;
+  obs::Counter* elements_ = nullptr;
+  obs::Counter* page_fetches_ = nullptr;
+  obs::Counter* page_misses_ = nullptr;
+  obs::Counter* io_reads_ = nullptr;
+  obs::Counter* d_joins_ = nullptr;
+  obs::Counter* intermediate_rows_ = nullptr;
+  obs::Counter* output_rows_ = nullptr;
+  obs::Counter* offset_skipped_ = nullptr;
 };
 
 }  // namespace blas

@@ -656,11 +656,11 @@ TEST(LiveCollectionTest, ServiceAdminFuturesAndChurnCounters) {
   ASSERT_TRUE(summary.ok()) << summary.status();
   EXPECT_EQ(summary->delivered, 12u);  // drained the pinned epoch in full
 
-  ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.docs_ingested, 7u);
-  EXPECT_EQ(stats.epochs_published, 7u);
-  EXPECT_GT(stats.manifest_bytes, 0u);
-  EXPECT_EQ(stats.queries_served_during_churn, 1u);
+  LiveCollection::Stats ingest = live.stats();
+  EXPECT_EQ(ingest.docs_ingested, 7u);
+  EXPECT_EQ(ingest.epochs_published, 7u);
+  EXPECT_GT(ingest.manifest_bytes, 0u);
+  EXPECT_EQ(service.stats().queries_served_during_churn, 1u);
 
   // Admin on a non-live service refuses.
   BlasCollection static_coll;

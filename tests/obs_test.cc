@@ -183,6 +183,30 @@ TEST(MetricsRegistry, JsonGolden) {
   EXPECT_EQ(registry.DumpJson(), expected);
 }
 
+/// A callback counter reads a count kept elsewhere and is exported as a
+/// counter everywhere: Prometheus TYPE, the JSON "counters" section and
+/// the snapshot's counters (so windowed rates apply).
+TEST(MetricsRegistry, CallbackCounterExportsAsCounter) {
+  MetricsRegistry registry;
+  uint64_t hits = 5;
+  registry.RegisterCallbackCounter("cache_hits", "Cache hits",
+                                   [&hits] { return hits; });
+  EXPECT_EQ(registry.DumpPrometheus(),
+            "# HELP cache_hits Cache hits\n"
+            "# TYPE cache_hits counter\n"
+            "cache_hits 5\n");
+  EXPECT_EQ(registry.DumpJson(),
+            "{\"counters\":{\"cache_hits\":5},\"gauges\":{},"
+            "\"histograms\":{}}");
+  const MetricsSnapshot before = registry.Snapshot();
+  hits = 12;
+  const MetricsSnapshot after = registry.Snapshot();
+  EXPECT_EQ(after.counters.at("cache_hits"), 12u);
+  EXPECT_EQ(after.Subtract(before).counters.at("cache_hits"), 7u);
+  // One name, one kind: a callback counter is not a plain counter.
+  EXPECT_EQ(registry.GetCounter("cache_hits"), nullptr);
+}
+
 TEST(MetricsRegistry, PrometheusHistogramBucketsAreCumulative) {
   MetricsRegistry registry;
   Histogram* h = registry.GetHistogram("h");

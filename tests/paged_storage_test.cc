@@ -16,6 +16,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -79,7 +80,7 @@ BlasSystem BuildRandom(uint64_t seed) {
 const char* kAuctionQueries[] = {
     "//item/name",
     "/site/regions/asia/item[shipping]/description",
-    "/site//keyword",
+    "/site//date",
     "//parlist/listitem",
     "/site/people/person/name",
     "//nosuchtag",
@@ -112,6 +113,9 @@ TEST(PagedStorageTest, RoundTripAnswersIdenticallyUnderTinyBudget) {
           EXPECT_EQ(a->starts, b->starts)
               << q << " [" << TranslatorName(t) << "/" << EngineName(e)
               << "] frames=" << storage.frames_per_shard;
+          // Only the miss probe may compare two empty answers.
+          EXPECT_EQ(a->starts.empty(), std::string_view(q) == "//nosuchtag")
+              << q;
         }
       }
     }
@@ -797,7 +801,7 @@ TEST(PagedStorageTest, CollectionLargerThanSharedBudgetAnswersEverything) {
   uint64_t total_io = 0;
   const Budget budgets[] = {{0, 0}, {10, 0}, {25, 5}};
   for (const char* q :
-       {"//item/name", "/site//keyword", "//parlist/listitem",
+       {"//item/name", "/site//date", "//parlist/listitem",
         "/site/people/person/name"}) {
     for (const Budget& b : budgets) {
       QueryOptions options;

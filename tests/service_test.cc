@@ -1,5 +1,9 @@
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <filesystem>
 #include <future>
 #include <map>
 #include <memory>
@@ -11,6 +15,8 @@
 
 #include "gen/generator.h"
 #include "gen/queries.h"
+#include "ingest/live_collection.h"
+#include "obs/snapshot.h"
 #include "service/normalize.h"
 #include "service/plan_cache.h"
 #include "service/query_service.h"
@@ -600,10 +606,14 @@ TEST(QueryServiceObsTest, StatszCountersMatchPerQueryExecStatsSums) {
 
   // Both exporters carry the same numbers.
   const std::string json = service.Statsz();
-  EXPECT_NE(json.find("\"completed\":" + std::to_string(completed)),
+  EXPECT_EQ(json.rfind("{\"metrics\":{\"counters\":{", 0), 0u) << json;
+  EXPECT_NE(json.find("\"process\":{"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"blas_service_completed\":" +
+                      std::to_string(completed) + ","),
             std::string::npos)
       << json;
-  EXPECT_NE(json.find("\"exec_elements\":" + std::to_string(sum.elements)),
+  EXPECT_NE(json.find("\"blas_service_exec_elements\":" +
+                      std::to_string(sum.elements) + ","),
             std::string::npos)
       << json;
   const std::string prom = service.StatszPrometheus();
@@ -616,6 +626,189 @@ TEST(QueryServiceObsTest, StatszCountersMatchPerQueryExecStatsSums) {
                       std::to_string(completed)),
             std::string::npos)
       << prom;
+}
+
+/// The number after `"key":` in a JSON text, or UINT64_MAX when absent.
+uint64_t JsonCounter(const std::string& json, const std::string& name) {
+  const std::string key = "\"" + name + "\":";
+  const size_t at = json.find(key);
+  if (at == std::string::npos) return UINT64_MAX;
+  return std::strtoull(json.c_str() + at + key.size(), nullptr, 10);
+}
+
+/// The sample value of an unlabelled Prometheus series, or UINT64_MAX.
+uint64_t PromSample(const std::string& text, const std::string& name) {
+  const std::string key = "\n" + name + " ";
+  const size_t at = text.find(key);
+  if (at == std::string::npos) return UINT64_MAX;
+  return std::strtoull(text.c_str() + at + key.size(), nullptr, 10);
+}
+
+/// ServiceStats is a view of the registry: after a mix of every kind of
+/// work, each field equals its `blas_service_*` entry in the registry
+/// snapshot, in Statsz() and in StatszPrometheus(), and the registry
+/// holds no other `blas_service_*` series.
+TEST(QueryServiceObsTest, EveryServiceStatsFieldIsARegistryEntry) {
+  BlasCollection coll;
+  for (int i = 0; i < 8; ++i) {
+    std::string xml = "<r>";
+    for (int j = 0; j < 20; ++j) xml += "<x>m</x>";
+    xml += "</r>";
+    ASSERT_TRUE(coll.AddXml("doc" + std::to_string(i), xml).ok());
+  }
+  QueryService service(
+      &coll, ServiceOptions{.worker_threads = 1, .plan_cache_capacity = 2});
+
+  // Completed queries: a miss, a hit, and two more shapes that evict.
+  for (const char* xpath : {"//x", "//x", "//r", "/r/x"}) {
+    ASSERT_TRUE(service.Execute({.xpath = xpath}).ok()) << xpath;
+  }
+  ASSERT_TRUE(service.Submit({.xpath = "//x"}).get().ok());
+  EXPECT_FALSE(service.Execute({.xpath = "//["}).ok());  // parse failure
+  {
+    Result<CollectionCursor> cursor = service.OpenCursor({.xpath = "//r"});
+    ASSERT_TRUE(cursor.ok());
+    ASSERT_TRUE(cursor->Drain().ok());
+  }
+  QueryRequest window{.xpath = "//x"};
+  window.options.offset = 3;
+  window.options.limit = 2;
+  ASSERT_TRUE(service.Execute(window).ok());
+
+  // Park the one worker inside a stream's callback (which then cancels
+  // it), so a bounded query's scattered documents stay queued and its
+  // merge cancels them.
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> gate(release.get_future());
+  bool first = true;  // touched by the one worker only
+  auto parked = service.Submit({.xpath = "//x"}, [&](const Match&) {
+    if (first) {
+      first = false;
+      entered.set_value();
+      gate.wait();
+    }
+    return false;
+  });
+  entered.get_future().wait();
+  QueryRequest bounded{.xpath = "//x"};
+  bounded.options.limit = 1;
+  ASSERT_TRUE(service.Execute(bounded).ok());
+  release.set_value();
+  Result<StreamSummary> cancelled = parked.get();
+  ASSERT_TRUE(cancelled.ok());
+  EXPECT_TRUE(cancelled->cancelled);
+
+  service.Shutdown();
+  EXPECT_FALSE(service.Submit({.xpath = "//x"}).get().ok());  // rejected
+
+  const ServiceStats s = service.stats();
+  EXPECT_EQ(s.completed, 7u);
+  EXPECT_EQ(s.failed, 1u);
+  EXPECT_EQ(s.rejected, 1u);
+  EXPECT_EQ(s.cursors_opened, 1u);
+  EXPECT_EQ(s.cancelled, 1u);
+  EXPECT_GT(s.plan_cache_evictions, 0u);
+  EXPECT_GT(s.docs_cancelled, 0u);
+  EXPECT_EQ(s.exec.offset_skipped, 3u);
+  const std::map<std::string, uint64_t> fields = {
+      {"submitted", s.submitted},
+      {"completed", s.completed},
+      {"failed", s.failed},
+      {"rejected", s.rejected},
+      {"cursors_opened", s.cursors_opened},
+      {"cancelled", s.cancelled},
+      {"plan_cache_hits", s.plan_cache_hits},
+      {"plan_cache_misses", s.plan_cache_misses},
+      {"plan_cache_evictions", s.plan_cache_evictions},
+      {"doc_plan_hits", s.doc_plan_hits},
+      {"doc_plan_misses", s.doc_plan_misses},
+      {"queries_served_during_churn", s.queries_served_during_churn},
+      {"docs_executed", s.docs_executed},
+      {"docs_cancelled", s.docs_cancelled},
+      {"exec_elements", s.exec.elements},
+      {"exec_page_fetches", s.exec.page_fetches},
+      {"exec_page_misses", s.exec.page_misses},
+      {"exec_io_reads", s.exec.io_reads},
+      {"exec_d_joins", s.exec.d_joins},
+      {"exec_intermediate_rows", s.exec.intermediate_rows},
+      {"exec_output_rows", s.exec.output_rows},
+      {"exec_offset_skipped", s.exec.offset_skipped},
+  };
+  const obs::MetricsSnapshot snapshot = service.metrics().Snapshot();
+  const std::string json = service.Statsz();
+  const std::string prom = service.StatszPrometheus();
+  for (const auto& [field, value] : fields) {
+    const std::string name = "blas_service_" + field;
+    auto it = snapshot.counters.find(name);
+    ASSERT_NE(it, snapshot.counters.end()) << name;
+    EXPECT_EQ(it->second, value) << name;
+    EXPECT_EQ(JsonCounter(json, name), value) << name;
+    EXPECT_EQ(PromSample(prom, name), value) << name;
+    EXPECT_NE(prom.find("# TYPE " + name + " counter\n"), std::string::npos)
+        << name;
+  }
+  for (const auto& [name, value] : snapshot.counters) {
+    if (name.rfind("blas_service_", 0) == 0) {
+      EXPECT_EQ(fields.count(name.substr(13)), 1u) << name;
+    }
+  }
+  for (const auto& [name, value] : snapshot.gauges) {
+    EXPECT_NE(name.rfind("blas_service_", 0), 0u) << name;
+  }
+  EXPECT_EQ(prom.find("blas_plan_cache_hit_percent"), std::string::npos);
+}
+
+/// A live service exports its collection's figures from the collection
+/// itself; the manifest size is a gauge, because a checkpoint shrinks it.
+TEST(QueryServiceObsTest, LiveFiguresComeFromTheCollection) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("blas_service_obs_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  LiveOptions options;
+  options.checkpoint_every = 2;
+  Result<std::unique_ptr<LiveCollection>> opened =
+      LiveCollection::Open(dir.string(), options);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  LiveCollection& live = **opened;
+  {
+    QueryService service(&live);
+    auto manifest_bytes = [&service] {
+      return service.metrics().Snapshot().gauges.at(
+          "blas_service_manifest_bytes");
+    };
+    // The second publish compacts the log; the third appends to it and
+    // the fourth, removing a document, compacts it again.
+    for (const char* name : {"a", "b", "c"}) {
+      ASSERT_TRUE(service.SubmitAddDocument(name, kDoc).get().ok()) << name;
+    }
+    const int64_t before = manifest_bytes();
+    ASSERT_TRUE(service.SubmitRemoveDocument("c").get().ok());
+    EXPECT_EQ(live.stats().checkpoints, 2u);
+    EXPECT_LT(manifest_bytes(), before);
+
+    const LiveCollection::Stats ingest = live.stats();
+    const obs::MetricsSnapshot snapshot = service.metrics().Snapshot();
+    EXPECT_EQ(snapshot.counters.at("blas_service_docs_ingested"),
+              ingest.docs_ingested);
+    EXPECT_EQ(snapshot.counters.at("blas_service_docs_removed"),
+              ingest.docs_removed);
+    EXPECT_EQ(snapshot.counters.at("blas_service_epochs_published"),
+              ingest.epochs_published);
+    EXPECT_EQ(manifest_bytes(), static_cast<int64_t>(ingest.manifest_bytes));
+    const std::string prom = service.StatszPrometheus();
+    EXPECT_NE(prom.find("# TYPE blas_service_manifest_bytes gauge\n"),
+              std::string::npos)
+        << prom;
+    EXPECT_EQ(PromSample(prom, "blas_service_manifest_bytes"),
+              ingest.manifest_bytes);
+    EXPECT_NE(prom.find("# TYPE blas_service_epochs_published counter\n"),
+              std::string::npos);
+    EXPECT_EQ(PromSample(prom, "blas_service_docs_removed"), 1u);
+  }
+  opened->reset();
+  std::filesystem::remove_all(dir);
 }
 
 /// QueryOptions::trace yields the full stage span tree on a cold plan:
