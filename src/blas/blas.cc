@@ -79,6 +79,13 @@ Result<BlasSystem> BlasSystem::FromEvents(
         "event source replayed a different document between passes");
   }
 
+  // Number the values in collation order, so that every value predicate
+  // selects one id interval.
+  const std::vector<uint32_t> remap = labeler.dict().Collate();
+  for (NodeRecord& rec : labeler.records()) {
+    if (rec.data != kNullData) rec.data = remap[rec.data];
+  }
+
   sys.summary_ = std::make_unique<PathSummary>(labeler.TakeSummary());
   sys.dict_ = std::make_unique<StringDict>(std::move(labeler.dict()));
   sys.store_ = std::make_unique<NodeStore>(std::move(labeler.records()),
@@ -140,6 +147,11 @@ Result<BlasSystem> BlasSystem::OpenPaged(const std::string& path,
     node->count = entry.count;
     nodes.push_back(node);
   }
+
+  // The store's value reads step through the document's P-labels.
+  std::vector<PLabel>& plabels = index.store_meta.plabels;
+  for (const SummaryNode* node : nodes) plabels.push_back(node->plabel);
+  std::sort(plabels.begin(), plabels.end());
 
   BLAS_ASSIGN_OR_RETURN(PagedFile file, index.OpenPool());
   sys.store_ = std::make_unique<NodeStore>(std::move(file),

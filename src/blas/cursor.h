@@ -48,10 +48,12 @@ struct StreamPlanInfo {
   /// batch, and the number of distinct paths (P-labels) it spans.
   uint64_t return_count = 0;
   uint64_t return_paths = 0;
-  /// Return-first: the expected share of return-part records that match,
-  /// the product of CostModel::kValueSelectivity over the plan's
-  /// value-predicate parts and, for each branch part anchored on the
-  /// return part's anchor chain, min(1, its path count / its anchor's).
+  /// Return-first: the structural share of return-part records expected
+  /// to match, the product over each branch part anchored on the return
+  /// part's anchor chain of min(1, its path count / its anchor's). Each
+  /// value part's exact share (CostModel::ValueCount) multiplies in when
+  /// the cursor opens, not here: this is cached with the plan, and a
+  /// count's page fetches belong to the query that reads them.
   double match_rate = 1.0;
   /// The one tag every alternative of the return part ends in, when there
   /// is one: a return-first batch may read its SD run instead of SP (no
@@ -194,8 +196,11 @@ class ResultCursor {
 
   /// `offset + limit`, saturating.
   uint64_t Wanted() const;
-  /// Sets up return-first batches (nothing is read until Next).
-  void InitBatches(const StreamPlanInfo& info);
+  /// Sets up return-first batches, sized by the structural match rate
+  /// times each value part's exact share; a value part no record passes
+  /// ends the cursor here. Only the counts' descents read pages; the
+  /// batches are read by Next.
+  Status InitBatches(const StreamPlanInfo& info);
   /// Reads the next batch, runs the engine over it and sizes the next.
   void RunBatch();
   /// True when a batch of `n` records costs fewer pages from the return

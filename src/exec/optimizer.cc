@@ -8,11 +8,9 @@ namespace blas {
 namespace {
 
 /// Instances summed over the summary's paths: those inside the part's
-/// alternatives (and how many such paths there are), those ending in its
-/// tag, and all.
+/// alternatives, those ending in its tag, and all.
 struct Counts {
   uint64_t plabel_hits = 0;
-  uint64_t plabel_paths = 0;
   uint64_t tag_hits = 0;
   uint64_t total = 0;
 };
@@ -24,7 +22,6 @@ void SumCounts(const SummaryNode* node, const PlanPart& part, Counts* out) {
     for (const PlanAlt& alt : part.alts) {
       if (alt.range.Contains(child->plabel)) {
         out->plabel_hits += child->count;
-        ++out->plabel_paths;
         break;
       }
     }
@@ -49,9 +46,56 @@ uint64_t CostModel::PathCount(const PlanPart& part) const {
 }
 
 uint64_t CostModel::PathLabels(const PlanPart& part) const {
-  Counts counts;
-  SumCounts(summary_->root(), part, &counts);
-  return counts.plabel_paths;
+  return Paths(part).size();
+}
+
+std::vector<std::pair<PLabel, uint64_t>> CostModel::Paths(
+    const PlanPart& part) const {
+  std::vector<std::pair<PLabel, uint64_t>> paths;
+  std::vector<const SummaryNode*> stack = {summary_->root()};
+  while (!stack.empty()) {
+    const SummaryNode* node = stack.back();
+    stack.pop_back();
+    for (const auto& child : node->children) {
+      for (const PlanAlt& alt : part.alts) {
+        if (alt.range.Contains(child->plabel)) {
+          paths.emplace_back(child->plabel, child->count);
+          break;
+        }
+      }
+      stack.push_back(child.get());
+    }
+  }
+  return paths;
+}
+
+Result<CostModel::ValueShare> CostModel::ValueCount(
+    const PlanPart& part, const NodeStore& store) const {
+  const ValuePred& pred = *part.value;
+  const ValueIds ids = dict_->Select(pred);
+  // `=` and `!=` against "" also match the records without a value.
+  const bool empty_literal =
+      (pred.op == ValueOp::kEq || pred.op == ValueOp::kNe) &&
+      pred.literal.empty();
+  ValueShare share;
+  uint64_t selected = 0;
+  uint64_t valued = 0;
+  for (const auto& [plabel, count] : Paths(part)) {
+    share.records += count;
+    BLAS_ASSIGN_OR_RETURN(uint64_t n,
+                          store.CountValues(plabel, ids.lo, ids.hi));
+    selected += n;
+    if (empty_literal) {
+      BLAS_ASSIGN_OR_RETURN(n, store.CountValues(plabel, 0, kNullData));
+      valued += n;
+    }
+  }
+  // The `=` count (the ordered operators never match a missing value).
+  uint64_t equal = selected;
+  if (empty_literal) equal += share.records - std::min(valued, share.records);
+  equal = std::min(equal, share.records);
+  share.matches = ids.negated ? share.records - equal : equal;
+  return share;
 }
 
 uint64_t CostModel::EstimateCardinality(const PlanPart& part) const {

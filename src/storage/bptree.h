@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -12,6 +13,13 @@
 #include "storage/page.h"
 
 namespace blas {
+
+/// Pages, leaf pages and height of a bulk-loaded tree (BPlusTree::BulkShape).
+struct TreeShape {
+  uint64_t leaves = 0;
+  uint64_t pages = 0;
+  int height = 0;
+};
 
 /// \brief Bulk-loaded, page-resident clustered B+ tree.
 ///
@@ -58,6 +66,24 @@ class BPlusTree {
   static_assert(kInternalCap >= 2, "key too large for a page");
 
   BPlusTree() = default;
+
+  /// Placement of a bulk-loaded tree of `size` records: every leaf full
+  /// but the last, allocated first and contiguously, then each level of
+  /// internal nodes (full but its last), the root last. CountRange's leaf
+  /// arithmetic relies on it; Build produces it and the BLASIDX2 preflight
+  /// checks a persisted tree's metadata against it.
+  static constexpr TreeShape BulkShape(uint64_t size) {
+    TreeShape shape;
+    uint64_t level = (size + kLeafCap - 1) / kLeafCap;
+    shape.leaves = level;
+    while (level > 0) {
+      shape.pages += level;
+      ++shape.height;
+      if (level == 1) break;
+      level = (level + kInternalCap) / (kInternalCap + 1);
+    }
+    return shape;
+  }
 
   /// Builds the tree from records sorted ascending by key. `pool` must
   /// outlive the tree.
@@ -120,6 +146,8 @@ class BPlusTree {
       ++height_;
     }
     root_ = level_pages[0];
+    assert(root_ + 1 - first_leaf_ == BulkShape(size_).pages &&
+           height_ == BulkShape(size_).height);
   }
 
   /// Reattaches a persisted tree to its (typically paged) pool: the
@@ -379,6 +407,40 @@ class BPlusTree {
     LandFloor(it, key);
   }
 
+  /// Number of records with key in [lo, hi), by leaf arithmetic: the rank
+  /// of a position is `(leaf - first_leaf) * kLeafCap + slot`, which holds
+  /// because bulk loading fills every leaf but the last and allocates the
+  /// leaves contiguously (BulkShape). The lower-bound descents of `lo` and
+  /// `hi` share their path until they diverge, so a count fetches at most
+  /// 2 * height - 1 pages, one at a time; no record is visited. nullopt
+  /// when a page it reaches breaks that shape (a corrupt snapshot): a leaf
+  /// outside the leaf run, or one whose count differs from what its
+  /// position implies.
+  std::optional<uint64_t> CountRange(const Key& lo, const Key& hi) const {
+    if (size_ == 0 || !(lo < hi)) return 0;
+    PageId pid = root_;
+    for (int depth = height_ - 1;; --depth) {
+      PageRef ref = pool_->Fetch(pid);
+      if (!ref) return std::nullopt;
+      if (const LeafNode* leaf = ShapedLeaf(pid, ref)) {
+        return LowerBound(leaf, 0, hi) - LowerBound(leaf, 0, lo);
+      }
+      std::optional<std::pair<PageId, PageId>> kids =
+          ChildrenOf(ref, depth, lo, hi);
+      if (!kids.has_value()) return std::nullopt;
+      if (kids->first != kids->second) {
+        ref = PageRef();  // one pin at a time, even in a 2-frame pool
+        const std::optional<uint64_t> from = RankFrom(kids->first, depth - 1, lo);
+        const std::optional<uint64_t> to = RankFrom(kids->second, depth - 1, hi);
+        if (!from.has_value() || !to.has_value() || *to < *from) {
+          return std::nullopt;
+        }
+        return *to - *from;
+      }
+      pid = kids->first;
+    }
+  }
+
   /// Iterator at the smallest record.
   Iterator Begin() const { return Iterator(pool_, first_leaf_, 0); }
 
@@ -399,6 +461,57 @@ class BPlusTree {
   }
 
  private:
+  /// The leaf on `ref` (page `pid`) when it is one of this tree's leaves
+  /// with the count its position in the leaf run implies; nullptr for an
+  /// internal page or a leaf that breaks the bulk-load shape.
+  const LeafNode* ShapedLeaf(PageId pid, const PageRef& ref) const {
+    const LeafNode* leaf = LeafAt(ref.get());
+    if (leaf->is_leaf != 1) return nullptr;
+    const uint64_t leaves = leaf_pages();
+    if (pid < first_leaf_ || pid - first_leaf_ >= leaves) return nullptr;
+    const uint64_t expected = pid - first_leaf_ + 1 < leaves
+                                  ? kLeafCap
+                                  : size_ - (leaves - 1) * kLeafCap;
+    return leaf->count == expected ? leaf : nullptr;
+  }
+
+  /// The children of internal page `ref` whose ranges hold `lo` and `hi`;
+  /// nullopt when the page is no internal node or sits deeper than
+  /// `depth` allows.
+  std::optional<std::pair<PageId, PageId>> ChildrenOf(const PageRef& ref,
+                                                      int depth,
+                                                      const Key& lo,
+                                                      const Key& hi) const {
+    const auto* node = InternalAt(ref.get());
+    if (node->is_leaf != 0 || node->count > kInternalCap || depth <= 0) {
+      return std::nullopt;
+    }
+    const Key* keys = node->keys;
+    const PageId* kids = ChildrenArray(ref.get());
+    auto child = [&](const Key& key) {
+      return kids[std::upper_bound(keys, keys + node->count, key) - keys];
+    };
+    return std::make_pair(child(lo), child(hi));
+  }
+
+  /// Rank of `key`'s lower bound below page `pid` (at most `depth`
+  /// internal levels): CountRange's descent once its two bounds diverged.
+  std::optional<uint64_t> RankFrom(PageId pid, int depth,
+                                   const Key& key) const {
+    for (;; --depth) {
+      PageRef ref = pool_->Fetch(pid);
+      if (!ref) return std::nullopt;
+      if (const LeafNode* leaf = ShapedLeaf(pid, ref)) {
+        return (pid - first_leaf_) * uint64_t{kLeafCap} +
+               LowerBound(leaf, 0, key);
+      }
+      std::optional<std::pair<PageId, PageId>> kids =
+          ChildrenOf(ref, depth, key, key);
+      if (!kids.has_value()) return std::nullopt;
+      pid = kids->first;
+    }
+  }
+
   /// Walks from page `pid` (keys below `hi`, at most `depth` internal
   /// levels) down to the leaf whose range holds `key` — the last leaf
   /// whose first key is <= `key`, or the first leaf — and leaves `it` on

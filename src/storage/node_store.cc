@@ -34,22 +34,39 @@ size_t WindowFor(std::span<const StartWindow> windows, size_t from,
       windows.begin());
 }
 
-/// The value tree's order from the SP order in one stable counting pass on
-/// `data`: records of one data id keep their (plabel, start) order, and
-/// kNullData (the largest id) sorts last.
-std::vector<NodeRecord> ByDataStable(const std::vector<NodeRecord>& by_sp) {
+/// The value tree's order, (plabel, data, start) over the records that
+/// carry a value, from the SP order (plabel, start) in two stable
+/// counting passes: by data id, then by the P-label's rank among SP's
+/// runs. No record comparison.
+std::vector<NodeRecord> ValueOrder(const std::vector<NodeRecord>& by_sp) {
+  std::vector<uint32_t> rank(by_sp.size());
+  uint32_t ranks = 0;
   uint64_t ids = 0;
-  for (const NodeRecord& rec : by_sp) {
-    if (rec.data != kNullData) ids = std::max<uint64_t>(ids, rec.data + 1ull);
+  size_t valued = 0;
+  for (size_t i = 0; i < by_sp.size(); ++i) {
+    if (i > 0 && by_sp[i].plabel != by_sp[i - 1].plabel) ++ranks;
+    rank[i] = ranks;
+    if (by_sp[i].data != kNullData) {
+      ids = std::max<uint64_t>(ids, by_sp[i].data + 1ull);
+      ++valued;
+    }
   }
-  auto bucket = [ids](const NodeRecord& rec) {
-    return rec.data == kNullData ? ids : rec.data;
-  };
-  std::vector<size_t> next(ids + 2, 0);
-  for (const NodeRecord& rec : by_sp) ++next[bucket(rec) + 1];
+  std::vector<size_t> next(ids + 1, 0);
+  for (const NodeRecord& rec : by_sp) {
+    if (rec.data != kNullData) ++next[rec.data + 1];
+  }
   for (size_t b = 1; b < next.size(); ++b) next[b] += next[b - 1];
-  std::vector<NodeRecord> out(by_sp.size());
-  for (const NodeRecord& rec : by_sp) out[next[bucket(rec)]++] = rec;
+  std::vector<uint32_t> by_data(valued);  // SP positions, by data id
+  for (size_t i = 0; i < by_sp.size(); ++i) {
+    if (by_sp[i].data != kNullData) {
+      by_data[next[by_sp[i].data]++] = static_cast<uint32_t>(i);
+    }
+  }
+  next.assign(size_t{ranks} + 2, 0);
+  for (uint32_t i : by_data) ++next[rank[i] + 1];
+  for (size_t b = 1; b < next.size(); ++b) next[b] += next[b - 1];
+  std::vector<NodeRecord> out(valued);
+  for (uint32_t i : by_data) out[next[rank[i]]++] = by_sp[i];
   return out;
 }
 
@@ -78,10 +95,15 @@ NodeStore::NodeStore(std::vector<NodeRecord> records, size_t cache_pages,
               });
   };
   sort_by(SpKeyOf{});
+  for (const NodeRecord& rec : records) {
+    if (plabels_.empty() || plabels_.back() != rec.plabel) {
+      plabels_.push_back(rec.plabel);
+    }
+  }
   size_t first = pool_.page_count();
   sp_.Build(&pool_, records);
   tree_metas_[0] = capture(sp_, first);
-  std::vector<NodeRecord> by_value = ByDataStable(records);
+  std::vector<NodeRecord> by_value = ValueOrder(records);
   sort_by(SdKeyOf{});
   first = pool_.page_count();
   sd_.Build(&pool_, records);
@@ -102,7 +124,8 @@ NodeStore::NodeStore(PagedFile file, const PagedStoreMeta& meta,
     : pool_(std::move(file), options),
       tree_metas_{meta.sp, meta.sd, meta.value, meta.doc},
       count_(meta.record_count),
-      tree_pages_(meta.tree_pages) {
+      tree_pages_(meta.tree_pages),
+      plabels_(meta.plabels) {
   sp_.Attach(&pool_, meta.sp.root, meta.sp.first_leaf, meta.sp.size,
              meta.sp.height);
   sd_.Attach(&pool_, meta.sd.root, meta.sd.first_leaf, meta.sd.size,
@@ -121,7 +144,25 @@ PagedStoreMeta NodeStore::paged_meta() const {
   meta.doc = tree_metas_[3];
   meta.record_count = count_;
   meta.tree_pages = tree_pages_;
+  meta.plabels = plabels_;
   return meta;
+}
+
+std::optional<PLabel> NodeStore::LabelWalk::First(PLabel lo) const {
+  if (plabels == nullptr) return lo;
+  auto it = std::lower_bound(plabels->begin(), plabels->end(), lo);
+  if (it == plabels->end()) return std::nullopt;
+  return *it;
+}
+
+std::optional<PLabel> NodeStore::LabelWalk::After(PLabel p) const {
+  if (plabels == nullptr) {
+    if (p == ~PLabel{0}) return std::nullopt;
+    return p + 1;
+  }
+  auto it = std::upper_bound(plabels->begin(), plabels->end(), p);
+  if (it == plabels->end()) return std::nullopt;
+  return *it;
 }
 
 std::vector<NodeRecord> NodeStore::ScanPlabelRange(
@@ -136,46 +177,55 @@ std::vector<NodeRecord> NodeStore::ScanPlabelRange(
         [id](PLabel plabel, uint32_t start) {
           return ValKey{plabel, id, start};
         },
-        [id](const NodeRecord& rec) { return rec.data == id; }, range, level,
-        windows);
+        LabelWalk{&plabels_}, data, range, level, windows);
   }
   return ScanWindows(
       sp_, [](PLabel plabel, uint32_t start) { return SpKey{plabel, start}; },
-      [](const NodeRecord&) { return true; }, range, level, windows);
+      LabelWalk{}, data, range, level, windows);
 }
 
-template <typename Tree, typename KeyFn, typename RunFn>
+template <typename Tree, typename KeyFn>
 std::vector<NodeRecord> NodeStore::ScanWindows(
-    const Tree& tree, KeyFn key_of, RunFn in_run, const PLabelRange& range,
+    const Tree& tree, KeyFn key_of, LabelWalk walk,
+    std::optional<uint32_t> data, const PLabelRange& range,
     std::optional<int32_t> level,
     std::span<const StartWindow> windows) const {
   std::vector<NodeRecord> out;
+  const std::optional<PLabel> first = walk.First(range.lo);
+  if (!first.has_value() || *first > range.hi) return out;
   uint64_t visited = 0;
-  auto it = tree.Seek(key_of(range.lo, windows.front().lo));
+  auto it = tree.Seek(key_of(*first, windows.front().lo));
   ReadaheadFrom(tree, it.page());
-  PLabel plabel = range.lo;
+  PLabel plabel = *first;
   size_t w = 0;
   while (!it.at_end()) {
     const NodeRecord& rec = *it;
-    if (!in_run(rec) || rec.plabel > range.hi) break;
-    if (rec.plabel != plabel) {
-      plabel = rec.plabel;
-      w = 0;
+    if (rec.plabel > range.hi) break;
+    std::optional<PLabel> next;  // the P-label whose first window is next
+    if (data.has_value() && rec.data != *data) {
+      // Another id's run: this P-label's run of the id, or the next's.
+      next = rec.data < *data ? rec.plabel : walk.After(rec.plabel);
+    } else {
+      if (rec.plabel != plabel) {
+        plabel = rec.plabel;
+        w = 0;
+      }
+      w = WindowFor(windows, w, rec.start);
+      if (w < windows.size() && rec.start < windows[w].lo) {
+        tree.SkipTo(&it, key_of(plabel, windows[w].lo));
+        continue;
+      }
+      if (w < windows.size()) {
+        ++visited;
+        if (!level.has_value() || rec.level == *level) out.push_back(rec);
+        ++it;
+        continue;
+      }
+      // Past this P-label's last window.
+      next = walk.After(plabel);
     }
-    w = WindowFor(windows, w, rec.start);
-    if (w == windows.size()) {
-      // Past this P-label's last window: on to the next P-label's first.
-      if (plabel == range.hi) break;
-      tree.SkipTo(&it, key_of(plabel + 1, windows.front().lo));
-      continue;
-    }
-    if (rec.start < windows[w].lo) {
-      tree.SkipTo(&it, key_of(plabel, windows[w].lo));
-      continue;
-    }
-    ++visited;
-    if (!level.has_value() || rec.level == *level) out.push_back(rec);
-    ++it;
+    if (!next.has_value() || *next > range.hi) break;
+    tree.SkipTo(&it, key_of(*next, windows.front().lo));
   }
   CountVisited(&elements_, visited);
   return out;
@@ -184,20 +234,42 @@ std::vector<NodeRecord> NodeStore::ScanWindows(
 std::optional<std::vector<NodeRecord>> NodeStore::ScanValueCapped(
     const PLabelRange& range, uint32_t data, uint64_t cap) const {
   std::vector<NodeRecord> out;
-  if (range.empty()) return out;
+  const LabelWalk walk{&plabels_};
+  const std::optional<PLabel> first = walk.First(range.lo);
+  if (range.empty() || !first.has_value() || *first > range.hi) return out;
   bool over = false;
-  for (auto it = vindex_.Seek(ValKey{range.lo, data, 0}); !it.at_end(); ++it) {
+  auto it = vindex_.Seek(ValKey{*first, data, 0});
+  while (!it.at_end()) {
     const NodeRecord& rec = *it;
-    if (rec.data != data || rec.plabel > range.hi) break;
+    if (rec.plabel > range.hi) break;
+    if (rec.data != data) {
+      const std::optional<PLabel> next =
+          rec.data < data ? rec.plabel : walk.After(rec.plabel);
+      if (!next.has_value() || *next > range.hi) break;
+      vindex_.SkipTo(&it, ValKey{*next, data, 0});
+      continue;
+    }
     if (out.size() == cap) {
       over = true;
       break;
     }
     out.push_back(rec);
+    ++it;
   }
   CountVisited(&elements_, out.size());
   if (over) return std::nullopt;
   return out;
+}
+
+Result<uint64_t> NodeStore::CountValues(PLabel plabel, uint32_t lo,
+                                        uint32_t hi) const {
+  if (lo >= hi) return uint64_t{0};
+  std::optional<uint64_t> n =
+      vindex_.CountRange(ValKey{plabel, lo, 0}, ValKey{plabel, hi, 0});
+  if (!n.has_value()) {
+    return Status::Corruption("value tree leaves break the bulk-load shape");
+  }
+  return *n;
 }
 
 std::vector<NodeRecord> NodeStore::FirstByStart(
@@ -210,38 +282,48 @@ std::vector<NodeRecord> NodeStore::FirstByStart(
         [id](PLabel plabel, uint32_t start) {
           return ValKey{plabel, id, start};
         },
-        [id](const NodeRecord& rec) { return rec.data == id; }, ranges, lo,
-        n);
+        LabelWalk{&plabels_}, data, ranges, lo, n);
   }
   return FirstByStartIn(
       sp_, [](PLabel plabel, uint32_t start) { return SpKey{plabel, start}; },
-      [](const NodeRecord&) { return true; }, ranges, lo, n);
+      LabelWalk{}, data, ranges, lo, n);
 }
 
-template <typename Tree, typename KeyFn, typename RunFn>
+template <typename Tree, typename KeyFn>
 std::vector<NodeRecord> NodeStore::FirstByStartIn(
-    const Tree& tree, KeyFn key_of, RunFn in_run,
-    std::span<const PLabelRange> ranges, uint32_t lo, size_t n) const {
+    const Tree& tree, KeyFn key_of, LabelWalk walk,
+    std::optional<uint32_t> data, std::span<const PLabelRange> ranges,
+    uint32_t lo, size_t n) const {
   std::vector<NodeRecord> heap;  // max-heap on start
   if (n == 0 || ranges.empty()) return heap;
+  const std::optional<PLabel> first = walk.First(ranges[0].lo);
+  if (!first.has_value()) return heap;
   auto earlier = [](const NodeRecord& a, const NodeRecord& b) {
     return a.start < b.start;
   };
   uint64_t visited = 0;
   size_t r = 0;
-  auto it = tree.Seek(key_of(ranges[0].lo, lo));
+  auto it = tree.Seek(key_of(*first, lo));
   ReadaheadFrom(tree, it.page());
   while (!it.at_end()) {
     const NodeRecord& rec = *it;
-    if (!in_run(rec)) break;
     while (r < ranges.size() && rec.plabel > ranges[r].hi) ++r;
     if (r == ranges.size()) break;
+    // A record not to visit: where the read goes on instead.
+    bool visit = false;
+    std::optional<PLabel> next;
     if (rec.plabel < ranges[r].lo) {
-      tree.SkipTo(&it, key_of(ranges[r].lo, lo));
-      continue;
+      next = walk.First(ranges[r].lo);
+    } else if (data.has_value() && rec.data != *data) {
+      next = rec.data < *data ? rec.plabel : walk.After(rec.plabel);
+    } else if (rec.start < lo) {
+      next = rec.plabel;
+    } else {
+      visit = true;
     }
-    if (rec.start < lo) {
-      tree.SkipTo(&it, key_of(rec.plabel, lo));
+    if (!visit) {
+      if (!next.has_value()) break;
+      tree.SkipTo(&it, key_of(*next, lo));
       continue;
     }
     ++visited;
@@ -262,12 +344,13 @@ std::vector<NodeRecord> NodeStore::FirstByStartIn(
     }
     // Whether this record was rejected or entered as the largest, the
     // rest of its P-label starts later still: on to the next P-label.
-    if (plabel == ranges[r].hi) {
+    next = walk.After(plabel);
+    if (!next.has_value() || *next > ranges[r].hi) {
       if (++r == ranges.size()) break;
-      tree.SkipTo(&it, key_of(ranges[r].lo, lo));
-    } else {
-      tree.SkipTo(&it, key_of(plabel + 1, lo));
+      next = walk.First(ranges[r].lo);
+      if (!next.has_value()) break;
     }
+    tree.SkipTo(&it, key_of(*next, lo));
   }
   CountVisited(&elements_, visited);
   std::sort_heap(heap.begin(), heap.end(), earlier);

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/result.h"
 #include "labeling/node_record.h"
 #include "storage/bptree.h"
 #include "storage/buffer_pool.h"
@@ -29,7 +30,7 @@ struct [[gnu::packed, gnu::aligned(4)]] SpKey {
     return a.start < b.start;
   }
 };
-static_assert(sizeof(SpKey) == 20, "BLASIDX2 v4 persists 20-byte SpKeys");
+static_assert(sizeof(SpKey) == 20, "BLASIDX2 persists 20-byte SpKeys");
 // No padding bytes: snapshot pages copy internal keys, so two builds of
 // one document save identical bytes.
 static_assert(std::has_unique_object_representations_v<SpKey>);
@@ -45,20 +46,23 @@ struct SdKey {
   }
 };
 
-/// Composite key (data, plabel, start) of the value tree: within one data
-/// id, records keep the SP order, so an equality predicate on a P-label
-/// range seeks (data, range.lo) and reads only the matching records.
+/// Composite key (plabel, data, start) of the value tree, which holds only
+/// the records that carry a value. Data ids follow the dictionary's
+/// collation order (ValueCollate), so on one P-label every value predicate
+/// is one contiguous key range: an equality literal seeks (plabel, id,
+/// window.lo) once per P-label of its part and reads records in start
+/// order, and CountValues counts any id interval by leaf arithmetic.
 struct [[gnu::packed, gnu::aligned(4)]] ValKey {
   PLabel plabel;
   uint32_t data;
   uint32_t start;
   friend bool operator<(const ValKey& a, const ValKey& b) {
-    if (a.data != b.data) return a.data < b.data;
     if (a.plabel != b.plabel) return a.plabel < b.plabel;
+    if (a.data != b.data) return a.data < b.data;
     return a.start < b.start;
   }
 };
-static_assert(sizeof(ValKey) == 24, "BLASIDX2 v4 persists 24-byte ValKeys");
+static_assert(sizeof(ValKey) == 24, "BLASIDX2 persists 24-byte ValKeys");
 static_assert(std::has_unique_object_representations_v<ValKey>);
 
 struct SpKeyOf {
@@ -75,6 +79,12 @@ struct ValKeyOf {
 struct StartKeyOf {
   static uint32_t Get(const NodeRecord& r) { return r.start; }
 };
+
+/// The four clustered trees of a store.
+using SpTree = BPlusTree<NodeRecord, SpKey, SpKeyOf>;
+using SdTree = BPlusTree<NodeRecord, SdKey, SdKeyOf>;
+using ValueTree = BPlusTree<NodeRecord, ValKey, ValKeyOf>;
+using DocTree = BPlusTree<NodeRecord, uint32_t, StartKeyOf>;
 
 /// Inclusive range of start positions a windowed scan visits. The
 /// windows of one scan are sorted and disjoint: the outermost intervals of
@@ -120,13 +130,16 @@ struct BPlusTreeMeta {
   uint32_t page_count = 0;
 };
 
-/// Everything a paged NodeStore needs from the snapshot header.
+/// Everything a paged NodeStore needs from the snapshot.
 struct PagedStoreMeta {
   BPlusTreeMeta sp, sd, value, doc;
   uint64_t record_count = 0;
   /// Pages occupied by the four trees (the pool may address further
   /// pages — the paged value dictionary lives in the same page space).
   uint64_t tree_pages = 0;
+  /// The document's distinct P-labels, ascending: the path summary's, not
+  /// persisted in the header (the summary segment carries them).
+  std::vector<PLabel> plabels;
 };
 
 /// \brief The BLAS index store (section 4, index generator output).
@@ -134,8 +147,9 @@ struct PagedStoreMeta {
 /// Holds both physical designs the paper compares over one buffer pool:
 ///   * SP — clustered by {plabel, start} (BLAS),
 ///   * SD — clustered by {tag, start}   (D-labeling baseline),
-/// plus a value tree clustered by {data, plabel, start} (equality
-/// predicates on P-label scans) and a document-order index clustered by
+/// plus a value tree clustered by {plabel, data, start} over the records
+/// that carry a value (value predicates on P-label scans, and their exact
+/// counts) and a document-order index clustered by
 /// {start} (point lookups and subtree reconstruction for the cursor
 /// projection layer).
 ///
@@ -158,8 +172,8 @@ class NodeStore {
  public:
   /// Builds all trees from the labeler output, consuming it (the array
   /// is re-sorted in place for each tree). `data` ids must be dense
-  /// dictionary ids or kNullData: the value tree is laid out by a
-  /// counting pass over them. `cache_pages` sizes the LRU cache of the
+  /// dictionary ids or kNullData: the value tree is laid out by counting
+  /// passes over them. `cache_pages` sizes the LRU cache of the
   /// shared buffer pool; `cache_shards` its latch sharding (0 = auto,
   /// 1 = exact global LRU; see BufferPool).
   explicit NodeStore(std::vector<NodeRecord> records,
@@ -167,7 +181,8 @@ class NodeStore {
 
   /// Reopens a persisted store against a snapshot file: the four trees
   /// attach to a demand-paging BufferPool sized by `options`; nothing is
-  /// read until the first scan descends.
+  /// read until the first scan descends. `meta.plabels` must hold the
+  /// document's P-labels.
   NodeStore(PagedFile file, const PagedStoreMeta& meta,
             const StorageOptions& options);
 
@@ -177,9 +192,10 @@ class NodeStore {
   /// Records with plabel in [range.lo, range.hi] and start inside one of
   /// `windows` (sorted, disjoint), optionally filtered by data id and/or
   /// exact level. Result is ordered by (plabel, start). With a data id the
-  /// scan runs over the value tree and reads only records carrying it;
-  /// otherwise over SP. Either way it skips from each P-label's last
-  /// window to the next P-label's first, and between windows.
+  /// scan runs over the value tree and reads only records carrying it,
+  /// seeking each document P-label in the range once; otherwise over SP.
+  /// Either way it skips from each P-label's last window to the next
+  /// P-label's first, and between windows.
   std::vector<NodeRecord> ScanPlabelRange(
       const PLabelRange& range, std::optional<uint32_t> data = std::nullopt,
       std::optional<int32_t> level = std::nullopt,
@@ -187,11 +203,20 @@ class NodeStore {
 
   /// The seed read of an equality literal: the records carrying data id
   /// `data` with plabel in `range`, in (plabel, start) order, from the
-  /// value tree without windows. Visits at most `cap` records: when a
-  /// further match exists the read stops before it and returns nullopt
-  /// (the records read stay counted as visited).
+  /// value tree without windows (one seek per document P-label in the
+  /// range). Visits at most `cap` records: when a further match exists
+  /// the read stops before it and returns nullopt (the records read stay
+  /// counted as visited).
   std::optional<std::vector<NodeRecord>> ScanValueCapped(
       const PLabelRange& range, uint32_t data, uint64_t cap) const;
+
+  /// The number of records on P-label `plabel` whose data id lies in
+  /// [lo, hi): one value-tree key range, counted by BPlusTree::CountRange
+  /// (at most two root descents, no record visited, every page fetched
+  /// counted). Corruption when a leaf it reaches breaks the bulk-load
+  /// shape the count relies on.
+  Result<uint64_t> CountValues(PLabel plabel, uint32_t lo,
+                               uint32_t hi) const;
 
   /// The batch read of return-first limit-k cursors: the `n` records with
   /// the smallest start >= `lo` whose plabel lies in one of `ranges`
@@ -369,21 +394,37 @@ class NodeStore {
   /// limit-k cursor abandons the scan early.
   static constexpr size_t kReadaheadPages = 32;
 
-  /// The windowed scan behind ScanPlabelRange over `tree` (SP or the
-  /// value tree; `key_of(plabel, start)` builds its key, `in_run` tells
-  /// whether a record still belongs to the scanned prefix).
-  template <typename Tree, typename KeyFn, typename RunFn>
+  /// The P-labels a read steps through. SP holds a record on every
+  /// document P-label, so a scan steps from p to p + 1 and lands on the
+  /// next one. In the value tree one id's records on a P-label are one run
+  /// among other ids' runs, so a value read steps through the document's
+  /// P-labels (`plabels`, ascending) instead and seeks each once.
+  struct LabelWalk {
+    const std::vector<PLabel>* plabels = nullptr;  // null: SP
+    /// The first P-label to visit at or after `lo`.
+    std::optional<PLabel> First(PLabel lo) const;
+    /// The first P-label to visit after `p`.
+    std::optional<PLabel> After(PLabel p) const;
+  };
+
+  /// The windowed scan behind ScanPlabelRange over `tree`: SP, or the
+  /// value tree reading only records that carry `data` (`key_of(plabel,
+  /// start)` builds the tree's key, `walk` steps between P-labels).
+  template <typename Tree, typename KeyFn>
   std::vector<NodeRecord> ScanWindows(const Tree& tree, KeyFn key_of,
-                                      RunFn in_run, const PLabelRange& range,
+                                      LabelWalk walk,
+                                      std::optional<uint32_t> data,
+                                      const PLabelRange& range,
                                       std::optional<int32_t> level,
                                       std::span<const StartWindow> windows)
       const;
 
-  /// FirstByStart over `tree` (SP or the value tree; `key_of` and
-  /// `in_run` as for ScanWindows).
-  template <typename Tree, typename KeyFn, typename RunFn>
+  /// FirstByStart over `tree` (`key_of`, `walk` and `data` as for
+  /// ScanWindows).
+  template <typename Tree, typename KeyFn>
   std::vector<NodeRecord> FirstByStartIn(const Tree& tree, KeyFn key_of,
-                                         RunFn in_run,
+                                         LabelWalk walk,
+                                         std::optional<uint32_t> data,
                                          std::span<const PLabelRange> ranges,
                                          uint32_t lo, size_t n) const;
 
@@ -404,13 +445,15 @@ class NodeStore {
   }
 
   mutable BufferPool pool_;
-  BPlusTree<NodeRecord, SpKey, SpKeyOf> sp_;
-  BPlusTree<NodeRecord, SdKey, SdKeyOf> sd_;
-  BPlusTree<NodeRecord, ValKey, ValKeyOf> vindex_;
-  BPlusTree<NodeRecord, uint32_t, StartKeyOf> doc_;
+  SpTree sp_;
+  SdTree sd_;
+  ValueTree vindex_;
+  DocTree doc_;
   std::array<BPlusTreeMeta, 4> tree_metas_;  // sp, sd, value, doc
   size_t count_ = 0;
   size_t tree_pages_ = 0;
+  /// The document's distinct P-labels, ascending (value reads' LabelWalk).
+  std::vector<PLabel> plabels_;
   mutable std::atomic<uint64_t> elements_{0};
 };
 

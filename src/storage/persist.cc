@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <numeric>
 #include <utility>
 
 namespace blas {
@@ -17,11 +16,14 @@ namespace blas {
 namespace {
 
 constexpr char kMagic2[8] = {'B', 'L', 'A', 'S', 'I', 'D', 'X', '2'};
-/// 4: internal nodes hold packed 20-byte SpKeys and 24-byte ValKeys.
-/// Version 3 files hold 32-byte padded keys, version 2 files key the value
-/// tree by (data, start) and version 1 files hold 48-byte records; all
-/// must be re-saved.
-constexpr uint32_t kVersion2 = 4;
+/// 5: dictionary ids follow ValueCollate, the value tree is keyed
+/// (plabel, data, start) over valued records only, and no permutation
+/// segment follows the value pages. Version 4 files (value tree keyed
+/// (data, plabel, start) over every record, insertion-ordered ids),
+/// version 3 files (32-byte padded keys), version 2 files (value tree keyed
+/// by (data, start)) and version 1 files (48-byte records) must be
+/// re-saved.
+constexpr uint32_t kVersion2 = 5;
 /// Written in native byte order: a snapshot produced by a different
 /// endianness reads back as a different value and is rejected (tree pages
 /// are raw native layout, so misreading them must be impossible).
@@ -165,7 +167,7 @@ class BufReader {
 // --------------------------------------------- BLASIDX2 shared helpers ---
 
 /// Leaf layout of the SP tree — the one whose chain materializes records.
-using SpLeaf = BPlusTree<NodeRecord, SpKey, SpKeyOf>::LeafNode;
+using SpLeaf = SpTree::LeafNode;
 
 struct TailSegment {
   uint64_t first_page = 0;  // file page index
@@ -184,8 +186,6 @@ struct Header2 {
   BPlusTreeMeta trees[4];
   uint32_t first_value_page = 0;
   uint32_t value_page_count = 0;
-  uint32_t first_perm_page = 0;
-  uint32_t perm_page_count = 0;
   TailSegment tags, summary, value_index;
 };
 
@@ -315,18 +315,12 @@ Status SavePagedSnapshot(const PagedSnapshotParts& parts,
   const StringDict& dict = *parts.dict;
   const PagedStoreMeta store_meta = store.paged_meta();
 
-  // Lay the dictionary out into value pages + the sorted-id permutation.
+  // Lay the dictionary out into value pages, in id (collation) order.
   std::vector<Page> value_pages;
   std::vector<uint32_t> first_ids;
   if (!BuildValuePages(dict, &value_pages, &first_ids)) {
     return Status::CapacityExceeded("a dictionary value exceeds 4 GiB");
   }
-  std::vector<uint32_t> perm(dict.size());
-  std::iota(perm.begin(), perm.end(), 0);
-  std::sort(perm.begin(), perm.end(), [&dict](uint32_t a, uint32_t b) {
-    return dict.Get(a) < dict.Get(b);
-  });
-  const uint64_t perm_pages = PagesFor(perm.size() * sizeof(uint32_t));
 
   // Flatten the path summary in preorder (parents precede children).
   std::vector<PagedSummaryEntry> summary;
@@ -362,8 +356,7 @@ Status SavePagedSnapshot(const PagedSnapshotParts& parts,
   const uint64_t vpi_bytes = first_ids.size() * sizeof(uint32_t);
 
   const uint64_t tree_pages = store_meta.tree_pages;
-  const uint64_t pool_pages =
-      tree_pages + value_pages.size() + perm_pages;
+  const uint64_t pool_pages = tree_pages + value_pages.size();
   TailSegment tag_seg{1 + pool_pages, PagesFor(tag_bytes), tag_bytes};
   TailSegment sum_seg{tag_seg.first_page + tag_seg.page_count,
                       PagesFor(summary_bytes), summary_bytes};
@@ -397,8 +390,6 @@ Status SavePagedSnapshot(const PagedSnapshotParts& parts,
   WriteTreeMeta(os, store_meta.doc);
   WriteU32(os, static_cast<uint32_t>(tree_pages));
   WriteU32(os, static_cast<uint32_t>(value_pages.size()));
-  WriteU32(os, static_cast<uint32_t>(tree_pages + value_pages.size()));
-  WriteU32(os, static_cast<uint32_t>(perm_pages));
   WriteTailSegment(os, tag_seg);
   WriteTailSegment(os, sum_seg);
   WriteTailSegment(os, vpi_seg);
@@ -412,13 +403,6 @@ Status SavePagedSnapshot(const PagedSnapshotParts& parts,
   }
   // --- pool pages: value dictionary ---
   for (const Page& page : value_pages) {
-    os.Write(page.bytes.data(), kPageSize);
-  }
-  // --- pool pages: sorted-id permutation ---
-  for (size_t i = 0; i < perm.size(); i += kPermPerPage) {
-    Page page{};
-    size_t n = std::min(kPermPerPage, perm.size() - i);
-    std::memcpy(page.bytes.data(), perm.data() + i, n * sizeof(uint32_t));
     os.Write(page.bytes.data(), kPageSize);
   }
 
@@ -495,7 +479,6 @@ Result<PagedIndex> OpenPagedSnapshot(const std::string& path) {
     }
   }
   if (!r.U32(&h.first_value_page) || !r.U32(&h.value_page_count) ||
-      !r.U32(&h.first_perm_page) || !r.U32(&h.perm_page_count) ||
       !ReadTailSegment(r, &h.tags) || !ReadTailSegment(r, &h.summary) ||
       !ReadTailSegment(r, &h.value_index)) {
     return CorruptPaged(path, "truncated segment directory");
@@ -519,44 +502,46 @@ Result<PagedIndex> OpenPagedSnapshot(const std::string& path) {
   if (h.pool_pages > file_pages || 1 + h.pool_pages > file_pages) {
     return CorruptPaged(path, "pool page range beyond file");
   }
-  // Trees must tile a prefix of the pool page space in order.
+  // Trees must tile a prefix of the pool page space in order, each laid
+  // out as bulk loading lays it out (BulkShape): contiguous leaves first,
+  // the root last (its key size sets each tree's fan-out). SP, SD and the
+  // doc-order tree hold every record; the value tree holds the valued
+  // ones (LoadSnapshot counts them).
+  const TreeShape shapes[4] = {SpTree::BulkShape(h.trees[0].size),
+                               SdTree::BulkShape(h.trees[1].size),
+                               ValueTree::BulkShape(h.trees[2].size),
+                               DocTree::BulkShape(h.trees[3].size)};
   uint64_t next_page = 0;
-  for (const auto& tree : h.trees) {
+  for (size_t t = 0; t < 4; ++t) {
+    const BPlusTreeMeta& tree = h.trees[t];
     if (tree.first_page != next_page) {
       return CorruptPaged(path, "tree segment not contiguous");
     }
     next_page += tree.page_count;
-    if (tree.size != h.node_count) {
+    if (t == 2 ? tree.size > h.node_count : tree.size != h.node_count) {
       return CorruptPaged(path, "tree size disagrees with record count");
     }
-    if (tree.height < 0 || tree.height > 64 ||
-        (tree.page_count == 0) != (tree.size == 0)) {
-      return CorruptPaged(path, "implausible tree shape");
+    if (tree.page_count != shapes[t].pages ||
+        tree.height != shapes[t].height) {
+      return CorruptPaged(path, "tree shape is not the bulk-load shape");
+    }
+    if (tree.size == 0) {
+      if (tree.root != kInvalidPage || tree.first_leaf != kInvalidPage) {
+        return CorruptPaged(path, "empty tree with a root");
+      }
+      continue;
     }
     const uint64_t tree_end = uint64_t{tree.first_page} + tree.page_count;
-    if (tree_end > h.pool_pages ||
-        tree.root < tree.first_page || tree.root >= tree_end ||
-        tree.first_leaf < tree.first_page || tree.first_leaf >= tree_end) {
+    if (tree_end > h.pool_pages || tree.first_leaf != tree.first_page ||
+        uint64_t{tree.root} + 1 != tree_end) {
       return CorruptPaged(path, "tree root/leaf outside its segment");
     }
   }
   const uint64_t tree_pages = next_page;
-  // The record count can never exceed what the sp tree's pages can hold.
-  if (h.node_count >
-      uint64_t{h.trees[0].page_count} *
-          BPlusTree<NodeRecord, SpKey, SpKeyOf>::kLeafCap) {
-    return CorruptPaged(path, "record count exceeds tree capacity");
-  }
-  // The dictionary segments must follow the trees and fill the pool.
+  // The value pages must follow the trees and fill the pool.
   if (h.first_value_page != tree_pages ||
-      uint64_t{h.first_value_page} + h.value_page_count !=
-          h.first_perm_page ||
-      uint64_t{h.first_perm_page} + h.perm_page_count != h.pool_pages) {
+      uint64_t{h.first_value_page} + h.value_page_count != h.pool_pages) {
     return CorruptPaged(path, "dictionary segments do not tile the pool");
-  }
-  if (h.perm_page_count !=
-      PagesFor(h.value_count * sizeof(uint32_t))) {
-    return CorruptPaged(path, "permutation segment size mismatch");
   }
   if ((h.value_count == 0) != (h.value_page_count == 0)) {
     return CorruptPaged(path, "value pages disagree with value count");
@@ -592,8 +577,6 @@ Result<PagedIndex> OpenPagedSnapshot(const std::string& path) {
   index.dict_layout.count = h.value_count;
   index.dict_layout.first_value_page = h.first_value_page;
   index.dict_layout.value_page_count = h.value_page_count;
-  index.dict_layout.first_perm_page = h.first_perm_page;
-  index.dict_layout.perm_page_count = h.perm_page_count;
 
   // ---- eager tail segments ----
   auto read_tail = [&](const TailSegment& seg,
@@ -709,6 +692,13 @@ Result<IndexSnapshot> LoadSnapshot(const std::string& path) {
   if (snapshot.records.size() != index.node_count) {
     return CorruptPaged(path, "leaf chain shorter than record count");
   }
+  const uint64_t valued = static_cast<uint64_t>(std::count_if(
+      snapshot.records.begin(), snapshot.records.end(),
+      [](const NodeRecord& rec) { return rec.data != kNullData; }));
+  if (valued != index.store_meta.value.size) {
+    return CorruptPaged(path,
+                        "value tree does not hold exactly the valued records");
+  }
 
   // Decode every value-page group (a packed page or one value's run),
   // each starting at the next unread value id.
@@ -732,6 +722,14 @@ Result<IndexSnapshot> LoadSnapshot(const std::string& path) {
   }
   if (snapshot.values.size() != dict.count) {
     return CorruptPaged(path, "value pages shorter than value count");
+  }
+  // Ids are the collation order: every value strictly after the last (so
+  // distinct too), or Find and the predicate intervals would misread them.
+  if (std::adjacent_find(snapshot.values.begin(), snapshot.values.end(),
+                         [](const std::string& a, const std::string& b) {
+                           return !ValueCollate()(a, b);
+                         }) != snapshot.values.end()) {
+    return CorruptPaged(path, "values out of collation order");
   }
   return snapshot;
 }

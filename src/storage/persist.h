@@ -24,7 +24,7 @@ struct IndexSnapshot {
   int max_depth = 0;
   /// All node records (any order).
   std::vector<NodeRecord> records;
-  /// Dictionary values in id order.
+  /// Dictionary values in id order, which is ValueCollate order.
   std::vector<std::string> values;
 };
 
@@ -40,10 +40,10 @@ struct IndexSnapshot {
 //                                          (sp, sd, value, doc), each a
 //                                          contiguous pool-page range
 //                                          recorded in its tree meta
-//                          [value pages]   paged string dictionary
-//                                          (see PagedDictLayout)
-//                          [perm pages]    value ids sorted by string —
-//                                          Find's binary-search index
+//                          [value pages]   paged string dictionary in
+//                                          id order, which is collation
+//                                          order (see PagedDictLayout) —
+//                                          Find binary-searches it
 //   trailing file pages  eagerly-loaded byte segments, each starting on
 //                        a page boundary and padded to whole pages:
 //                          [tag table]        u32 length + bytes per tag
@@ -61,18 +61,27 @@ struct IndexSnapshot {
 // runs needed no version bump; an older reader rejects a file holding one
 // (its value page index is not strictly ascending), never misreads it.
 //
-// Tree leaf pages (version 4): a 16-byte header (is_leaf, count, next
-// leaf, pad) followed by up to 255 native 32-byte NodeRecords — u128
-// plabel, u32 start, u32 end, u32 data, then tag (24 bits) and level
-// (8 bits) sharing one u32. Internal pages: an 8-byte header (is_leaf,
-// count), the separator keys, then count + 1 u32 child ids at a fixed
-// offset. Keys are packed with no padding: SP's 20-byte (plabel, start)
-// gives 340 keys per node, SD's 8-byte (tag, start) 681, and the value
-// tree's 24-byte (plabel, data, start), ordered by (data, plabel,
-// start), 292. Version 3 files (32-byte padded SP and value keys, 227
-// per node), version 2 files (value tree keyed by (data, start)) and
-// version 1 files (48-byte records, 170 per leaf) are rejected with
-// Corruption and must be re-saved.
+// Version 5. Dictionary ids follow ValueCollate (XPath numbers first,
+// ascending, ties by bytes; then every other value by bytes), so the
+// value pages are sorted and every value predicate is one id interval.
+// Tree leaf pages: a 16-byte header (is_leaf, count, next leaf, pad)
+// followed by up to 255 native 32-byte NodeRecords — u128 plabel, u32
+// start, u32 end, u32 data, then tag (24 bits) and level (8 bits) sharing
+// one u32. Internal pages: an 8-byte header (is_leaf, count), the
+// separator keys, then count + 1 u32 child ids at a fixed offset. Keys are
+// packed with no padding: SP's 20-byte (plabel, start) gives 340 keys per
+// node, SD's 8-byte (tag, start) 681, and the value tree's 24-byte
+// (plabel, data, start) 292. SP, SD and the doc-order tree hold every
+// record; the value tree holds exactly the records that carry a value.
+// Every tree has the bulk-load shape (BPlusTree::BulkShape): leaves full
+// but the last, contiguous from the tree's first page, the root its last
+// page — the value tree's exact counts rely on it. Version 4 files (ids in
+// insertion order, a value tree over every record ordered (data, plabel,
+// start), and a permutation segment after the value pages), version 3
+// files (32-byte padded SP and value keys, 227 per node), version 2 files
+// (value tree keyed by (data, start)) and version 1 files (48-byte
+// records, 170 per leaf) are rejected with Corruption and must be
+// re-saved.
 //
 // The header stores (little-endian): magic "BLASIDX2", version,
 // page_size, a native-endianness probe, sizeof(NodeRecord) and the three
@@ -89,11 +98,14 @@ struct IndexSnapshot {
 //   * the file size must cover the header, all pool pages and every
 //     directory segment (ranges in bounds, byte lengths within their
 //     page ranges);
-//   * tree metas must lie inside the tree segment: page ranges in
-//     bounds, root/first_leaf inside the tree's own range (or invalid
-//     iff the tree is empty), height <= 64, size == node_count;
-//   * the value/perm segments must follow the tree segment exactly and
-//     sum (with it) to pool_pages;
+//   * tree metas must lie inside the tree segment with the bulk-load
+//     shape of their size: page count and height as BulkShape computes
+//     them, first_leaf the tree's first page and root its last (both
+//     invalid iff the tree is empty); size == node_count, except the
+//     value tree's size <= node_count (the materializing loader checks it
+//     equals the number of valued records);
+//   * the value pages must follow the tree segment exactly and sum (with
+//     it) to pool_pages;
 //   * tag table, summary and value-page-index entries must parse within
 //     their declared byte lengths; summary parents must precede their
 //     children; the value page index must start at 0 and never descend;
@@ -168,7 +180,9 @@ Result<PagedIndex> OpenPagedSnapshot(const std::string& path);
 /// FromIndexFile path): OpenPagedSnapshot's preflight, then the SP leaf
 /// chain and every value page, whose untrusted payloads are checked as
 /// they are read (leaf counts, the chain staying in its segment, value
-/// groups decoded by the same DecodeValuePages as the paged dictionary).
+/// groups decoded by the same DecodeValuePages as the paged dictionary),
+/// plus the value tree holding exactly the valued records and the values
+/// ascending in collation order.
 /// Fails with NotFound for a missing file and Corruption for anything
 /// else that is not a valid current-version BLASIDX2 file.
 Result<IndexSnapshot> LoadSnapshot(const std::string& path);

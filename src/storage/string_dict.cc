@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstring>
+#include <numeric>
 #include <utility>
 
 namespace blas {
@@ -11,7 +13,21 @@ namespace {
 
 const std::string kEmptyValue;
 
+/// ValueCollate with each side's number already converted.
+bool CollateBefore(double a_num, std::string_view a, double b_num,
+                   std::string_view b) {
+  const bool a_numeric = !std::isnan(a_num);
+  const bool b_numeric = !std::isnan(b_num);
+  if (a_numeric != b_numeric) return a_numeric;
+  if (a_numeric && a_num != b_num) return a_num < b_num;
+  return a < b;
+}
+
 }  // namespace
+
+bool ValueCollate::operator()(std::string_view a, std::string_view b) const {
+  return CollateBefore(XPathNumber(a), a, XPathNumber(b), b);
+}
 
 bool DecodeValuePages(uint32_t expected_first, uint32_t group_pages,
                       uint64_t value_count, const ValuePageReader& read,
@@ -66,6 +82,28 @@ uint32_t StringDict::Intern(std::string_view value) {
   return id;
 }
 
+std::vector<uint32_t> StringDict::Collate() {
+  assert(!paged() && "Collate on a paged (immutable) dictionary");
+  std::vector<double> nums(values_.size());
+  for (size_t id = 0; id < values_.size(); ++id) {
+    nums[id] = XPathNumber(values_[id]);
+  }
+  std::vector<uint32_t> order(values_.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return CollateBefore(nums[a], values_[a], nums[b], values_[b]);
+  });
+  std::vector<uint32_t> remap(values_.size());
+  std::vector<std::string> sorted(values_.size());
+  for (uint32_t id = 0; id < order.size(); ++id) {
+    remap[order[id]] = id;
+    sorted[id] = std::move(values_[order[id]]);
+  }
+  values_ = std::move(sorted);
+  for (auto& [value, id] : ids_) id = remap[id];
+  return remap;
+}
+
 void StringDict::AttachPaged(const BufferPool* pool, PagedDictLayout layout) {
   pool_ = pool;
   layout_ = std::move(layout);
@@ -118,14 +156,19 @@ const std::string& StringDict::PagedGet(uint32_t id) const {
   return group_values[slot];
 }
 
-uint32_t StringDict::PermEntry(uint64_t k) const {
-  PageId page = layout_.first_perm_page + static_cast<PageId>(k / kPermPerPage);
-  PageRef ref = pool_->Fetch(page);
-  if (!ref) {
-    assert(false && "permutation page unreadable");
-    return 0;
+template <typename Pred>
+uint32_t StringDict::FirstFailing(Pred before) const {
+  uint64_t lo = 0;
+  uint64_t hi = size();
+  while (lo < hi) {
+    const uint64_t mid = lo + (hi - lo) / 2;
+    if (before(Get(static_cast<uint32_t>(mid)))) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
   }
-  return ref->As<uint32_t>()[k % kPermPerPage];
+  return static_cast<uint32_t>(lo);
 }
 
 std::optional<uint32_t> StringDict::Find(std::string_view value) const {
@@ -134,23 +177,57 @@ std::optional<uint32_t> StringDict::Find(std::string_view value) const {
     if (it == ids_.end()) return std::nullopt;
     return it->second;
   }
-  // Binary search the sorted-by-string permutation; each probe costs one
-  // permutation-page read plus one value read (both through the pool, so
-  // dictionary probes show up in the page counters like index descents).
-  uint64_t lo = 0;
-  uint64_t hi = layout_.count;
-  while (lo < hi) {
-    uint64_t mid = lo + (hi - lo) / 2;
-    if (Get(PermEntry(mid)) < value) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  if (lo >= layout_.count) return std::nullopt;
-  uint32_t id = PermEntry(lo);
-  if (Get(id) != value) return std::nullopt;
+  // Ids follow the collation order: a lower-bound search over the value
+  // pages, each probe one (memoized) value read through the pool.
+  const double num = XPathNumber(value);
+  const uint32_t id = FirstFailing([&](const std::string& v) {
+    return CollateBefore(XPathNumber(v), v, num, value);
+  });
+  if (id >= size() || Get(id) != value) return std::nullopt;
   return id;
+}
+
+ValueIds StringDict::Select(const ValuePred& pred) const {
+  ValueIds ids;
+  if (pred.op == ValueOp::kEq || pred.op == ValueOp::kNe) {
+    if (std::optional<uint32_t> id = Find(pred.literal)) {
+      ids.lo = *id;
+      ids.hi = *id + 1;
+    }
+    ids.negated = pred.op == ValueOp::kNe;
+    return ids;
+  }
+  // Ordered operators compare numbers: the selected values are a run of
+  // the numeric block, which ends at the first non-number.
+  const double x = XPathNumber(pred.literal);
+  if (std::isnan(x)) return ids;
+  auto below = [x](bool or_equal) {
+    return [x, or_equal](const std::string& v) {
+      const double n = XPathNumber(v);
+      return !std::isnan(n) && (n < x || (or_equal && n == x));
+    };
+  };
+  const uint32_t numeric_end = FirstFailing(
+      [](const std::string& v) { return !std::isnan(XPathNumber(v)); });
+  switch (pred.op) {
+    case ValueOp::kLt:
+      ids.hi = FirstFailing(below(false));
+      break;
+    case ValueOp::kLe:
+      ids.hi = FirstFailing(below(true));
+      break;
+    case ValueOp::kGt:
+      ids.lo = FirstFailing(below(true));
+      ids.hi = numeric_end;
+      break;
+    case ValueOp::kGe:
+      ids.lo = FirstFailing(below(false));
+      ids.hi = numeric_end;
+      break;
+    default:
+      break;
+  }
+  return ids;
 }
 
 }  // namespace blas

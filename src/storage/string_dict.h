@@ -12,6 +12,7 @@
 #include "common/thread_annotations.h"
 #include "storage/buffer_pool.h"
 #include "storage/page.h"
+#include "xpath/ast.h"
 
 namespace blas {
 
@@ -27,15 +28,12 @@ namespace blas {
 ///     hold the rest of its bytes raw — the run reads as one span of
 ///     `ceil(offsets[1] / kPageSize)` pages. The next value starts a
 ///     fresh page.
-///   * permutation pages — a flat u32 array (kPermPerPage per page) of
-///     value ids ordered by byte-wise string comparison; `Find` binary
-///     searches it with one page read per probe.
+/// Ids follow ValueCollate, so the value pages are themselves the sorted
+/// index `Find` binary-searches; no permutation is stored.
 struct PagedDictLayout {
   uint64_t count = 0;
   PageId first_value_page = 0;
   uint32_t value_page_count = 0;
-  PageId first_perm_page = 0;
-  uint32_t perm_page_count = 0;
   /// First value id of each value page, in page order (loaded eagerly
   /// from the snapshot's value-page-index segment; 4 bytes per page).
   /// Non-decreasing: every page of a run carries the run's value id.
@@ -53,8 +51,6 @@ struct ValuePageHeader {
 /// offsets. A longer value spills onto a run.
 inline constexpr size_t kMaxPagedValue =
     kPageSize - sizeof(ValuePageHeader) - 2 * sizeof(uint32_t);
-
-inline constexpr size_t kPermPerPage = kPageSize / sizeof(uint32_t);
 
 /// Reads page `k` (0 = the head) of a value-page group into `page`;
 /// false when the page is unreadable.
@@ -76,10 +72,33 @@ bool DecodeValuePages(uint32_t expected_first, uint32_t group_pages,
                       uint64_t value_count, const ValuePageReader& read,
                       std::vector<std::string>* out);
 
+/// The one order of dictionary ids. Values that are XPath numbers
+/// (XPathNumber is not NaN) come first, ascending by number, ties ("7",
+/// "7.0", "07", " 7 ", or "0" and "-0") by bytes; every other value
+/// follows, by bytes. It is a total order on strings, and every value
+/// predicate selects one run of it: an ordered comparison a run of the
+/// numeric block (non-numbers fail all of them), `=` one id and `!=` the
+/// rest (see StringDict::Select).
+struct ValueCollate {
+  bool operator()(std::string_view a, std::string_view b) const;
+};
+
+/// The dictionary ids a value predicate selects: [lo, hi), or with
+/// `negated` every id outside it. Records without a value carry no id;
+/// they pass exactly when `pred.Matches("")`.
+struct ValueIds {
+  uint32_t lo = 0;
+  uint32_t hi = 0;
+  bool negated = false;
+
+  bool Contains(uint32_t id) const { return (lo <= id && id < hi) != negated; }
+};
+
 /// \brief Dictionary encoding for PCDATA values.
 ///
-/// The `data` column of the node relation stores dictionary ids; equality
-/// value predicates become integer comparisons after one lookup.
+/// The `data` column of the node relation stores dictionary ids, numbered
+/// in ValueCollate order: an equality predicate is one id after one
+/// lookup, and every value predicate is one id interval (Select).
 ///
 /// Two modes:
 ///   * **In-memory** (build time and `FromIndexFile`): all values
@@ -130,12 +149,22 @@ class StringDict {
   }
 
   /// Returns the id of `value`, inserting it if new. Build-time,
-  /// in-memory mode only.
+  /// in-memory mode only: ids follow insertion order until Collate.
   uint32_t Intern(std::string_view value);
 
+  /// Renumbers the ids in ValueCollate order (build time, in-memory mode)
+  /// and returns the map from old id to new id, for the caller to remap
+  /// its records' data column.
+  std::vector<uint32_t> Collate();
+
   /// Returns the id of `value` if present (query-time lookup; an absent
-  /// value means the predicate selects nothing).
+  /// value means the predicate selects nothing). Paged dictionaries
+  /// binary-search the collation-ordered value pages.
   std::optional<uint32_t> Find(std::string_view value) const;
+
+  /// The ids `pred` selects (see ValueIds): by binary search over the
+  /// collation order, no scan of the dictionary.
+  ValueIds Select(const ValuePred& pred) const;
 
   /// The value with id `id`. The reference stays valid for the dict's
   /// lifetime in both modes.
@@ -151,8 +180,10 @@ class StringDict {
 
  private:
   const std::string& PagedGet(uint32_t id) const;
-  /// Entry `k` of the sorted-by-string id permutation.
-  uint32_t PermEntry(uint64_t k) const;
+  /// The first id whose value fails `before`, which must hold for a
+  /// prefix of the collation order (size() if it holds for every id).
+  template <typename Pred>
+  uint32_t FirstFailing(Pred before) const;
 
   // In-memory mode: mutated only during the single-threaded build phase
   // (Intern); read-only once the dict is shared with readers.

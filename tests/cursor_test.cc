@@ -408,12 +408,8 @@ TEST(CursorTest, LiteralMoreFrequentThanItsRootPathRunsTopDown) {
       [&](Translator, size_t) { return cap + top_down; });
 }
 
-TEST(CursorTest, ReturnFirstPriceLookupPaysPerMatchDelivered) {
-  // No literal seeds //closed_auction[price>"P"]/buyer/@person, so a
-  // bounded cursor reads the buyers in document-order batches and seeks
-  // each batch's auctions. On the benchmark's eight-copy corpus (2,000
-  // closed auctions) a price most auctions pass needs one batch; a price
-  // none passes reads every buyer once on top of what a full run reads.
+/// The benchmark's eight-copy auction corpus (2,000 closed auctions).
+const BlasSystem& AuctionTimesEight() {
   static const BlasSystem* sys = [] {
     Result<BlasSystem> s = BlasSystem::FromEvents([](SaxHandler* h) {
       GenOptions gen;
@@ -423,6 +419,15 @@ TEST(CursorTest, ReturnFirstPriceLookupPaysPerMatchDelivered) {
     EXPECT_TRUE(s.ok()) << s.status().ToString();
     return new BlasSystem(std::move(s).value());
   }();
+  return *sys;
+}
+
+TEST(CursorTest, ReturnFirstPriceLookupPaysPerMatchDelivered) {
+  // No literal seeds //closed_auction[price>"P"]/buyer/@person, so a
+  // bounded cursor reads the buyers in document-order batches and seeks
+  // each batch's auctions. The exact count of passing prices sizes the
+  // first batch, and a price none passes ends the cursor before any batch.
+  const BlasSystem* sys = &AuctionTimesEight();
   CostModel model(&sys->summary(), &sys->dict());
   for (const char* price : {"500", "100000"}) {
     const std::string xpath =
@@ -463,10 +468,53 @@ TEST(CursorTest, ReturnFirstPriceLookupPaysPerMatchDelivered) {
             EXPECT_LT(4 * got.stats.elements, unbounded.elements) << what;
           } else {
             EXPECT_TRUE(got.starts.empty()) << what;
-            EXPECT_LE(got.stats.elements, unbounded.elements + buyers)
-                << what;
+            EXPECT_EQ(got.stats.elements, 0u) << what;
+            EXPECT_EQ(got.stats.d_joins, 0u) << what;
           }
+          EXPECT_LE(got.stats.elements, unbounded.elements + buyers) << what;
         }
+      }
+    }
+  }
+}
+
+TEST(CursorTest, PriceNoAuctionPassesCostsOnlyItsCount) {
+  // A price no closed auction passes: the count of its id interval on the
+  // price path is zero, so the cursor ends before reading a batch. It
+  // visits no element and fetches at most the count's two value-tree
+  // descents. Above every number in the document the interval is empty
+  // and nothing is fetched; at the highest closed-auction price larger
+  // numbers elsewhere keep it open and the descents run.
+  const BlasSystem& sys = AuctionTimesEight();
+  QueryOptions project;
+  project.projection = Projection::kValue;
+  Result<QueryResult> prices = sys.Execute("//closed_auction/price", project);
+  ASSERT_TRUE(prices.ok()) << prices.status();
+  ASSERT_FALSE(prices->matches.empty());
+  std::string top = prices->matches[0].content;
+  for (const Match& m : prices->matches) {
+    if (XPathNumber(m.content) > XPathNumber(top)) top = m.content;
+  }
+  const uint64_t height =
+      static_cast<uint64_t>(sys.store().paged_meta().value.height);
+  for (const std::string& price : {std::string("100000"), top}) {
+    const std::string xpath =
+        "//closed_auction[price>\"" + price + "\"]/buyer/@person";
+    for (Translator translator :
+         {Translator::kSplit, Translator::kPushUp, Translator::kUnfold}) {
+      for (Engine engine : kEngines) {
+        QueryOptions options;
+        options.translator = translator;
+        options.engine = engine;
+        options.limit = 10;
+        Result<ResultCursor> cursor = sys.Open(xpath, options);
+        ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+        EXPECT_TRUE(cursor->streaming()) << xpath;
+        QueryResult got = cursor->Drain();
+        EXPECT_TRUE(got.starts.empty()) << xpath;
+        EXPECT_EQ(got.stats.elements, 0u) << xpath;
+        EXPECT_EQ(got.stats.d_joins, 0u) << xpath;
+        EXPECT_LE(got.stats.page_fetches, 2 * height) << xpath;
       }
     }
   }

@@ -350,15 +350,15 @@ TEST(PagedStorageTest, CheckedInFuzzSeedSnapshotOpens) {
 /// Byte offsets inside the BLASIDX2 header (see persist.h): fixed fields
 /// first (magic 0, version 8, endian 12, page size 16, record size 20,
 /// key sizes 24..36, depth 36, counts 40..80), then four 32-byte tree
-/// metas (80..208), the dictionary placement (208..224) and the tail
-/// directory (224..296).
+/// metas (80..208), the value-page placement (208..216) and the tail
+/// directory (216..288).
 constexpr size_t kOffVersion = 8;
 constexpr size_t kOffRecordSize = 20;
 constexpr size_t kOffPoolPages = 64;
 constexpr size_t kOffSpRoot = 80;
 constexpr size_t kOffFirstValuePage = 208;
-constexpr size_t kOffTagBytes = 240;
-constexpr size_t kOffValueIndexPage = 272;
+constexpr size_t kOffTagBytes = 232;
+constexpr size_t kOffValueIndexPage = 264;
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -451,6 +451,20 @@ TEST_F(PagedCorruptionTest, Version2HeaderRejected) {
   std::string bad = bytes_;
   PatchU32(&bad, kOffVersion, 2);
   ExpectRejected(bad, "version 2");
+  Result<PagedIndex> opened = OpenPagedSnapshot(TempPath("corrupt_case.idx2"));
+  ASSERT_FALSE(opened.ok());
+  EXPECT_NE(opened.status().message().find("unsupported version"),
+            std::string::npos)
+      << opened.status();
+}
+
+TEST_F(PagedCorruptionTest, Version4HeaderRejected) {
+  // Version 4 numbered values in insertion order and keyed the value tree
+  // (data, plabel, start) over every record: its value pages are not
+  // sorted and its value tree is not the one value reads seek.
+  std::string bad = bytes_;
+  PatchU32(&bad, kOffVersion, 4);
+  ExpectRejected(bad, "version 4");
   Result<PagedIndex> opened = OpenPagedSnapshot(TempPath("corrupt_case.idx2"));
   ASSERT_FALSE(opened.ok());
   EXPECT_NE(opened.status().message().find("unsupported version"),
@@ -674,6 +688,116 @@ TEST(PagedStorageTest, ValuePageIndexGapRejected) {
   WriteFile(bad_path, bad);
   ASSERT_TRUE(OpenPagedSnapshot(bad_path).ok());
   EXPECT_EQ(LoadSnapshot(bad_path).status().code(), StatusCode::kCorruption);
+}
+
+// ------------------------------------------- value tree bulk-load shape ---
+
+/// Offsets of the value tree's meta (the third of four 32-byte tree metas
+/// from byte 80): first leaf at +4, size at +8, page count at +24.
+constexpr size_t kOffValueMeta = 80 + 2 * 32;
+
+uint32_t ReadU32(const std::string& bytes, size_t off) {
+  uint32_t v = 0;
+  for (int i = 3; i >= 0; --i) {
+    v = (v << 8) | static_cast<uint8_t>(bytes[off + i]);
+  }
+  return v;
+}
+
+/// 1,000 `<i><p>N</p><b/></i>` items, N = 0..999: the value tree holds the
+/// 1,000 prices on one P-label, in four leaves (255, 255, 255, 235), and
+/// price N has rank N.
+std::string PricedItemsSnapshot(const std::string& name) {
+  std::string xml = "<r>";
+  for (int n = 0; n < 1000; ++n) {
+    xml += "<i><p>" + std::to_string(n) + "</p><b/></i>";
+  }
+  Result<BlasSystem> sys = BlasSystem::FromXml(xml + "</r>");
+  EXPECT_TRUE(sys.ok()) << sys.status();
+  EXPECT_EQ(sys->store().paged_meta().value.size, 1000u);
+  const std::string path = TempPath(name);
+  EXPECT_TRUE(sys->SavePagedIndex(path).ok());
+  return ReadFile(path);
+}
+
+TEST(PagedStorageTest, ShortMiddleValueLeafFailsAtAttach) {
+  // Leaf 1 of the value tree loses 240 records and the meta's size
+  // follows: 760 records lay out as three leaves, not the four the file
+  // holds, so the open preflight rejects the tree's shape.
+  std::string bytes = PricedItemsSnapshot("short_leaf_base.idx2");
+  const uint32_t first_leaf = ReadU32(bytes, kOffValueMeta + 4);
+  ASSERT_EQ(ReadU32(bytes, kOffValueMeta + 24), 5u);  // four leaves + root
+  const size_t leaf1 = (1 + size_t{first_leaf} + 1) * kPageSize;
+  PatchU32(&bytes, leaf1 + 4, 255 - 240);
+  PatchU64(&bytes, kOffValueMeta + 8, 1000 - 240);
+  const std::string path = TempPath("short_leaf.idx2");
+  WriteFile(path, bytes);
+  Result<BlasSystem> paged = BlasSystem::OpenPaged(path);
+  ASSERT_FALSE(paged.ok());
+  EXPECT_EQ(paged.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(paged.status().message().find("bulk-load shape"),
+            std::string::npos)
+      << paged.status();
+  EXPECT_EQ(LoadSnapshot(path).status().code(), StatusCode::kCorruption);
+  std::remove(path.c_str());
+}
+
+TEST(PagedStorageTest, ShortMiddleValueLeafFailsTheCountThatReachesIt) {
+  // The same leaf short by 10 with the meta left alone: the shape still
+  // checks out at open, so the first count whose bound lands in that leaf
+  // fails the query with Corruption instead of miscounting. A count that
+  // stays off the leaf is still exact.
+  std::string bytes = PricedItemsSnapshot("short_leaf_base2.idx2");
+  const uint32_t first_leaf = ReadU32(bytes, kOffValueMeta + 4);
+  PatchU32(&bytes, (1 + size_t{first_leaf} + 1) * kPageSize + 4, 245);
+  const std::string path = TempPath("short_leaf2.idx2");
+  WriteFile(path, bytes);
+  Result<BlasSystem> paged = BlasSystem::OpenPaged(path);
+  ASSERT_TRUE(paged.ok()) << paged.status();
+  QueryOptions bounded;
+  bounded.translator = Translator::kPushUp;
+  bounded.limit = 10;
+  // Price 300 has rank 300: leaf 1 (ranks 255..509).
+  Result<QueryResult> r = paged->Execute("//i[p > \"300\"]/b", bounded);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCorruption) << r.status();
+  // Price 600 lands in leaf 2 and the interval's end past leaf 3.
+  r = paged->Execute("//i[p > \"600\"]/b", bounded);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->starts.size(), 10u);
+  std::remove(path.c_str());
+}
+
+TEST(PagedStorageTest, ValueTreeMustHoldExactlyTheValuedRecords) {
+  // One SP record loses its value: the value tree now holds one record
+  // more than the valued records, which the materializing loader checks.
+  std::string bytes = PricedItemsSnapshot("valued_base.idx2");
+  // The first valued record in SP's leaves (its pages but the root; each
+  // record past a 16-byte leaf header).
+  const size_t first = (1 + size_t{ReadU32(bytes, 80 + 4)}) * kPageSize;
+  const size_t end = first + (ReadU32(bytes, 80 + 24) - 1) * kPageSize;
+  bool patched = false;
+  for (size_t leaf = first; leaf < end && !patched; leaf += kPageSize) {
+    for (uint32_t slot = 0; slot < ReadU32(bytes, leaf + 4); ++slot) {
+      const size_t at = leaf + 16 + slot * sizeof(NodeRecord);
+      NodeRecord rec;
+      std::memcpy(&rec, bytes.data() + at, sizeof(NodeRecord));
+      if (rec.data == kNullData) continue;
+      rec.data = kNullData;
+      std::memcpy(bytes.data() + at, &rec, sizeof(NodeRecord));
+      patched = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(patched);
+  const std::string path = TempPath("valued.idx2");
+  WriteFile(path, bytes);
+  Result<IndexSnapshot> snap = LoadSnapshot(path);
+  ASSERT_FALSE(snap.ok());
+  EXPECT_EQ(snap.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(snap.status().message().find("valued records"), std::string::npos)
+      << snap.status();
+  std::remove(path.c_str());
 }
 
 // ------------------------------------------------------- atomic saves ---

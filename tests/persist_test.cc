@@ -96,7 +96,7 @@ constexpr size_t kOffNodeCount = 40;
 constexpr size_t kOffTagCount = 48;
 constexpr size_t kOffValueCount = 56;
 constexpr size_t kOffSpFirstLeaf = 84;
-constexpr size_t kOffTagSegmentPage = 224;
+constexpr size_t kOffTagSegmentPage = 216;
 
 /// A saved BLASIDX2 snapshot of a small document with values and
 /// attributes, as raw bytes.

@@ -550,6 +550,47 @@ TEST(QueryServiceConcurrencyTest, SingleDocumentServiceEqualsBlasSystemOpen) {
   EXPECT_EQ(after.doc_plan_misses, before.doc_plan_misses);
 }
 
+TEST(QueryServiceConcurrencyTest, ReturnFirstRangeQueryStatsMatchOnCacheMissAndHit) {
+  // A bounded range query runs return-first, and its batches are sized by
+  // the exact count of prices that pass. The count is made when the cursor
+  // opens, not when the plan is analysed, so a plan-cache hit (which skips
+  // the analysis) pays and reports it exactly as a miss and the facade do.
+  Result<BlasSystem> built = BlasSystem::FromEvents(
+      [](SaxHandler* h) { GenerateAuction(GenOptions{}, h); });
+  ASSERT_TRUE(built.ok()) << built.status();
+  BlasSystem sys = std::move(built).value();
+  QueryService service(&sys, ServiceOptions{.worker_threads = 1});
+  for (const char* price : {"40", "300", "100000"}) {
+    QueryRequest request{.xpath = std::string("//closed_auction[price>\"") +
+                                  price + "\"]/buyer/@person"};
+    request.options.translator = Translator::kPushUp;
+    request.options.limit = 10;
+    sys.ResetCounters();
+    Result<QueryResult> facade = sys.Execute(request.xpath, request.options);
+    ASSERT_TRUE(facade.ok()) << facade.status();
+    const ExecStats& want = facade->stats;
+    const ServiceStats before = service.stats();
+    for (const char* leg : {"miss", "hit"}) {
+      sys.ResetCounters();
+      Result<BlasCollection::CollectionResult> got = service.Execute(request);
+      ASSERT_TRUE(got.ok()) << got.status();
+      const std::string context = std::string(price) + " " + leg;
+      EXPECT_EQ(Starts(*got), facade->starts) << context;
+      EXPECT_EQ(got->stats.elements, want.elements) << context;
+      EXPECT_EQ(got->stats.page_fetches, want.page_fetches) << context;
+      EXPECT_EQ(got->stats.page_misses, want.page_misses) << context;
+      EXPECT_EQ(got->stats.io_reads, want.io_reads) << context;
+      EXPECT_EQ(got->stats.d_joins, want.d_joins) << context;
+      EXPECT_EQ(got->stats.intermediate_rows, want.intermediate_rows)
+          << context;
+      EXPECT_EQ(got->stats.output_rows, want.output_rows) << context;
+    }
+    const ServiceStats after = service.stats();
+    EXPECT_EQ(after.plan_cache_misses, before.plan_cache_misses + 1);
+    EXPECT_EQ(after.plan_cache_hits, before.plan_cache_hits + 1);
+  }
+}
+
 /// Service-wide element roll-up equals the store's own global counter when
 /// the service is the only reader (ExecStats aggregation is exact).
 TEST(QueryServiceConcurrencyTest, StatsRollUpMatchesStoreCounters) {

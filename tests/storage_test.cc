@@ -760,5 +760,212 @@ TEST_F(FirstByStartTest, EmptyRangesAndZeroSizeReadNothing) {
   EXPECT_EQ(store_->stats().page_fetches, 0u);
 }
 
+// ------------------------------------------------------------- counting ---
+
+/// Value-tree records for `n` keys over P-labels 1..4 (most on 2 and 3),
+/// data ids 0..39 and unique starts, bulk-loaded into `pool`.
+std::vector<NodeRecord> CountRecords(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<NodeRecord> recs;
+  for (size_t i = 0; i < n; ++i) {
+    NodeRecord r;
+    const uint64_t pick = rng.Below(10);
+    r.plabel = pick == 0 ? 1 : pick < 5 ? 2 : pick < 9 ? 3 : 4;
+    r.data = static_cast<uint32_t>(rng.Below(40));
+    r.start = static_cast<uint32_t>(i + 1);
+    recs.push_back(r);
+  }
+  std::sort(recs.begin(), recs.end(),
+            [](const NodeRecord& a, const NodeRecord& b) {
+              return ValKeyOf::Get(a) < ValKeyOf::Get(b);
+            });
+  return recs;
+}
+
+/// CountRange over random and edge key ranges against a brute-force count
+/// of `recs` (the tree's records in key order): empty and inverted
+/// ranges, ranges inside one leaf, ranges ending in the partial last leaf
+/// and past every key. Every count fetches at most 2 * height - 1 pages
+/// and visits no record.
+void ExpectCountOracle(const ValueTree& tree, BufferPool& pool,
+                       const std::vector<NodeRecord>& recs, uint64_t seed) {
+  std::vector<ValKey> keys;
+  for (const NodeRecord& r : recs) keys.push_back(ValKeyOf::Get(r));
+  auto brute = [&](const ValKey& lo, const ValKey& hi) -> uint64_t {
+    if (!(lo < hi)) return 0;
+    return static_cast<uint64_t>(
+        std::lower_bound(keys.begin(), keys.end(), hi) -
+        std::lower_bound(keys.begin(), keys.end(), lo));
+  };
+  auto key_at = [&](size_t i, int32_t nudge) {
+    ValKey k = i < keys.size() ? keys[i] : ValKey{9, 0, 0};
+    k.start = static_cast<uint32_t>(static_cast<int64_t>(k.start) + nudge);
+    return k;
+  };
+  const size_t cap = ValueTree::kLeafCap;
+  const size_t last_leaf = (keys.size() - 1) / cap * cap;
+  Rng rng(seed);
+  std::vector<std::pair<ValKey, ValKey>> cases = {
+      {ValKey{0, 0, 0}, ValKey{9, 0, 0}},   // everything
+      {ValKey{2, 5, 0}, ValKey{2, 5, 0}},   // empty
+      {ValKey{3, 0, 0}, ValKey{2, 0, 0}},   // inverted
+      {ValKey{2, 7, 0}, ValKey{2, 12, 0}},  // one P-label's id interval
+      {ValKey{4, 39, 0}, ValKey{5, 0, 0}},  // the last P-label's last id
+      {key_at(last_leaf, 0), ValKey{9, 0, 0}},       // the partial last leaf
+      {key_at(last_leaf + 1, 1), key_at(keys.size() - 1, 0)},
+      {key_at(0, 0), key_at(std::min(cap, keys.size()) - 1, 1)},  // leaf 0
+  };
+  for (int i = 0; i < 300; ++i) {
+    const size_t a = rng.Below(keys.size() + 1);
+    const size_t b = i % 3 == 0 ? a / cap * cap + rng.Below(cap)  // same leaf
+                                : rng.Below(keys.size() + 1);
+    cases.emplace_back(key_at(a, static_cast<int32_t>(rng.Below(3)) - 1),
+                       key_at(b, static_cast<int32_t>(rng.Below(3)) - 1));
+  }
+  const uint64_t max_fetches = 2 * static_cast<uint64_t>(tree.height()) - 1;
+  for (const auto& [lo, hi] : cases) {
+    ReadCounters counters;
+    std::optional<uint64_t> n;
+    {
+      ReadCounterScope scope(&counters);
+      n = tree.CountRange(lo, hi);
+    }
+    ASSERT_TRUE(n.has_value());
+    EXPECT_EQ(*n, brute(lo, hi))
+        << "lo (" << static_cast<uint64_t>(lo.plabel) << "," << lo.data << ","
+        << lo.start << ") hi (" << static_cast<uint64_t>(hi.plabel) << ","
+        << hi.data << "," << hi.start << ")";
+    EXPECT_EQ(counters.elements, 0u);
+    EXPECT_LE(counters.fetches, lo < hi ? max_fetches : 0u);
+  }
+  (void)pool;
+}
+
+/// Writes `pool`'s pages to a file and reopens them through a 2-frame
+/// demand-paged pool.
+std::unique_ptr<BufferPool> TwoFrameCopy(const BufferPool& pool,
+                                         const std::string& path) {
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    for (PageId pid = 0; pid < pool.page_count(); ++pid) {
+      PageRef ref = pool.Peek(pid);
+      out.write(reinterpret_cast<const char*>(ref->bytes.data()), kPageSize);
+    }
+  }
+  Result<PagedFile> file = PagedFile::Open(path, 0, pool.page_count());
+  EXPECT_TRUE(file.ok()) << file.status();
+  if (!file.ok()) return nullptr;
+  StorageOptions options;
+  options.frames_per_shard = 2;
+  options.shards = 1;
+  return std::make_unique<BufferPool>(std::move(file).value(), options);
+}
+
+TEST(CountRangeTest, MatchesBruteForceOnTreesOfHeightOneToThree) {
+  // 200 records fit one leaf; 20,000 need a root over 79 leaves; 80,000
+  // pass the 74,715 one value-tree root holds (293 leaves of 255).
+  int height = 1;
+  for (size_t n : {size_t{200}, size_t{20000}, size_t{80000}}) {
+    const std::vector<NodeRecord> recs = CountRecords(n, n);
+    BufferPool pool(4096);
+    ValueTree tree;
+    tree.Build(&pool, recs);
+    ASSERT_EQ(tree.height(), height++);
+    ExpectCountOracle(tree, pool, recs, n + 1);
+
+    // The same pages demand-paged through two frames.
+    const std::string path = testing::TempDir() + "/count_range.pages";
+    std::unique_ptr<BufferPool> paged = TwoFrameCopy(pool, path);
+    ASSERT_NE(paged, nullptr);
+    ValueTree attached;
+    attached.Attach(paged.get(), tree.root(), tree.first_leaf(), tree.size(),
+                    tree.height());
+    ExpectCountOracle(attached, *paged, recs, n + 2);
+    std::remove(path.c_str());
+  }
+}
+
+TEST(CountRangeTest, EmptyTreeCountsZeroWithoutAFetch) {
+  BufferPool pool(16);
+  ValueTree tree;
+  tree.Build(&pool, {});
+  EXPECT_EQ(tree.CountRange(ValKey{0, 0, 0}, ValKey{9, 0, 0}), 0u);
+  EXPECT_EQ(pool.stats().fetches, 0u);
+}
+
+TEST(CountRangeTest, BulkShapeIsWhatBuildLaysOut) {
+  for (size_t n : {size_t{1}, size_t{255}, size_t{256}, size_t{74715},
+                   size_t{74716}}) {
+    BufferPool pool(64);
+    ValueTree tree;
+    tree.Build(&pool, CountRecords(n, 7));
+    const TreeShape shape = ValueTree::BulkShape(n);
+    EXPECT_EQ(shape.leaves, tree.leaf_pages()) << n;
+    EXPECT_EQ(shape.pages, pool.page_count()) << n;
+    EXPECT_EQ(shape.height, tree.height()) << n;
+    EXPECT_EQ(tree.first_leaf(), 0u) << n;
+    EXPECT_EQ(tree.root() + 1, pool.page_count()) << n;
+  }
+}
+
+TEST(CountRangeTest, ShortMiddleLeafIsCorruption) {
+  // A leaf that is not full before the last breaks the rank arithmetic:
+  // every count reaching it fails instead of miscounting, in memory and
+  // through the store (Corruption). Counts that never reach it still
+  // hold.
+  std::vector<NodeRecord> recs = CountRecords(2000, 5);
+  for (NodeRecord& r : recs) r.plabel = 2;  // one P-label, 8 leaves
+  std::sort(recs.begin(), recs.end(),
+            [](const NodeRecord& a, const NodeRecord& b) {
+              return ValKeyOf::Get(a) < ValKeyOf::Get(b);
+            });
+  BufferPool pool(64);
+  ValueTree tree;
+  tree.Build(&pool, recs);
+  ASSERT_EQ(tree.leaf_pages(), 8u);
+  const size_t cap = ValueTree::kLeafCap;
+  auto* leaf = reinterpret_cast<ValueTree::LeafNode*>(
+      pool.MutablePage(tree.first_leaf() + 3)->bytes.data());
+  leaf->count -= 10;
+  const ValKey in_leaf3 = ValKeyOf::Get(recs[3 * cap + 1]);
+  EXPECT_EQ(tree.CountRange(ValKey{0, 0, 0}, in_leaf3), std::nullopt);
+  EXPECT_EQ(tree.CountRange(in_leaf3, ValKey{9, 0, 0}), std::nullopt);
+  EXPECT_EQ(tree.CountRange(ValKeyOf::Get(recs[cap]),
+                            ValKeyOf::Get(recs[2 * cap + 5])),
+            cap + 5);
+
+  // A store whose value tree holds such a leaf reports Corruption. The
+  // store's records carry data ids, so its value tree is the same shape.
+  std::vector<NodeRecord> shuffled = recs;
+  NodeStore store(shuffled, 64);
+  PagedStoreMeta meta = store.paged_meta();
+  ASSERT_EQ(meta.value.size, recs.size());
+  const std::string path = testing::TempDir() + "/short_leaf.pages";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    for (PageId pid = 0; pid < store.pool().page_count(); ++pid) {
+      Page page = *store.pool().Peek(pid);
+      if (pid == meta.value.first_leaf + 3) {
+        reinterpret_cast<ValueTree::LeafNode*>(page.bytes.data())->count -= 10;
+      }
+      out.write(reinterpret_cast<const char*>(page.bytes.data()), kPageSize);
+    }
+  }
+  Result<PagedFile> file = PagedFile::Open(path, 0, store.pool().page_count());
+  ASSERT_TRUE(file.ok()) << file.status();
+  NodeStore paged(std::move(file).value(), meta, StorageOptions{});
+  // Each id holds ~50 records, so the first record of this one lies in
+  // leaf 3, where the count's upper bound lands.
+  const uint32_t id = recs[3 * cap + 100].data;
+  Result<uint64_t> short_leaf = paged.CountValues(2, 0, id);
+  EXPECT_EQ(short_leaf.status().code(), StatusCode::kCorruption);
+  Result<uint64_t> good = store.CountValues(2, 0, id);
+  ASSERT_TRUE(good.ok()) << good.status();
+  EXPECT_EQ(*good, static_cast<uint64_t>(std::count_if(
+                       recs.begin(), recs.end(),
+                       [&](const NodeRecord& r) { return r.data < id; })));
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace blas
